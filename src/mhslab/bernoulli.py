@@ -7,17 +7,29 @@ never stored.  Values come from the defining recurrence
     sum_{j=0}^{m} C(m+1, j) B_j = 0        (m >= 1),
 
 solved for the top index, restricted to even j since the odd entries drop
-out.  Modular values are exact values reduced; von Staudt-Clausen pins
-down exactly when that reduction is impossible.
+out.
+
+Modular values never touch the exact cache.  Faulhaber's formula for the
+prime power sum S_n(p) = sum_{a=1}^{p-1} a^n reads
+
+    p*B_n = S_n - sum_{j>=1} C(n,j)/(j+1) * p^j * (p*B_{n-j}),
+
+and every p*B_m is p-integral (von Staudt-Clausen), so the j-th term has
+p-adic valuation at least j - v_p(j+1).  Mod p^(e+1) only the first few
+terms survive, each needing p*B_{n-j} to lower precision; B_n mod p^e is
+then p*B_n divided by p.  That costs O(e*p) per (index, prime), with no
+index cap.  von Staudt-Clausen also pins down exactly when B_n has no
+residue: (p-1) | n for even n > 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
 
-from .exactnum import DenominatorDivisibleByP, Residue, is_prime, rational_to_residue
+from .exactnum import DenominatorDivisibleByP, Residue, is_prime
 
 __all__ = [
     "IndexAboveCap",
@@ -88,14 +100,55 @@ def bernoulli_exact(n: int, cache: BernoulliCache | None = None) -> Fraction:
     return (cache or _CACHE).get(n)
 
 
-def warm_cache(n: int) -> None:
-    """Precompute the shared cache through index n (one-writer contract:
-    call this before handing the cache to parallel readers)."""
-    _CACHE.warm(n)
+def _power_sum(n: int, p: int, m: int) -> int:
+    """sum_{a=1}^{p-1} a^n mod m, with a^n = q^n * b^n for a = q*b.
+
+    A linear sieve reaches every composite a < p once from its least
+    prime factor q, so only primes pay for a modular power.
+    """
+    powers = [0] * p
+    powers[1] = 1 % m
+    primes: list[int] = []
+    for a in range(2, p):
+        x = powers[a]
+        if x == 0:  # a is prime: a^n is a unit mod m, so never 0
+            x = powers[a] = pow(a, n, m)
+            primes.append(a)
+        for q in primes:
+            if q * a >= p:
+                break
+            powers[q * a] = powers[q] * x % m
+            if a % q == 0:
+                break
+    return sum(powers) % m
+
+
+@functools.lru_cache(maxsize=4096)
+def _p_times_bernoulli(n: int, p: int, k: int) -> int:
+    """p*B_n mod p^k, from the power sum S_n(p) and Faulhaber's formula."""
+    m = p**k
+    if n == 0:
+        return p % m
+    if n == 1:
+        return -p * ((m + 1) // 2) % m  # p * (-1/2); m is odd
+    if n % 2:
+        return 0
+    acc = _power_sum(n, p, m)
+    # j - v_p(j+1) >= j - log_3(j+1) >= k once j > 2k: later terms vanish.
+    for j in range(1, min(n, 2 * k) + 1):
+        t, unit = 0, j + 1
+        while unit % p == 0:
+            t, unit = t + 1, unit // p
+        shift = j - t
+        if shift >= k:
+            continue
+        coef = math.comb(n, j) * p**shift * pow(unit, -1, m)
+        acc -= coef * _p_times_bernoulli(n - j, p, k - shift)
+    return acc % m
 
 
 def bernoulli_mod(n: int, p: int, e: int) -> Residue:
-    """B_n reduced into Z/p^e.
+    """B_n reduced into Z/p^e, for any index n >= 0.
 
     Raises PDividesDenominator when (p-1) | n for even n > 0; by von
     Staudt-Clausen these are exactly the indices where p divides the
@@ -106,7 +159,7 @@ def bernoulli_mod(n: int, p: int, e: int) -> Residue:
     Residue(0, p, e)  # validate the ring before anything else
     if n > 0 and n % 2 == 0 and n % (p - 1) == 0:
         raise PDividesDenominator(f"p = {p} divides the denominator of B_{n}")
-    return rational_to_residue(bernoulli_exact(n), p, e)
+    return Residue(_p_times_bernoulli(n, p, e + 1) // p, p, e)
 
 
 def von_staudt_clausen_check(n: int, cache: BernoulliCache | None = None) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bernoulli import bernoulli_exact, bernoulli_mod
+from .bernoulli import PDividesDenominator, bernoulli_exact
 from .compositions import parse_composition, stuffle
 from .congruences import (
     STATUS_FAIL,
@@ -20,7 +20,7 @@ from .congruences import (
     reports_to_json,
     run_scan,
 )
-from .exactnum import is_prime, primes_in_range
+from .exactnum import Residue, is_prime, primes_in_range, rational_to_residue
 from .identities import probe_thm31_random, run_thm21_suite, run_thm31_suite
 from .mhs import mhs_exact, mhs_mod, weighted_sum2, weighted_sum3
 
@@ -112,7 +112,15 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         if args.prime is None:
             print(bernoulli_exact(args.n))
         else:
-            print(bernoulli_mod(args.n, args.prime, args.e))
+            # The exact value reduced: instant for a small index at a huge
+            # prime, where bernoulli_mod's O(p) power sums are not.
+            Residue(0, args.prime, args.e)  # validate the ring first
+            exact = bernoulli_exact(args.n)
+            if exact.denominator % args.prime == 0:
+                raise PDividesDenominator(
+                    f"p = {args.prime} divides the denominator of B_{args.n}"
+                )
+            print(rational_to_residue(exact, args.prime, args.e))
     except (ValueError, ArithmeticError) as exc:
         args.parser.error(str(exc))
     return 0

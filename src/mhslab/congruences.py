@@ -27,7 +27,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .bernoulli import PDividesDenominator, bernoulli_mod, warm_cache
+from .bernoulli import PDividesDenominator, bernoulli_mod
 from .exactnum import (
     Residue,
     crt_list,
@@ -925,15 +925,14 @@ def run_scan(
         return []
     jobs = _resolve_jobs(jobs)
     if jobs > 1 and len(plist) > 1:
-        # Publish the Bernoulli cache before forking (one-writer contract);
-        # children then only read it.
-        warm_cache(max(plist))
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = None
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            chunk = max(1, len(plist) // (8 * jobs))
+        # The pool starts every worker at once: never more than the primes.
+        workers = min(jobs, len(plist))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            chunk = max(1, len(plist) // (8 * workers))
             reports = list(
                 pool.map(
                     _scan_worker,

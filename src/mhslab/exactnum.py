@@ -10,6 +10,7 @@ power.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +93,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=1024)
+def _is_odd_prime(n: int) -> bool:
+    """Memoized ring check: Residue arithmetic revisits a handful of primes."""
+    return n >= 3 and is_prime(n)
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi (inclusive endpoints), by sieve."""
     if hi < 2 or hi < lo:
@@ -121,7 +128,7 @@ class Residue:
     def __post_init__(self) -> None:
         if self.exponent not in (1, 2, 3):
             raise ValueError(f"exponent must be 1, 2 or 3, got {self.exponent}")
-        if self.prime < 3 or not is_prime(self.prime):
+        if not _is_odd_prime(self.prime):
             raise ValueError(f"modulus base must be an odd prime, got {self.prime}")
         object.__setattr__(self, "value", self.value % self.prime**self.exponent)
 

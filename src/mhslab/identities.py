@@ -168,7 +168,7 @@ def run_thm21_suite(
     """Verify both expanded forms on the whole grid [1,smax]^3 x [0,nmax]."""
     if smax < 1 or nmax < 0:
         raise ValueError("smax must be >= 1 and nmax >= 0")
-    t = PrefixTable.for_exact(nmax)
+    t = _exact_table(nmax, None, EXACT_N_CAP)
     failures: list[IdentityInstance] = []
     points = 0
     for s1, s2, s3 in product(range(1, smax + 1), repeat=3):
@@ -187,7 +187,7 @@ def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> S
     """Verify the four-exponent relation on [1,smax]^4 at the given n."""
     if smax < 1 or not nvalues or min(nvalues) < 0:
         raise ValueError("smax must be >= 1 and nvalues non-empty, >= 0")
-    t = PrefixTable.for_exact(max(nvalues))
+    t = _exact_table(max(nvalues), None, EXACT_N_CAP)
     failures: list[IdentityInstance] = []
     points = 0
     for s in product(range(1, smax + 1), repeat=4):
@@ -204,9 +204,9 @@ def probe_thm31_random(
 ) -> SuiteReport:
     """Probe the four-exponent relation at random exponents and random
     upper indices n with n+1 composite (so n is never of the form p-1)."""
+    t = _exact_table(nmax, None, EXACT_N_CAP)
     rng = random.Random(seed)
     composite_n = [n for n in range(4, nmax + 1) if not is_prime(n + 1)]
-    t = PrefixTable.for_exact(nmax)
     failures: list[IdentityInstance] = []
     for _ in range(count):
         s = tuple(rng.randint(1, smax) for _ in range(4))

@@ -7,6 +7,7 @@ the package reproduces the full verification matrix, not just its own
 cached numbers.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -190,12 +191,18 @@ def test_criterion_09_fitter_soundness():
     print(f"criterion 9: PASS (planted {c} recovered from 5 primes)")
 
 
+# Pins the battery's report: a faster Bernoulli or table path must not
+# change a single byte of it.
+BATTERY_CSV_SHA256 = "020294a3a1e8ada2d4320ddc35050e177d68a89c24f9d590b4c9bc8776ff41e8"
+
+
 def test_criterion_10_battery_performance_and_determinism():
     start = time.perf_counter()
     serial = run_battery(jobs=1)
     elapsed = time.perf_counter() - start
     assert elapsed < 300, f"battery took {elapsed:.0f}s single-threaded"
     assert not any(r.status == STATUS_FAIL for r in serial)
+    assert hashlib.sha256(reports_to_csv(serial).encode()).hexdigest() == BATTERY_CSV_SHA256
     parallel = run_battery(jobs=2)
     assert reports_to_csv(serial) == reports_to_csv(parallel)
     assert reports_to_json(serial) == reports_to_json(parallel)

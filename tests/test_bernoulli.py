@@ -21,7 +21,7 @@ from mhslab.bernoulli import (
     bernoulli_mod,
     von_staudt_clausen_check,
 )
-from mhslab.exactnum import primes_in_range
+from mhslab.exactnum import primes_in_range, rational_to_residue
 
 
 def akiyama_tanigawa(nmax: int) -> list[Fraction]:
@@ -103,6 +103,27 @@ def test_bernoulli_mod_values_and_poles():
         bernoulli_mod(-2, 7, 1)
     with pytest.raises(ValueError):
         bernoulli_mod(4, 9, 1)  # 9 is not prime
+
+
+def test_bernoulli_mod_matches_exact_reduction_below_200():
+    # The power-sum path against the exact recurrence, poles included.
+    for p in primes_in_range(3, 199):
+        for n in range(2 * p + 1):
+            exact = bernoulli_exact(n)
+            for e in (1, 2, 3):
+                if exact.denominator % p == 0:
+                    with pytest.raises(PDividesDenominator):
+                        bernoulli_mod(n, p, e)
+                else:
+                    assert bernoulli_mod(n, p, e) == rational_to_residue(exact, p, e), (n, p, e)
+
+
+def test_kummer_congruence_past_the_exact_cap():
+    # B_{2p-6}/(2p-6) == B_{p-5}/(p-5) (mod p); index 40016 is far beyond
+    # the exact cache's cap, which bernoulli_mod never consults.
+    p = 20011
+    assert bernoulli_mod(2 * p - 6, p, 1) / (2 * p - 6) == bernoulli_mod(p - 5, p, 1) / (p - 5)
+    assert not bernoulli_mod(p - 5, p, 1).is_zero()
 
 
 def test_pole_indices_match_von_staudt_clausen():

@@ -87,6 +87,14 @@ def test_bernoulli_mod(capsys):
     )
 
 
+def test_bernoulli_small_index_at_huge_prime(capsys):
+    # Reduced from the exact value, not from O(p) power sums.
+    assert run_cli(["bernoulli", "--n", "12", "--prime", "1000000007", "--e", "2"], capsys) == (
+        0,
+        "83882785057142861 (mod 1000000014000000049)\n",
+    )
+
+
 def test_bernoulli_pole_is_a_usage_error(capsys):
     code, err = run_cli_error(["bernoulli", "--n", "6", "--prime", "7"], capsys)
     assert code == 2
@@ -117,6 +125,19 @@ def test_identity_thm31_with_probes(capsys):
         "thm31: 64 instances, 0 failures",
         "thm31-general-n: 5 instances, 0 failures",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity", "--thm", "2.1", "--smax", "2", "--nmax", "20000"],
+        ["identity", "--thm", "3.1", "--smax", "2", "--probes", "5", "--nmax", "1000000000"],
+    ],
+)
+def test_identity_nmax_above_exact_cap(argv, capsys):
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert "exceeds cap 10000" in err
 
 
 def test_identity_bad_smax(capsys):

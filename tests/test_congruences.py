@@ -367,6 +367,35 @@ def test_scan_worker_count_env(monkeypatch):
         run_scan("cor-sun-modp", [7, 11])
 
 
+def test_scan_pool_is_clamped_to_the_primes(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(congruences, "ProcessPoolExecutor", InProcessPool)
+    reports = run_scan("cor-sun-modp", [7, 11], jobs=64)
+    assert started == [2]
+    assert reports == run_scan("cor-sun-modp", [7, 11], jobs=1)
+
+
+def test_scan_past_the_exact_bernoulli_cap():
+    # B_{2p-6} at p > 1000 lies beyond the exact cache's index cap.
+    reports = run_scan("h2-over-j3-modp2", primes_in_range(1009, 1031), jobs=1)
+    assert [r.p for r in reports] == primes_in_range(1009, 1031)
+    assert all(r.status == STATUS_PASS for r in reports)
+
+
 def test_default_battery_is_well_formed():
     reg = registry()
     for check_id, lo, hi in DEFAULT_BATTERY:
