@@ -38,7 +38,10 @@ def parse_primes(spec: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
             raise ValueError(f"bad prime range {spec!r}; expected a..b") from None
-        primes = [p for p in primes_in_range(lo, hi) if p >= 3]
+        try:
+            primes = [p for p in primes_in_range(lo, hi) if p >= 3]
+        except MemoryError:
+            raise ValueError(f"prime range {spec!r} is too large to sieve") from None
     else:
         primes = []
         for token in spec.split(","):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "NotAUnit",
     "DenominatorDivisibleByP",
     "xgcd",
@@ -24,15 +23,10 @@ __all__ = [
     "is_prime",
     "primes_in_range",
     "Residue",
-    "mod_inverse",
     "rational_to_residue",
     "rational_reconstruct",
     "crt_list",
 ]
-
-# The exact scalar type used across the package.
-Rational = Fraction
-
 
 class NotAUnit(ArithmeticError):
     """Inversion was requested for a residue sharing a factor with the modulus."""
@@ -210,11 +204,6 @@ class Residue:
 
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus})"
-
-
-def mod_inverse(a: Residue) -> Residue:
-    """Inverse of a residue; raises NotAUnit when p divides the value."""
-    return a.inverse()
 
 
 def rational_to_residue(q: Fraction | int, p: int, e: int) -> Residue:

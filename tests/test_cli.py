@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import mhslab.cli as cli
 from mhslab.cli import build_parser, main, parse_primes
 
 
@@ -222,6 +223,12 @@ def test_fit_family_with_override(capsys):
     assert (code, out) == (0, "-11/3\n")
 
 
+def test_fit_cor34_fourth_refits_the_published_constant(capsys):
+    # published 3; no ordering of the exponents (2,1,2,2) gives it
+    code, out = run_cli(["fit", "--family", "cor34-4", "--primes", "11..120"], capsys)
+    assert (code, out) == (0, "31/8\n")
+
+
 def test_fit_unknown_family_lists_choices(capsys):
     code, err = run_cli_error(["fit", "--family", "huh", "--primes", "7..50"], capsys)
     assert code == 2
@@ -244,6 +251,22 @@ def test_parse_primes():
     for bad in ("", "9", "4", "2", "5..3", "a..b"):
         with pytest.raises(ValueError):
             parse_primes(bad)
+
+
+def test_huge_prime_range_is_a_usage_error(monkeypatch, capsys):
+    # a range like 3..10^12 cannot be sieved; never allocate it for real
+    def no_memory(lo, hi):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "primes_in_range", no_memory)
+    with pytest.raises(ValueError, match="too large"):
+        parse_primes("3..1000000000000")
+    for argv in (
+        ["scan", "--check", "cor-sun-modp", "--primes", "3..1000000000000"],
+        ["fit", "--family", "sun-s1", "--primes", "7..1000000000000"],
+    ):
+        code, err = run_cli_error(argv, capsys)
+        assert code == 2 and "too large to sieve" in err
 
 
 def test_parser_top_level():

@@ -8,12 +8,13 @@ sabotaging the other side's entry points.
 """
 
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
 import mhslab.congruences as congruences
-from mhslab.bernoulli import PDividesDenominator, bernoulli_mod
+from mhslab.bernoulli import bernoulli_mod
 from mhslab.congruences import (
     DEFAULT_BATTERY,
     STATUS_FAIL,
@@ -218,6 +219,24 @@ def test_registry_contents():
         reg["new"] = None  # the mapping is read-only
 
 
+def test_registry_is_picklable_data():
+    # no member holds a closure, so every check can cross a process boundary
+    for chk in registry().values():
+        assert pickle.loads(pickle.dumps(chk)) == chk
+
+
+def test_every_member_rhs_evaluates_at_every_admissible_prime():
+    # min_prime carries every hypothesis: no rhs raises HypothesisViolated
+    # or hits a Bernoulli pole at an admissible prime.
+    pairs = 0
+    for chk in registry().values():
+        for mem in chk.members:
+            for p in primes_in_range(max(3, mem.min_prime), 400):
+                assert 0 <= mem.rhs(p, chk.e) < p**chk.e
+                pairs += 1
+    assert pairs == 10138
+
+
 def test_get_check_unknown_id():
     with pytest.raises(UnknownCheckId) as exc:
         get_check("nope")
@@ -254,30 +273,21 @@ def _fake_registry(monkeypatch, member):
 
 
 def test_run_check_reports_bernoulli_pole(monkeypatch):
-    def poled(p):
-        raise PDividesDenominator("boom")
-
-    _fake_registry(monkeypatch, CheckMember("m0", 3, lambda t: 0, poled))
+    # B_{p-1} has a pole at every prime
+    pole = ((Fraction(1), 0, ((1, 1),)),)
+    _fake_registry(monkeypatch, CheckMember("m0", 3, ("mhs", ((1,),)), pole))
     rep = run_check("fake", 11)
     assert rep.status == STATUS_SKIP_POLE
     assert "m0" in rep.note
 
 
-def test_run_check_reports_hypothesis_violation(monkeypatch):
-    def narrow(p):
-        raise HypothesisViolated("only very round primes")
-
-    _fake_registry(monkeypatch, CheckMember("m0", 3, lambda t: 0, narrow))
-    rep = run_check("fake", 11)
-    assert rep.status == STATUS_SKIP_HYPOTHESIS
-    assert "very round" in rep.note
-
-
 def test_run_check_detects_mismatch(monkeypatch):
-    _fake_registry(monkeypatch, CheckMember("m0", 3, lambda t: 1, lambda p: 2))
+    # H(1; p-1) vanishes mod p, against the constant monomial 1
+    one = ((Fraction(1), 0, ()),)
+    _fake_registry(monkeypatch, CheckMember("m0", 3, ("mhs", ((1,),)), one))
     rep = run_check("fake", 11)
     assert rep.status == STATUS_FAIL
-    assert rep.lhs == "1" and rep.rhs == "2"
+    assert rep.lhs == "0" and rep.rhs == "1"
     assert rep.note == "fail: m0"
 
 
@@ -300,7 +310,7 @@ def test_rhs_side_never_builds_prefix_tables(monkeypatch):
     monkeypatch.setattr(congruences, "PrefixTable", _Bomb())
     for chk in registry().values():
         for mem in chk.members:
-            mem.rhs(_first_admissible_prime(mem.min_prime))
+            mem.rhs(_first_admissible_prime(mem.min_prime), chk.e)
 
 
 def test_lhs_side_never_touches_bernoulli(monkeypatch):
@@ -335,6 +345,13 @@ def test_scan_appends_fitted_note_on_failures():
     reports = run_scan("cor34-first", primes_in_range(11, 60))
     assert reports and all(r.status == STATUS_FAIL for r in reports)
     assert all(r.note == "fail: (2,2,2,3); fitted=-11/3" for r in reports)
+
+
+def test_scan_of_cor34_fourth_fails_with_its_refit():
+    # The published constant 3 fails at every prime; the refit is 31/8.
+    reports = run_scan("cor34-fourth", primes_in_range(11, 120))
+    assert reports and all(r.status == STATUS_FAIL for r in reports)
+    assert all(r.note == "fail: (2,1,2,2); fitted=31/8" for r in reports)
 
 
 def test_scan_passing_rows_have_clean_notes():
@@ -424,6 +441,36 @@ def test_fit_recovers_unit_coefficient():
     assert res.coefficient == 1
     assert res.family == "sun-s1"
     assert len(res.primes_used) >= 10
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("sun-s1", 1),
+        ("cor34-1", Fraction(-11, 3)),
+        ("cor34-2", Fraction(29, 3)),
+        ("cor34-3", Fraction(-21, 8)),
+        ("cor34-4", Fraction(31, 8)),
+        ("zero", 0),
+        ("h3-over-j", Fraction(3, 2)),
+    ],
+)
+def test_every_fit_family_recovers_its_value(name, value):
+    fam = fit_families()[name]
+    res = fit_coefficient(fam.lhs, fam.w, primes_in_range(11, 120), t=fam.t, e=fam.e)
+    assert res.coefficient == value
+
+
+def test_fit_families_are_registry_members():
+    # a check's scan refits with a family built from one of its own members
+    for chk in registry().values():
+        if chk.fit_family is not None:
+            assert fit_families()[chk.fit_family].member in chk.members
+    # w and t come from the member's single monomial, e from its check
+    fam = fit_families()["h3-over-j"]
+    assert (fam.w, fam.t, fam.e) == (5, 1, 2)
+    assert fam.member in get_check("h3-over-j-modp2").members
+    assert fit_families()["zero"].member.rhs_terms == ((0, 0, ((1, 5),)),)
 
 
 def test_fit_zero_family_skips_irregular_prime():

@@ -14,7 +14,6 @@ from mhslab.exactnum import (
     Residue,
     crt_list,
     is_prime,
-    mod_inverse,
     mod_inverse_int,
     primes_in_range,
     rational_reconstruct,
@@ -118,8 +117,6 @@ def test_residue_division_and_inverse():
     assert (x**-2).value == (x.inverse() ** 2).value
     with pytest.raises(NotAUnit):
         Residue(7, 7, 2).inverse()
-    with pytest.raises(NotAUnit):
-        mod_inverse(Residue(14, 7, 2))
 
 
 def test_residue_dunder_views():
