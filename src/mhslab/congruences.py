@@ -830,14 +830,14 @@ def run_scan(
             raise ValueError(f"prime list contains {p}, which is not an odd prime")
     if not plist:
         return []
-    jobs = _resolve_jobs(jobs)
-    if jobs > 1 and len(plist) > 1:
+    # The pool starts every worker at once: never more than the primes or
+    # the CPUs.
+    workers = min(_resolve_jobs(jobs), len(plist), os.cpu_count() or 1)
+    if workers > 1:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = None
-        # The pool starts every worker at once: never more than the primes.
-        workers = min(jobs, len(plist))
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             chunk = max(1, len(plist) // (8 * workers))
             reports = list(

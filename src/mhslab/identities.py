@@ -1,12 +1,13 @@
 """Exact rational verification of the structural identities relating the
 weighted sums to plain multiple harmonic sums.
 
-Everything here compares Fractions for equality; no modular shortcut is
-taken.  The two three-factor-free forms (form1 with the product term,
+Everything here compares exact values for equality; no modular shortcut
+is taken.  The two three-factor-free forms (form1 with the product term,
 form2 fully expanded through the quasi-shuffle) and the four-exponent
 relation are each exposed as single-point checks plus grid suites.  Grid
-suites share one PrefixTable and reuse whole prefix rows, so a full
-default grid costs seconds.
+suites share one PrefixTable and reuse whole prefix rows.  Every term of
+an identity has the same weight, so both sides are compared as raw-int
+numerators over one denominator; only reported instances carry Fractions.
 """
 
 from __future__ import annotations
@@ -58,12 +59,19 @@ class SuiteReport:
         return not self.failures
 
 
-def _instance(identity: str, exps: tuple[int, ...], n: int, lhs, rhs) -> IdentityInstance:
-    return IdentityInstance(identity, exps, n, lhs, rhs, lhs == rhs)
+def _instance(
+    identity: str, exps: tuple[int, ...], n: int, t: PrefixTable, lhs: int, rhs: int
+) -> IdentityInstance:
+    """Both sides as Fractions, from numerators over t.scale**sum(exps)."""
+    w = sum(exps)
+    return IdentityInstance(
+        identity, exps, n, t.to_fraction(lhs, w), t.to_fraction(rhs, w), lhs == rhs
+    )
 
 
 def _thm21_rows(t: PrefixTable, s1: int, s2: int, s3: int, form: int) -> tuple[list, list]:
-    """(lhs, rhs) rows over every upper index 0..t.n for one exponent triple."""
+    """(lhs, rhs) rows over every upper index 0..t.n for one exponent triple,
+    as numerators over t.scale**(s1+s2+s3)."""
     lhs = t.weighted_sum2_all(s1, s2, s3)
     if form == 1:
         a = t.mhs_all((s1, s2, s3))
@@ -86,6 +94,7 @@ def _thm21_rows(t: PrefixTable, s1: int, s2: int, s3: int, form: int) -> tuple[l
 
 
 def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int) -> tuple[list, list]:
+    """As _thm21_rows, over t.scale**(s1+s2+s3+s4)."""
     lhs = [-v for v in t.weighted_sum3_all(s1, s2, s3, s4)]
     rows = [
         t.mhs_all((s1, s3, s2, s4)),
@@ -110,7 +119,7 @@ def check_thm21_form1(
     -H(s1,s2,s3) + H(s3,s1+s2) + H(s1+s2+s3) + H(s3)H(s1,s2)."""
     t = _exact_table(n, table, EXACT_N_CAP)
     lhs, rhs = _thm21_rows(t, s1, s2, s3, form=1)
-    return _instance("thm21-form1", (s1, s2, s3), n, lhs[n], rhs[n])
+    return _instance("thm21-form1", (s1, s2, s3), n, t, lhs[n], rhs[n])
 
 
 def check_thm21_form2(
@@ -121,7 +130,7 @@ def check_thm21_form2(
     H(s1,s2+s3) + H(s1+s2+s3)."""
     t = _exact_table(n, table, EXACT_N_CAP)
     lhs, rhs = _thm21_rows(t, s1, s2, s3, form=2)
-    return _instance("thm21-form2", (s1, s2, s3), n, lhs[n], rhs[n])
+    return _instance("thm21-form2", (s1, s2, s3), n, t, lhs[n], rhs[n])
 
 
 def check_thm31(
@@ -131,7 +140,7 @@ def check_thm31(
     sums minus H^(s4)_n times the two-factor weighted sum."""
     t = _exact_table(n, table, EXACT_N_CAP)
     lhs, rhs = _thm31_rows(t, s1, s2, s3, s4)
-    return _instance("thm31", (s1, s2, s3, s4), n, lhs[n], rhs[n])
+    return _instance("thm31", (s1, s2, s3, s4), n, t, lhs[n], rhs[n])
 
 
 def eval_formal_sum(
@@ -152,7 +161,12 @@ def eval_formal_sum(
     if p is None:
         assert n is not None
         t = _exact_table(n, table, EXACT_N_CAP)
-        return sum((c * t.mhs(comp) for comp, c in F), Fraction(0))
+        # Bring every term to the largest weight's denominator.
+        top = max((comp.weight for comp, _ in F), default=0)
+        num = sum(
+            c * t.mhs_all(comp)[n] * t.scale ** (top - comp.weight) for comp, c in F
+        )
+        return t.to_fraction(num, top)
     t = _mod_table(p, e, table)
     m = t.modulus
     assert m is not None
@@ -178,7 +192,7 @@ def run_thm21_suite(
                 points += 1
                 if lhs[n] != rhs[n]:
                     failures.append(
-                        _instance(f"thm21-form{form}", (s1, s2, s3), n, lhs[n], rhs[n])
+                        _instance(f"thm21-form{form}", (s1, s2, s3), n, t, lhs[n], rhs[n])
                     )
     return SuiteReport("thm21", points, tuple(failures))
 
@@ -195,7 +209,7 @@ def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> S
         for n in nvalues:
             points += 1
             if lhs[n] != rhs[n]:
-                failures.append(_instance("thm31", s, n, lhs[n], rhs[n]))
+                failures.append(_instance("thm31", s, n, t, lhs[n], rhs[n]))
     return SuiteReport("thm31", points, tuple(failures))
 
 
@@ -204,6 +218,10 @@ def probe_thm31_random(
 ) -> SuiteReport:
     """Probe the four-exponent relation at random exponents and random
     upper indices n with n+1 composite (so n is never of the form p-1)."""
+    if count < 0:
+        raise ValueError(f"probe count must be >= 0, got {count}")
+    if nmax < 5:
+        raise ValueError(f"nmax must be >= 5 (the smallest n with n+1 composite is 5), got {nmax}")
     t = _exact_table(nmax, None, EXACT_N_CAP)
     rng = random.Random(seed)
     composite_n = [n for n in range(4, nmax + 1) if not is_prime(n + 1)]
@@ -213,5 +231,5 @@ def probe_thm31_random(
         n = rng.choice(composite_n)
         lhs, rhs = _thm31_rows(t, *s)
         if lhs[n] != rhs[n]:
-            failures.append(_instance("thm31-general-n", s, n, lhs[n], rhs[n]))
+            failures.append(_instance("thm31-general-n", s, n, t, lhs[n], rhs[n]))
     return SuiteReport("thm31-general-n", count, tuple(failures))

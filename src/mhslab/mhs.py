@@ -8,14 +8,17 @@ Everything is driven by one recurrence,
 
 so a length-k sum over upper index n costs O(k n) ring operations rather
 than a k-fold nested enumeration.  A PrefixTable caches the inverse powers
-1/j^s (and their prefix sums) for one upper index, either as Fractions or
-as plain ints mod p^e; the modular tables are built with batched inversion,
-one extended Euclid for the whole row.  Modular intermediates stay raw
-ints for speed; Residue objects appear only at the public boundary.
+1/j^s (and their prefix sums) for one upper index as raw ints in both
+modes: residues mod p^e, or in exact mode numerators over scale**w with
+scale = lcm(1..n) and w the weight of the value.  The modular tables are
+built with batched inversion, one extended Euclid for the whole row; the
+exact rows never build a Fraction or take a gcd.  Fraction and Residue
+objects appear only at the public boundary.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,18 +41,25 @@ EXACT_N_CAP = 10_000
 class PrefixTable:
     """Inverse-power and harmonic-prefix caches for upper indices 0..n.
 
-    Exact mode (modulus None) stores Fractions; mod mode stores ints in
-    [0, p^e) with n fixed to p-1, where every j <= n is a unit.  All lists
-    are indexed by j with a zero placed at j = 0.
+    Every row is a list of raw ints indexed by j = 0..n.  Mod mode stores
+    residues in [0, p^e) with n fixed to p-1, where every j <= n is a unit.
+    Exact mode (modulus None) stores numerators over scale**w, where
+    scale = lcm(1..n) and w is the row's weight: s for inv_powers(s) and
+    harmonic_prefix(s), the composition's weight for mhs_all, and the sum
+    of the exponents for the weighted sums.  Values of one weight share a
+    denominator, so they add and compare as ints, and a product of rows has
+    the sum of their weights.  to_fraction() turns one cell into its value.
+    Mod mode sets scale to 1.
     """
 
-    __slots__ = ("n", "prime", "exponent", "modulus", "_inv", "_ipow", "_hpref")
+    __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_inv", "_ipow", "_hpref")
 
     def __init__(self, n: int, *, prime: int | None = None, exponent: int = 1) -> None:
         if prime is None:
             if n < 0:
                 raise ValueError(f"upper index must be >= 0, got {n}")
             self.modulus = None
+            self.scale = math.lcm(*range(1, n + 1))
         else:
             if prime < 3 or not is_prime(prime):
                 raise ValueError(f"modulus base must be an odd prime, got {prime}")
@@ -58,6 +68,7 @@ class PrefixTable:
             if n != prime - 1:
                 raise ValueError("mod-mode tables are built at upper index p-1")
             self.modulus = prime**exponent
+            self.scale = 1
         self.n = n
         self.prime = prime
         self.exponent = exponent
@@ -72,6 +83,10 @@ class PrefixTable:
     @classmethod
     def for_prime(cls, p: int, e: int = 1) -> "PrefixTable":
         return cls(p - 1, prime=p, exponent=e)
+
+    def to_fraction(self, num: int, w: int) -> Fraction:
+        """The exact value of one weight-w cell: num / scale**w."""
+        return Fraction(num, self.scale**w)
 
     def _inverses(self) -> list[int]:
         """1/j mod p^e for j = 1..n, by one inversion plus O(n) products."""
@@ -96,7 +111,8 @@ class PrefixTable:
         row = self._ipow.get(s)
         if row is None:
             if self.modulus is None:
-                row = [Fraction(0)] + [Fraction(1, j**s) for j in range(1, self.n + 1)]
+                scale = self.scale
+                row = [0] + [(scale // j) ** s for j in range(1, self.n + 1)]
             else:
                 m = self.modulus
                 row = [0] + [pow(v, s, m) for v in self._inverses()[1:]]
@@ -108,12 +124,11 @@ class PrefixTable:
         row = self._hpref.get(s)
         if row is None:
             ip = self.inv_powers(s)
-            if self.modulus is None:
-                acc = Fraction(0)
+            m = self.modulus
+            acc = 0
+            if m is None:
                 row = [acc := acc + ip[j] for j in range(self.n + 1)]
             else:
-                m = self.modulus
-                acc = 0
                 row = [acc := (acc + ip[j]) % m for j in range(self.n + 1)]
             self._hpref[s] = row
         return row
@@ -122,26 +137,25 @@ class PrefixTable:
         """H(parts; m) for every m = 0..n, by the recurrence."""
         parts = tuple(Composition(parts))
         m = self.modulus
-        one = 1 if m is not None else Fraction(1)
-        cur: list = [one] * (self.n + 1)
+        cur = [1] * (self.n + 1)
         for i, s in enumerate(parts, 1):
             ip = self.inv_powers(s)
-            new: list = [0 if m is not None else Fraction(0)] * (self.n + 1)
-            if m is not None:
-                acc = 0
-                for j in range(i, self.n + 1):
-                    acc = (acc + ip[j] * cur[j - 1]) % m
-                    new[j] = acc
-            else:
-                acc = Fraction(0)
+            new = [0] * (self.n + 1)
+            acc = 0
+            if m is None:
                 for j in range(i, self.n + 1):
                     acc += ip[j] * cur[j - 1]
+                    new[j] = acc
+            else:
+                for j in range(i, self.n + 1):
+                    acc = (acc + ip[j] * cur[j - 1]) % m
                     new[j] = acc
             cur = new
         return cur
 
-    def mhs(self, parts: Iterable[int]):
-        """H(parts; n): a Fraction in exact mode, a raw int in mod mode."""
+    def mhs(self, parts: Iterable[int]) -> int:
+        """H(parts; n) as a raw int: the numerator over scale**weight in
+        exact mode, the residue in mod mode."""
         return self.mhs_all(parts)[self.n]
 
     def weighted_sum2_all(self, s1: int, s2: int, s3: int) -> list:
@@ -150,10 +164,9 @@ class PrefixTable:
         h3 = self.harmonic_prefix(s3)
         ip = self.inv_powers(s2)
         m = self.modulus
+        acc = 0
         if m is not None:
-            acc = 0
             return [acc := (acc + h1[j] * h3[j] % m * ip[j]) % m for j in range(self.n + 1)]
-        acc = Fraction(0)
         return [acc := acc + h1[j] * h3[j] * ip[j] for j in range(self.n + 1)]
 
     def weighted_sum3_all(self, s1: int, s2: int, s3: int, s4: int) -> list:
@@ -163,13 +176,12 @@ class PrefixTable:
         h4 = self.harmonic_prefix(s4)
         ip = self.inv_powers(s2)
         m = self.modulus
+        acc = 0
         if m is not None:
-            acc = 0
             return [
                 acc := (acc + h1[j] * h3[j] % m * h4[j] % m * ip[j]) % m
                 for j in range(self.n + 1)
             ]
-        acc = Fraction(0)
         return [acc := acc + h1[j] * h3[j] * h4[j] * ip[j] for j in range(self.n + 1)]
 
     def weighted_sum2(self, s1: int, s2: int, s3: int):
@@ -205,8 +217,9 @@ def mhs_exact(
     Conventions: H(parts; r) = 0 for r < len(parts), and the empty
     composition evaluates to 1 for every n.
     """
+    parts = Composition(parts)
     t = _exact_table(n, table, cap)
-    return t.mhs_all(parts)[n]
+    return t.to_fraction(t.mhs_all(parts)[n], parts.weight)
 
 
 def mhs_mod(
@@ -238,7 +251,7 @@ def weighted_sum2(
     if p is None:
         assert n is not None
         t = _exact_table(n, table, cap)
-        return t.weighted_sum2_all(s1, s2, s3)[n]
+        return t.to_fraction(t.weighted_sum2_all(s1, s2, s3)[n], s1 + s2 + s3)
     t = _mod_table(p, e, table)
     return Residue(t.weighted_sum2(s1, s2, s3), p, e)
 
@@ -261,6 +274,6 @@ def weighted_sum3(
     if p is None:
         assert n is not None
         t = _exact_table(n, table, cap)
-        return t.weighted_sum3_all(s1, s2, s3, s4)[n]
+        return t.to_fraction(t.weighted_sum3_all(s1, s2, s3, s4)[n], s1 + s2 + s3 + s4)
     t = _mod_table(p, e, table)
     return Residue(t.weighted_sum3(s1, s2, s3, s4), p, e)

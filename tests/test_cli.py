@@ -141,6 +141,19 @@ def test_identity_nmax_above_exact_cap(argv, capsys):
     assert "exceeds cap 10000" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identity", "--thm", "3.1", "--probes", "3", "--nmax", "3"], "nmax must be >= 5"),
+        (["identity", "--thm", "3.1", "--probes", "-2"], "probe count must be >= 0"),
+    ],
+)
+def test_identity_probes_it_cannot_serve(argv, message, capsys):
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert message in err
+
+
 def test_identity_bad_smax(capsys):
     code, _ = run_cli_error(["identity", "--thm", "2.1", "--smax", "0"], capsys)
     assert code == 2

@@ -406,6 +406,33 @@ def test_scan_pool_is_clamped_to_the_primes(monkeypatch):
     assert reports == run_scan("cor-sun-modp", [7, 11], jobs=1)
 
 
+def test_scan_pool_is_clamped_to_the_cpus(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(congruences, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(congruences.os, "cpu_count", lambda: 3)
+    primes = primes_in_range(3, 3000)
+    parallel = reports_to_csv(run_scan("cor-sun-modp2", primes, jobs=5000))
+    assert started == [3]
+    assert parallel == reports_to_csv(run_scan("cor-sun-modp2", primes, jobs=1))
+    monkeypatch.setenv("MHSLAB_THREADS", "5000")
+    run_scan("cor-sun-modp2", primes_in_range(3, 100))
+    assert started == [3, 3]
+
+
 def test_scan_past_the_exact_bernoulli_cap():
     # B_{2p-6} at p > 1000 lies beyond the exact cache's index cap.
     reports = run_scan("h2-over-j3-modp2", primes_in_range(1009, 1031), jobs=1)

@@ -17,7 +17,7 @@ from mhslab.identities import (
     run_thm21_suite,
     run_thm31_suite,
 )
-from mhslab.mhs import PrefixTable, mhs_exact, weighted_sum2
+from mhslab.mhs import PrefixTable, mhs_exact, weighted_sum2, weighted_sum3
 
 
 def test_single_instances_hold():
@@ -102,3 +102,45 @@ def test_eval_formal_sum_exact_and_mod():
 
 def test_empty_formal_sum_evaluates_to_zero():
     assert eval_formal_sum(FormalSum(), 9) == 0
+
+
+
+def _bump_last_cell(monkeypatch, method):
+    """Add 1 to the numerator in the last cell of every row `method` returns."""
+    original = getattr(PrefixTable, method)
+
+    def bumped(self, *args):
+        row = list(original(self, *args))
+        row[self.n] += 1
+        return row
+
+    monkeypatch.setattr(PrefixTable, method, bumped)
+
+
+def test_failures_report_both_sides_as_fractions(monkeypatch):
+    # Each side is a numerator over scale**w with scale = lcm(1..nmax) and
+    # w the weight; a bumped left-side cell is off by exactly 1/scale**w.
+    wsum2_6 = weighted_sum2(1, 1, 1, 6)
+    lhs31 = {n: -weighted_sum3(1, 1, 1, 1, n) for n in (5, 12)}
+
+    _bump_last_cell(monkeypatch, "weighted_sum2_all")
+    rep = run_thm21_suite(1, 6, forms=(1,))
+    assert [(f.exponents, f.n) for f in rep.failures] == [((1, 1, 1), 6)]
+    (inst,) = rep.failures
+    assert type(inst.lhs) is Fraction and type(inst.rhs) is Fraction
+    assert inst.lhs == wsum2_6 + Fraction(1, 60**3)
+    assert inst.rhs == wsum2_6
+    assert not inst.verdict
+    monkeypatch.undo()
+
+    # thm31's left side is minus the three-factor sum
+    _bump_last_cell(monkeypatch, "weighted_sum3_all")
+    rep = run_thm31_suite(1, (12,))
+    probe = probe_thm31_random(3, smax=1, nmax=5)
+    assert [(f.exponents, f.n) for f in rep.failures] == [((1, 1, 1, 1), 12)]
+    assert [(f.exponents, f.n) for f in probe.failures] == [((1, 1, 1, 1), 5)] * 3
+    for inst, scale in [(rep.failures[0], 27720), *((f, 60) for f in probe.failures)]:
+        assert type(inst.lhs) is Fraction and type(inst.rhs) is Fraction
+        assert inst.lhs == lhs31[inst.n] - Fraction(1, scale**4)
+        assert inst.rhs == lhs31[inst.n]
+        assert not inst.verdict

@@ -84,6 +84,22 @@ def test_weighted_sums_match_brute_force():
         assert weighted_sum3(2, 1, 1, 3, n) == direct
 
 
+def test_longer_table_matches_brute_force():
+    # A table built for N > n scales its rows by lcm(1..N), not lcm(1..n).
+    table = PrefixTable.for_exact(30)
+    h = lambda s, m: brute_mhs((s,), m)
+    for n in (0, 1, 7):
+        for parts in SMALL_COMPS:
+            assert mhs_exact(parts, n, table=table) == brute_mhs(parts, n), (parts, n)
+            f = stuffle(parts, (2,))
+            assert eval_formal_sum(f, n, table=table) == brute_mhs(parts, n) * h(2, n)
+        assert weighted_sum2(2, 1, 2, n, table=table) == brute_weighted2(2, 1, 2, n)
+        direct = sum(
+            (h(2, j) * h(1, j) * h(3, j) / j for j in range(1, n + 1)), Fraction(0)
+        )
+        assert weighted_sum3(2, 1, 1, 3, n, table=table) == direct
+
+
 @pytest.mark.parametrize("p", [7, 11, 13])
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_mod_agrees_with_exact_reduction(p, e):
@@ -148,9 +164,11 @@ def test_batched_inversion_row():
 
 def test_harmonic_prefix_row():
     t = PrefixTable.for_exact(8)
+    assert t.scale == 840
     row = t.harmonic_prefix(2)
     assert row[0] == 0
-    assert row[4] == Fraction(1) + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)
+    # exact rows hold numerators over scale**weight
+    assert row[4] == (Fraction(1) + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)) * 840**2
 
 
 def test_table_validation():
@@ -195,4 +213,4 @@ def test_mhs_all_prefix_is_consistent():
     t = PrefixTable.for_exact(15)
     row = t.mhs_all((1, 2))
     for m in (0, 1, 7, 15):
-        assert row[m] == mhs_exact((1, 2), m)
+        assert row[m] == mhs_exact((1, 2), m) * t.scale**3
