@@ -96,8 +96,24 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 out = weighted_sum3(s1, s2, s3, s4, p=args.prime, e=args.e)
     except (ValueError, ArithmeticError) as exc:
         args.parser.error(str(exc))
-    print(out)
+    _print_unlimited(out)
     return 0
+
+
+def _print_unlimited(value) -> None:
+    """print(value), lifting the interpreter's limit on int-to-str digits
+    (Python 3.11+) for this one output: the numerator of an exact
+    H(1,2,1; 5000) has about 5,000 digits, past the default 4,300."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        print(value)
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_stuffle(args: argparse.Namespace) -> int:

@@ -312,6 +312,12 @@ class CheckMember:
         method, args = self.lhs_spec
         return getattr(table, method)(*args)
 
+    @property
+    def composition(self) -> tuple[int, ...] | None:
+        """The composition of an H(s_1..s_k; p-1) left side, else None."""
+        method, args = self.lhs_spec
+        return tuple(args[0]) if method == "mhs" else None
+
     def rhs(self, p: int, e: int) -> int:
         return _evaluate(self.rhs_terms, p, e)
 
@@ -778,7 +784,12 @@ def run_check(check_id: str, p: int, *, table: PrefixTable | None = None) -> Che
                 note=f"p divides a Bernoulli denominator at {mem.label}",
             )
     t = table if table is not None else PrefixTable.for_prime(p, chk.e)
-    lhs_vals = {mem.label: mem.lhs(t) for mem in active}
+    # The H(...) members share their prefix rows through one trie walk.
+    sums = t.mhs_many(c for mem in active if (c := mem.composition) is not None)
+    lhs_vals = {
+        mem.label: mem.lhs(t) if mem.composition is None else sums[mem.composition]
+        for mem in active
+    }
     bad = [lab for lab in lhs_vals if lhs_vals[lab] != rhs_vals[lab]]
     multi = len(chk.members) > 1
     return CheckReport(

@@ -163,17 +163,12 @@ def eval_formal_sum(
         t = _exact_table(n, table, EXACT_N_CAP)
         # Bring every term to the largest weight's denominator.
         top = max((comp.weight for comp, _ in F), default=0)
-        num = sum(
-            c * t.mhs_all(comp)[n] * t.scale ** (top - comp.weight) for comp, c in F
-        )
+        sums = t.mhs_many((comp for comp, _ in F), n)
+        num = sum(c * sums[comp] * t.scale ** (top - comp.weight) for comp, c in F)
         return t.to_fraction(num, top)
     t = _mod_table(p, e, table)
-    m = t.modulus
-    assert m is not None
-    acc = 0
-    for comp, c in F:
-        acc = (acc + c * t.mhs(comp)) % m
-    return Residue(acc, p, e)
+    sums = t.mhs_many(comp for comp, _ in F)
+    return Residue(sum(c * sums[comp] for comp, c in F), p, e)
 
 
 def run_thm21_suite(

@@ -10,20 +10,29 @@ so a length-k sum over upper index n costs O(k n) ring operations rather
 than a k-fold nested enumeration.  A PrefixTable caches the inverse powers
 1/j^s (and their prefix sums) for one upper index as raw ints in both
 modes: residues mod p^e, or in exact mode numerators over scale**w with
-scale = lcm(1..n) and w the weight of the value.  The modular tables are
-built with batched inversion, one extended Euclid for the whole row; the
-exact rows never build a Fraction or take a gcd.  Fraction and Residue
+scale = lcm(1..n) and w the weight of the value.  Fraction and Residue
 objects appear only at the public boundary.
+
+Rows are built by one kernel for both modes: products and running sums
+stream through itertools.accumulate and map(operator.mul, ...), reduced
+mod p^e cell by cell as they are stored (exact mode stores them as they
+are).  A single value, H(s_1..s_k; n) or a weighted sum at n, never builds
+its last row: that level is one dot product and one reduction.  The
+modular inverse row comes from the recurrence 1/j = -(m // j) / (m mod j)
+mod m, one product per cell.  mhs_many() evaluates a batch of compositions
+over their prefix trie, so a prefix shared by several sums is built once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate, islice, repeat
+from operator import mod, mul
+from typing import Iterable, Iterator, Sequence
 
 from .compositions import Composition
-from .exactnum import Residue, is_prime, mod_inverse_int
+from .exactnum import Residue, is_prime
 
 __all__ = [
     "EXACT_N_CAP",
@@ -50,9 +59,13 @@ class PrefixTable:
     denominator, so they add and compare as ints, and a product of rows has
     the sum of their weights.  to_fraction() turns one cell into its value.
     Mod mode sets scale to 1.
+
+    The single-value methods (mhs, mhs_many, weighted_sum2, weighted_sum3)
+    take an optional upper index n <= self.n, so an exact table built for a
+    large n also serves every smaller one.
     """
 
-    __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_inv", "_ipow", "_hpref")
+    __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_ipow", "_hpref")
 
     def __init__(self, n: int, *, prime: int | None = None, exponent: int = 1) -> None:
         if prime is None:
@@ -72,7 +85,6 @@ class PrefixTable:
         self.n = n
         self.prime = prime
         self.exponent = exponent
-        self._inv: list[int] | None = None
         self._ipow: dict[int, Sequence] = {}
         self._hpref: dict[int, Sequence] = {}
 
@@ -88,21 +100,58 @@ class PrefixTable:
         """The exact value of one weight-w cell: num / scale**w."""
         return Fraction(num, self.scale**w)
 
+    # -- the kernel: one code path for both modes --------------------------
+
+    def _reduced(self, values: Iterator[int]) -> Iterator[int]:
+        """The values mod p^e, lazily; exact mode passes them through."""
+        m = self.modulus
+        return values if m is None else map(mod, values, repeat(m))
+
+    def _reduce(self, value: int) -> int:
+        m = self.modulus
+        return value if m is None else value % m
+
+    def _upto(self, n: int | None) -> int:
+        if n is None:
+            return self.n
+        if not 0 <= n <= self.n:
+            raise ValueError(f"upper index {n} is outside the table's range 0..{self.n}")
+        return n
+
+    def _terms(self, prev: Sequence | None, s: int, n: int) -> Iterator[int]:
+        """j -> j^(-s) H(P; j-1) for j = 1..n, where prev is the row of the
+        prefix P over 0..n (None for the empty prefix, whose row is all 1)."""
+        head = islice(self.inv_powers(s), 1, n + 1)
+        return head if prev is None else map(mul, head, prev)
+
+    def _extend(self, prev: Sequence | None, s: int, n: int) -> list:
+        """The row m -> H(P, s; m), m = 0..n, from the row of P."""
+        return [0, *self._reduced(accumulate(self._terms(prev, s, n)))]
+
+    def _dot(self, prev: Sequence | None, s: int, n: int) -> int:
+        """H(P, s; n) alone: the last level as one sum, no row built."""
+        return self._reduce(sum(self._terms(prev, s, n)))
+
+    def _wsum_terms(self, s2: int, factors: tuple[int, ...], n: int) -> Iterator[int]:
+        """j -> j^(-s2) prod_s H_j^(s) over the factors, j = 0..n, unreduced."""
+        terms = islice(self.inv_powers(s2), n + 1)
+        for s in factors:
+            terms = map(mul, terms, self.harmonic_prefix(s))
+        return terms
+
+    # -- rows ----------------------------------------------------------------
+
     def _inverses(self) -> list[int]:
-        """1/j mod p^e for j = 1..n, by one inversion plus O(n) products."""
-        if self._inv is None:
-            m = self.modulus
-            assert m is not None
-            pref = [1] * (self.n + 1)
-            for j in range(2, self.n + 1):
-                pref[j] = pref[j - 1] * j % m
-            inv = [0] * (self.n + 1)
-            run = mod_inverse_int(pref[self.n], m)
-            for j in range(self.n, 0, -1):
-                inv[j] = run * pref[j - 1] % m
-                run = run * j % m
-            self._inv = inv
-        return self._inv
+        """1/j mod m for j = 1..n (index 0 holds a zero), m = p^e, by the
+        recurrence 1/j = -(m // j) * 1/(m mod j).  It needs j < p: then j
+        does not divide m, so m mod j is a smaller nonzero index."""
+        m = self.modulus
+        assert m is not None
+        inv = [0, 1]
+        push = inv.append
+        for j in range(2, self.n + 1):
+            push((m - m // j) * inv[m % j] % m)
+        return inv
 
     def inv_powers(self, s: int) -> Sequence:
         """The row j -> j^(-s), j = 1..n (index 0 holds a zero)."""
@@ -113,9 +162,10 @@ class PrefixTable:
             if self.modulus is None:
                 scale = self.scale
                 row = [0] + [(scale // j) ** s for j in range(1, self.n + 1)]
+            elif s == 1:
+                row = self._inverses()
             else:
-                m = self.modulus
-                row = [0] + [pow(v, s, m) for v in self._inverses()[1:]]
+                row = list(map(pow, self.inv_powers(1), repeat(s), repeat(self.modulus)))
             self._ipow[s] = row
         return row
 
@@ -123,72 +173,80 @@ class PrefixTable:
         """The row j -> H_j^(s), j = 0..n."""
         row = self._hpref.get(s)
         if row is None:
-            ip = self.inv_powers(s)
-            m = self.modulus
-            acc = 0
-            if m is None:
-                row = [acc := acc + ip[j] for j in range(self.n + 1)]
-            else:
-                row = [acc := (acc + ip[j]) % m for j in range(self.n + 1)]
-            self._hpref[s] = row
+            row = self._hpref[s] = self._extend(None, s, self.n)
         return row
 
     def mhs_all(self, parts: Iterable[int]) -> list:
         """H(parts; m) for every m = 0..n, by the recurrence."""
-        parts = tuple(Composition(parts))
-        m = self.modulus
-        cur = [1] * (self.n + 1)
-        for i, s in enumerate(parts, 1):
-            ip = self.inv_powers(s)
-            new = [0] * (self.n + 1)
-            acc = 0
-            if m is None:
-                for j in range(i, self.n + 1):
-                    acc += ip[j] * cur[j - 1]
-                    new[j] = acc
-            else:
-                for j in range(i, self.n + 1):
-                    acc = (acc + ip[j] * cur[j - 1]) % m
-                    new[j] = acc
-            cur = new
-        return cur
-
-    def mhs(self, parts: Iterable[int]) -> int:
-        """H(parts; n) as a raw int: the numerator over scale**weight in
-        exact mode, the residue in mod mode."""
-        return self.mhs_all(parts)[self.n]
+        row = None
+        for s in Composition(parts):
+            row = self._extend(row, s, self.n)
+        return [1] * (self.n + 1) if row is None else row
 
     def weighted_sum2_all(self, s1: int, s2: int, s3: int) -> list:
         """sum_{j<=m} H_j^(s1) H_j^(s3) / j^(s2) for every m = 0..n."""
-        h1 = self.harmonic_prefix(s1)
-        h3 = self.harmonic_prefix(s3)
-        ip = self.inv_powers(s2)
-        m = self.modulus
-        acc = 0
-        if m is not None:
-            return [acc := (acc + h1[j] * h3[j] % m * ip[j]) % m for j in range(self.n + 1)]
-        return [acc := acc + h1[j] * h3[j] * ip[j] for j in range(self.n + 1)]
+        terms = self._wsum_terms(s2, (s1, s3), self.n)
+        return list(self._reduced(accumulate(terms)))
 
     def weighted_sum3_all(self, s1: int, s2: int, s3: int, s4: int) -> list:
         """As weighted_sum2_all with a third harmonic factor H_j^(s4)."""
-        h1 = self.harmonic_prefix(s1)
-        h3 = self.harmonic_prefix(s3)
-        h4 = self.harmonic_prefix(s4)
-        ip = self.inv_powers(s2)
-        m = self.modulus
-        acc = 0
-        if m is not None:
-            return [
-                acc := (acc + h1[j] * h3[j] % m * h4[j] % m * ip[j]) % m
-                for j in range(self.n + 1)
-            ]
-        return [acc := acc + h1[j] * h3[j] * h4[j] * ip[j] for j in range(self.n + 1)]
+        terms = self._wsum_terms(s2, (s1, s3, s4), self.n)
+        return list(self._reduced(accumulate(terms)))
 
-    def weighted_sum2(self, s1: int, s2: int, s3: int):
-        return self.weighted_sum2_all(s1, s2, s3)[self.n]
+    # -- single values -------------------------------------------------------
 
-    def weighted_sum3(self, s1: int, s2: int, s3: int, s4: int):
-        return self.weighted_sum3_all(s1, s2, s3, s4)[self.n]
+    def mhs_many(
+        self, compositions: Iterable[Iterable[int]], n: int | None = None
+    ) -> dict[Composition, int]:
+        """H(c; n) as a raw int for every composition c, keyed by c as a
+        tuple; the empty composition gives 1.
+
+        The compositions are walked depth first as a trie of prefixes.  The
+        row of a prefix is built once and feeds every extension of it, and
+        it is dropped as soon as its last child has been built; a leaf is
+        one dot product and builds no row.  A chain of prefixes thus never
+        holds more than two rows at once.
+        """
+        n = self._upto(n)
+        wanted = dict.fromkeys(map(Composition, compositions))
+        trie: dict = {}
+        for comp in wanted:
+            node = trie
+            for s in comp:
+                node = node.setdefault(s, {})
+        out: dict[Composition, int] = {Composition(): 1} if () in wanted else {}
+        # Each entry: a prefix, its row (None for the empty prefix) and the
+        # children not yet built.  The entry leaves the stack as its last
+        # child is taken, so that child's row replaces it.
+        stack = [(Composition(), None, list(trie.items()))] if trie else []
+        while stack:
+            prefix, row, children = stack[-1]
+            s, grandchildren = children.pop()
+            if not children:
+                stack.pop()
+            comp = Composition((*prefix, s))
+            if not grandchildren:
+                out[comp] = self._dot(row, s, n)
+                continue
+            child = self._extend(row, s, n)
+            if comp in wanted:
+                out[comp] = child[n]
+            stack.append((comp, child, list(grandchildren.items())))
+        return out
+
+    def mhs(self, parts: Iterable[int], n: int | None = None) -> int:
+        """H(parts; n) as a raw int: the numerator over scale**weight in
+        exact mode, the residue in mod mode.  n defaults to the table's."""
+        parts = Composition(parts)
+        return self.mhs_many((parts,), n)[parts]
+
+    def weighted_sum2(self, s1: int, s2: int, s3: int, n: int | None = None) -> int:
+        """sum_{j<=n} H_j^(s1) H_j^(s3) / j^(s2) as a raw int."""
+        return self._reduce(sum(self._wsum_terms(s2, (s1, s3), self._upto(n))))
+
+    def weighted_sum3(self, s1: int, s2: int, s3: int, s4: int, n: int | None = None) -> int:
+        """As weighted_sum2 with a third harmonic factor H_j^(s4)."""
+        return self._reduce(sum(self._wsum_terms(s2, (s1, s3, s4), self._upto(n))))
 
 
 def _exact_table(n: int, table: PrefixTable | None, cap: int) -> PrefixTable:
@@ -219,7 +277,7 @@ def mhs_exact(
     """
     parts = Composition(parts)
     t = _exact_table(n, table, cap)
-    return t.to_fraction(t.mhs_all(parts)[n], parts.weight)
+    return t.to_fraction(t.mhs(parts, n), parts.weight)
 
 
 def mhs_mod(
@@ -251,7 +309,7 @@ def weighted_sum2(
     if p is None:
         assert n is not None
         t = _exact_table(n, table, cap)
-        return t.to_fraction(t.weighted_sum2_all(s1, s2, s3)[n], s1 + s2 + s3)
+        return t.to_fraction(t.weighted_sum2(s1, s2, s3, n), s1 + s2 + s3)
     t = _mod_table(p, e, table)
     return Residue(t.weighted_sum2(s1, s2, s3), p, e)
 
@@ -274,6 +332,6 @@ def weighted_sum3(
     if p is None:
         assert n is not None
         t = _exact_table(n, table, cap)
-        return t.to_fraction(t.weighted_sum3_all(s1, s2, s3, s4)[n], s1 + s2 + s3 + s4)
+        return t.to_fraction(t.weighted_sum3(s1, s2, s3, s4, n), s1 + s2 + s3 + s4)
     t = _mod_table(p, e, table)
     return Residue(t.weighted_sum3(s1, s2, s3, s4), p, e)

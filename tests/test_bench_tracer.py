@@ -1,0 +1,33 @@
+"""The benchmark's span tracer (bench/tracing.py) patches PrefixTable and
+congruence methods by name; this guards those names against a refactor
+that renames or removes one, which would raise KeyError at install()."""
+
+from pathlib import Path
+
+import mhslab.congruences as congruences
+from mhslab.mhs import PrefixTable
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_installs_runs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    originals = dict(vars(PrefixTable))
+    tracer = tracing.Tracer().install()
+    try:
+        assert tracing.count_wrappers() > 0
+        # One check whose members go through the trie, one weighted sum.
+        mhs_report = congruences.run_check("homog-vanishing-modp", 101)
+        wsum_report = congruences.run_check("cor-sun-modp", 101)
+    finally:
+        tracer.uninstall()
+    assert tracing.count_wrappers() == 0
+    assert dict(vars(PrefixTable)) == originals
+    assert mhs_report.status == wsum_report.status == "pass"
+    assert tracer.counts["congruences.run_check_calls"] == 2
+    assert tracer.counts["mhs.tables_mod"] == 2
+    assert tracer.counts["mhs.inv_powers_calls"] > 0
+    inclusive, _ = tracer.times()
+    assert inclusive["congruences.run_check"] > 0 and inclusive["mhs.wsum2"] > 0

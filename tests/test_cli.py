@@ -8,6 +8,7 @@ import pytest
 
 import mhslab.cli as cli
 from mhslab.cli import build_parser, main, parse_primes
+from mhslab.mhs import mhs_exact
 
 
 def run_cli(argv, capsys):
@@ -41,6 +42,25 @@ def test_eval_weighted_sums(capsys):
     code, out = run_cli(["eval", "--wsum3", "2,2,2,3", "--n", "5"], capsys)
     assert code == 0
     assert out == "19444115078101727/10077696000000000\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_eval_prints_values_past_the_int_digit_limit(capsys):
+    # The exact H(1,2,1; 700) has a numerator of about 700 digits; at the
+    # default limit of 4300 digits the same failure starts near n = 4300.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run_cli(["eval", "--mhs", "1,2,1", "--n", "700"], capsys)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    value = mhs_exact((1, 2, 1), 700)
+    assert code == 0
+    assert len(str(value.numerator)) > 640
+    assert out == f"{value}\n"
 
 
 @pytest.mark.parametrize(

@@ -291,6 +291,23 @@ def test_run_check_detects_mismatch(monkeypatch):
     assert rep.note == "fail: m0"
 
 
+def test_run_check_sends_its_sums_through_one_trie_walk(monkeypatch):
+    calls = []
+    original = PrefixTable.mhs_many
+
+    def spy(self, compositions, n=None):
+        comps = list(compositions)
+        calls.append(comps)
+        return original(self, comps, n)
+
+    monkeypatch.setattr(PrefixTable, "mhs_many", spy)
+    chk = get_check("homog-vanishing-modp")
+    rep = run_check(chk.check_id, 101)
+    assert calls == [[m.composition for m in chk.members]]
+    t = PrefixTable.for_prime(101, chk.e)
+    assert rep.lhs == ";".join(f"{m.label}={t.mhs(*m.lhs_spec[1])}" for m in chk.members)
+
+
 class _Bomb:
     def __getattr__(self, name):
         raise AssertionError("forbidden code path reached")

@@ -1,7 +1,9 @@
 """Nested harmonic sums against a brute-force enumeration oracle, plus the
-table plumbing (batched inversion, caching, mode validation)."""
+table plumbing (inverse row, single-value and trie paths, caching, mode
+validation)."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -150,7 +152,7 @@ def test_stuffle_evaluates_to_the_product_mod_p():
         assert lhs == eval_formal_sum(stuffle(a, b), p=p, e=2, table=table)
 
 
-def test_batched_inversion_row():
+def test_inverse_row_and_powers():
     t = PrefixTable.for_prime(101, 2)
     m = 101**2
     inv1 = t.inv_powers(1)
@@ -214,3 +216,117 @@ def test_mhs_all_prefix_is_consistent():
     row = t.mhs_all((1, 2))
     for m in (0, 1, 7, 15):
         assert row[m] == mhs_exact((1, 2), m) * t.scale**3
+
+
+# --- single-value and trie paths against the rows and the exact oracle -------
+
+PRIMES_BELOW_200 = primes_in_range(3, 199)
+
+
+def compositions_upto(weight):
+    """Every composition of weight 1..weight."""
+    return [
+        Composition(c)
+        for w in range(1, weight + 1)
+        for k in range(1, w + 1)
+        for c in itertools.product(range(1, w + 1), repeat=k)
+        if sum(c) == w
+    ]
+
+
+WEIGHT6 = compositions_upto(6)
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_200)
+def test_inverse_row_is_the_modular_inverse(p):
+    for e in (1, 2, 3):
+        m = p**e
+        row = PrefixTable.for_prime(p, e).inv_powers(1)
+        assert row == [0] + [pow(j, -1, m) for j in range(1, p)]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_200)
+def test_single_value_trie_and_rows_agree_with_exact_reduction(p):
+    exact_table = PrefixTable.for_exact(p - 1)
+    exact = exact_table.mhs_many(WEIGHT6)
+    assert exact == {c: exact_table.mhs_all(c)[p - 1] for c in WEIGHT6}
+    for e in (1, 2, 3):
+        t = PrefixTable.for_prime(p, e)
+        many = t.mhs_many(WEIGHT6)
+        assert set(many) == set(WEIGHT6)
+        for c in WEIGHT6:
+            want = int(rational_to_residue(exact_table.to_fraction(exact[c], c.weight), p, e))
+            assert t.mhs(c) == many[c] == t.mhs_all(c)[p - 1] == want, (p, e, c)
+
+
+def test_trie_takes_duplicates_the_empty_composition_and_mixed_chains():
+    comps = [
+        (1, 1, 1, 1),
+        (1, 1),
+        (),
+        (2,),
+        (2, 2, 2),
+        (1, 1),
+        (2, 1),
+        (1, 2, 3),
+        (),
+        (3,),
+        (1,),
+        (2, 2),
+    ]
+    for t, n in ((PrefixTable.for_prime(97, 2), None), (PrefixTable.for_exact(40), 25)):
+        got = t.mhs_many(iter(comps), n)
+        assert set(got) == set(comps)
+        assert got == {c: t.mhs(c, n) for c in comps}
+        assert got[()] == 1
+    assert PrefixTable.for_prime(7).mhs_many([]) == {}
+    assert PrefixTable.for_prime(7).mhs_many([()]) == {(): 1}
+
+
+def test_trie_chain_holds_at_most_two_rows():
+    # A chain of eight wanted prefixes must peak like a single depth-3 sum
+    # (two rows), not hold one row per prefix.
+    t = PrefixTable.for_prime(10007, 2)
+    t.inv_powers(1)
+    row_bytes = 40 * t.n  # a list slot plus a small int per cell
+
+    def peak(comps):
+        tracemalloc.start()
+        try:
+            t.mhs_many(comps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chain = [(1,) * k for k in range(1, 9)]
+    assert peak(chain) < peak([(1, 1, 1)]) + row_bytes // 2
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_200)
+def test_weighted_sum_single_values_equal_the_rows(p):
+    triples = list(itertools.product((1, 2, 3), repeat=3))
+    quads = list(itertools.product((1, 2), repeat=4))
+    tables = [PrefixTable.for_prime(p, e) for e in (1, 2, 3)] + [PrefixTable.for_exact(p - 1)]
+    for t in tables:
+        for tr in triples:
+            assert t.weighted_sum2(*tr) == t.weighted_sum2_all(*tr)[p - 1], (p, t.modulus, tr)
+        for q in quads:
+            assert t.weighted_sum3(*q) == t.weighted_sum3_all(*q)[p - 1], (p, t.modulus, q)
+    exact = tables[-1]
+    for n in range(0, p, max(1, p // 7)):
+        assert exact.weighted_sum2(2, 1, 3, n) == exact.weighted_sum2_all(2, 1, 3)[n]
+        assert exact.weighted_sum3(1, 2, 1, 2, n) == exact.weighted_sum3_all(1, 2, 1, 2)[n]
+        assert exact.mhs((2, 1, 1), n) == exact.mhs_all((2, 1, 1))[n]
+
+
+def test_single_value_upper_index_validation():
+    t = PrefixTable.for_exact(10)
+    for bad in (-1, 11):
+        with pytest.raises(ValueError):
+            t.mhs((1,), bad)
+        with pytest.raises(ValueError):
+            t.mhs_many([(1,)], bad)
+        with pytest.raises(ValueError):
+            t.weighted_sum2(1, 1, 1, bad)
+        with pytest.raises(ValueError):
+            t.weighted_sum3(1, 1, 1, 1, bad)
