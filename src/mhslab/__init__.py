@@ -21,7 +21,6 @@ from .congruences import (
     CheckReport,
     CongruenceCheck,
     FitResult,
-    HypothesisViolated,
     InsufficientPrimes,
     UnknownCheckId,
     fit_coefficient,
@@ -30,11 +29,6 @@ from .congruences import (
     registry,
     reports_to_csv,
     reports_to_json,
-    rhs_depth2,
-    rhs_depth3_oddweight,
-    rhs_homogeneous,
-    rhs_tauraso_232,
-    rhs_thm23,
     run_battery,
     run_check,
     run_scan,
@@ -48,7 +42,6 @@ from .exactnum import (
     primes_in_range,
     rational_reconstruct,
     rational_to_residue,
-    xgcd,
 )
 from .identities import (
     IdentityInstance,
@@ -88,7 +81,6 @@ __all__ = [
     "CheckReport",
     "CongruenceCheck",
     "FitResult",
-    "HypothesisViolated",
     "InsufficientPrimes",
     "UnknownCheckId",
     "fit_coefficient",
@@ -97,11 +89,6 @@ __all__ = [
     "registry",
     "reports_to_csv",
     "reports_to_json",
-    "rhs_depth2",
-    "rhs_depth3_oddweight",
-    "rhs_homogeneous",
-    "rhs_tauraso_232",
-    "rhs_thm23",
     "run_battery",
     "run_check",
     "run_scan",
@@ -113,7 +100,6 @@ __all__ = [
     "primes_in_range",
     "rational_reconstruct",
     "rational_to_residue",
-    "xgcd",
     "IdentityInstance",
     "SuiteReport",
     "check_thm21_form1",

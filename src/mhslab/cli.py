@@ -60,6 +60,13 @@ def parse_primes(spec: str) -> list[int]:
     return sorted(set(primes))
 
 
+def _reject_ignored(args: argparse.Namespace, why: str, *dests: str) -> None:
+    """Exit 2 naming each given option that the chosen mode would ignore."""
+    given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
+    if given:
+        args.parser.error(f"{', '.join(given)}: no effect {why}")
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     chosen = [
         (kind, text)
@@ -70,6 +77,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         args.parser.error("give exactly one of --mhs, --wsum2, --wsum3")
     if (args.n is None) == (args.prime is None):
         args.parser.error("give exactly one of --n or --prime")
+    if args.prime is None:
+        _reject_ignored(args, "without --prime", "e")
+    e = args.e or 1
     kind, text = chosen[0]
     try:
         parts = parse_composition(text)
@@ -77,7 +87,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             if args.n is not None:
                 out = mhs_exact(parts, args.n)
             else:
-                out = mhs_mod(parts, args.prime, args.e)
+                out = mhs_mod(parts, args.prime, e)
         elif kind == "wsum2":
             if len(parts) != 3:
                 raise ValueError("--wsum2 needs exactly three exponents")
@@ -85,7 +95,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             if args.n is not None:
                 out = weighted_sum2(s1, s2, s3, n=args.n)
             else:
-                out = weighted_sum2(s1, s2, s3, p=args.prime, e=args.e)
+                out = weighted_sum2(s1, s2, s3, p=args.prime, e=e)
         else:
             if len(parts) != 4:
                 raise ValueError("--wsum3 needs exactly four exponents")
@@ -93,7 +103,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             if args.n is not None:
                 out = weighted_sum3(s1, s2, s3, s4, n=args.n)
             else:
-                out = weighted_sum3(s1, s2, s3, s4, p=args.prime, e=args.e)
+                out = weighted_sum3(s1, s2, s3, s4, p=args.prime, e=e)
     except (ValueError, ArithmeticError) as exc:
         args.parser.error(str(exc))
     _print_unlimited(out)
@@ -127,25 +137,32 @@ def _cmd_stuffle(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
+    if args.prime is None:
+        _reject_ignored(args, "without --prime", "e")
     try:
         if args.prime is None:
             print(bernoulli_exact(args.n))
         else:
             # The exact value reduced: instant for a small index at a huge
             # prime, where bernoulli_mod's O(p) power sums are not.
-            Residue(0, args.prime, args.e)  # validate the ring first
+            e = args.e or 1
+            Residue(0, args.prime, e)  # validate the ring first
             exact = bernoulli_exact(args.n)
             if exact.denominator % args.prime == 0:
                 raise PDividesDenominator(
                     f"p = {args.prime} divides the denominator of B_{args.n}"
                 )
-            print(rational_to_residue(exact, args.prime, args.e))
+            print(rational_to_residue(exact, args.prime, e))
     except (ValueError, ArithmeticError) as exc:
         args.parser.error(str(exc))
     return 0
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
+    if args.thm == "2.1":
+        _reject_ignored(args, "with --thm 2.1", "at_primes", "probes", "seed")
+    elif not args.probes:
+        _reject_ignored(args, "without --probes", "nmax", "seed")
     reports = []
     try:
         if args.thm == "2.1":
@@ -161,10 +178,9 @@ def _cmd_identity(args: argparse.Namespace) -> int:
             reports.append(run_thm31_suite(smax=smax, nvalues=nvalues))
             if args.probes:
                 nmax = args.nmax if args.nmax is not None else 40
+                seed = args.seed if args.seed is not None else 1729
                 reports.append(
-                    probe_thm31_random(
-                        args.probes, smax=smax, nmax=nmax, seed=args.seed
-                    )
+                    probe_thm31_random(args.probes, smax=smax, nmax=nmax, seed=seed)
                 )
     except ValueError as exc:
         args.parser.error(str(exc))
@@ -250,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--prime", type=int, help="odd prime; evaluates at n = p-1 in Z/p^e"
     )
-    ev.add_argument("--e", type=int, default=1, choices=(1, 2, 3))
+    ev.add_argument("--e", type=int, choices=(1, 2, 3), help="with --prime; default 1")
     ev.set_defaults(func=_cmd_eval, parser=ev)
 
     st = sub.add_parser("stuffle", help="expand a product of two sums")
@@ -261,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bernoulli", help="Bernoulli number, exact or mod p^e")
     be.add_argument("--n", required=True, type=int)
     be.add_argument("--prime", type=int)
-    be.add_argument("--e", type=int, default=1, choices=(1, 2, 3))
+    be.add_argument("--e", type=int, choices=(1, 2, 3), help="with --prime; default 1")
     be.set_defaults(func=_cmd_bernoulli, parser=be)
 
     idn = sub.add_parser("identity", help="verify a polynomial identity suite")
@@ -274,10 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P1,P2,...",
         help="for 3.1: evaluate at n = p-1 for each listed prime",
     )
-    idn.add_argument(
-        "--probes", type=int, default=0, help="extra random points for 3.1"
-    )
-    idn.add_argument("--seed", type=int, default=1729)
+    idn.add_argument("--probes", type=int, help="extra random points for 3.1")
+    idn.add_argument("--seed", type=int, help="seed of the 3.1 probes (default 1729)")
     idn.set_defaults(func=_cmd_identity, parser=idn)
 
     sc = sub.add_parser("scan", help="run a congruence check over primes")

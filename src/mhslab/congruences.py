@@ -11,7 +11,8 @@ a check's hypothesis are reported as skipped rows, never dropped.
 Checks are plain data.  A member's left side names a PrefixTable method
 and its arguments; its right side is a sum of monomials
 c * p^t * prod B_{kp-w}, which one evaluator reduces mod p^e.  The closed
-forms with real logic (the rhs_* functions) build such sums.
+forms with real logic are builders that return such a sum together with
+the smallest prime it holds for; only the registry calls them.
 
 The fitter inverts the ansatz  lhs(p) = c * p^t * B_{p-w} (mod p^e)  per
 prime, combines the per-prime values of c by CRT, and applies rational
@@ -21,6 +22,7 @@ per-prime value exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -34,17 +36,15 @@ from typing import Callable, Iterable, Mapping
 
 from .bernoulli import PDividesDenominator, bernoulli_mod
 from .exactnum import (
-    Residue,
     crt_list,
     is_prime,
     mod_inverse_int,
     rational_to_residue,
     rational_reconstruct,
 )
-from .mhs import PrefixTable
+from .mhs import PrefixTable, _mod_table
 
 __all__ = [
-    "HypothesisViolated",
     "UnknownCheckId",
     "InsufficientPrimes",
     "CheckMember",
@@ -56,11 +56,6 @@ __all__ = [
     "STATUS_FAIL",
     "STATUS_SKIP_HYPOTHESIS",
     "STATUS_SKIP_POLE",
-    "rhs_homogeneous",
-    "rhs_depth2",
-    "rhs_depth3_oddweight",
-    "rhs_tauraso_232",
-    "rhs_thm23",
     "registry",
     "get_check",
     "fit_families",
@@ -73,10 +68,6 @@ __all__ = [
     "reports_to_json",
     "DEFAULT_BATTERY",
 ]
-
-
-class HypothesisViolated(ValueError):
-    """The prime/exponent arguments fall outside a closed form's hypothesis."""
 
 
 class UnknownCheckId(ValueError):
@@ -103,7 +94,10 @@ Monomial = tuple[Fraction, int, tuple[tuple[int, int], ...]]
 Terms = tuple[Monomial, ...]
 
 # H(1,4; p-1) mod p^2, p >= 11: 2 B_{p-5} - (5/6) B_{2p-6}
-# - (1/9) p B_{p-3}^2 + (1/15) p B_{p-5}.
+# - (1/9) p B_{p-3}^2 + (1/15) p B_{p-5}.  The widely quoted one-term
+# value B_{p-5} holds mod p only.  The coefficients were recovered by
+# CRT/lattice reduction across 25 primes and confirmed at every prime
+# 11 <= p < 400; at p = 7 even this form fails.  H(4,1) = -H(1,4).
 _H14_MODP2: Terms = (
     (Fraction(2), 0, ((1, 5),)),
     (Fraction(-5, 6), 0, ((2, 6),)),
@@ -137,15 +131,10 @@ def _evaluate(terms: Terms, p: int, e: int) -> int:
     return total % p**e
 
 
-def _residue(built: tuple[int, Terms], p: int, e: int) -> Residue:
-    """Evaluate a (smallest admissible prime, monomials) pair as a Residue."""
-    min_prime, terms = built
-    if p < min_prime:
-        raise HypothesisViolated(f"needs p >= {min_prime}, got {p}")
-    return Residue(_evaluate(terms, p, e), p, e)
-
-
 def _homogeneous(s: int, k: int, e: int) -> tuple[int, Terms]:
+    """H({s}^k; p-1) mod p^e, for p >= sk+3: 0 mod p, and mod p^2 at odd
+    weight w = sk; (-1)^(k-1) s/(w+1) p B_{p-w-1} mod p^2 at even w; and
+    (-1)^k s(w+1)/(2(w+2)) p^2 B_{p-w-2} mod p^3."""
     if s < 1 or k < 1:
         raise ValueError("s and k must be >= 1")
     w = s * k
@@ -160,20 +149,12 @@ def _homogeneous(s: int, k: int, e: int) -> tuple[int, Terms]:
     return w + 3, terms
 
 
-def rhs_homogeneous(s: int, k: int, p: int, e: int) -> Residue:
-    """Closed form for H({s}^k; p-1) mod p^e, for p >= sk+3.
-
-    Mod p the sum vanishes for either parity of ks.  Mod p^2 it vanishes
-    for ks odd and equals (-1)^(k-1) * s/(sk+1) * p * B_{p-sk-1} for ks
-    even.  Mod p^3 the evaluator always computes
-    (-1)^k * s(sk+1)/(2(sk+2)) * p^2 * B_{p-sk-2}; for ks even that
-    Bernoulli index is odd and the value collapses to match the weaker
-    statement only when the index exceeds 1.
-    """
-    return _residue(_homogeneous(s, k, e), p, e)
-
-
 def _depth2_modp2(s1: int, s2: int) -> tuple[int, Terms]:
+    """H(s1, s2; p-1) mod p^2.  At even weight w, for p > w+1:
+    p [(-1)^s1 (s2 C(w+1,s1) - s1 C(w+1,s2)) - w] B_{p-w-1} / (2(w+1)).
+    At odd weight only (1,4) and (4,1) are known, for p >= 11."""
+    if min(s1, s2) < 1:
+        raise ValueError("exponents must be >= 1")
     w = s1 + s2
     if w % 2 == 0:
         bracket = (-1) ** s1 * (
@@ -184,48 +165,7 @@ def _depth2_modp2(s1: int, s2: int) -> tuple[int, Terms]:
         return 11, _H14_MODP2
     if (s1, s2) == (4, 1):
         return 11, tuple((-c, t, f) for c, t, f in _H14_MODP2)
-    raise HypothesisViolated(
-        f"no mod-p^2 closed form registered for odd weight ({s1},{s2})"
-    )
-
-
-def rhs_depth2(s1: int, s2: int, p: int, e: int) -> Residue:
-    """Closed form for H(s1, s2; p-1) mod p (any exponents, reduced mod p-1)
-    or mod p^2 (even weight, plus the two pinned odd-weight values).
-
-    Mod p: with m, n the exponents reduced into [0, p-2] (both must stay
-    >= 1), the value is (-1)^n * C(m+n, m)/(m+n) * B_{p-m-n} for
-    p >= m+n and 0 below.  The boundary p = m+n is taken by the first
-    branch: C(m+n, m)/(m+n) is still p-integral there and B_0 = 1.
-
-    Mod p^2, even weight w = s1+s2 and p > w+1:
-      p * [(-1)^s1 (s2 C(w+1,s1) - s1 C(w+1,s2)) - w] * B_{p-w-1} / (2(w+1)).
-    Mod p^2, odd weight: only (1,4) and its reversal (4,1) = -(1,4) are
-    available, for p >= 11.  The widely quoted one-term values +-B_{p-5}
-    hold mod p only; mod p^2 the true value is
-
-      H(1,4) = 2 B_{p-5} - (5/6) B_{2p-6} - (1/9) p B_{p-3}^2 + (1/15) p B_{p-5},
-
-    with coefficients recovered by CRT/lattice reduction across 25 primes
-    and confirmed at every prime 11 <= p < 400.  At p = 7 even this form
-    fails, so the hypothesis is p >= 11.
-    """
-    if s1 < 1 or s2 < 1:
-        raise ValueError("exponents must be >= 1")
-    if e == 2:
-        return _residue(_depth2_modp2(s1, s2), p, 2)
-    if e != 1:
-        raise HypothesisViolated(f"depth-2 closed forms cover e in {{1, 2}}, got {e}")
-    # Mod p the exponents reduce mod p-1, so this form depends on p itself.
-    m, n = s1 % (p - 1), s2 % (p - 1)
-    if m == 0 or n == 0:
-        raise HypothesisViolated(
-            f"exponents reduce to ({m},{n}) mod {p - 1}; both must be >= 1"
-        )
-    if p < m + n:
-        return Residue(0, p, 1)
-    coef = Fraction((-1) ** n * math.comb(m + n, m), m + n)
-    return Residue(_evaluate(_one(coef, m + n), p, 1), p, 1)
+    raise ValueError(f"no mod-p^2 closed form registered for odd weight ({s1},{s2})")
 
 
 def _odd_weight(s1: int, s2: int, s3: int) -> int:
@@ -233,20 +173,21 @@ def _odd_weight(s1: int, s2: int, s3: int) -> int:
         raise ValueError("exponents must be >= 1")
     w = s1 + s2 + s3
     if w % 2 == 0:
-        raise HypothesisViolated(f"weight {w} must be odd")
+        raise ValueError(f"weight {w} must be odd")
     return w
 
 
-def rhs_depth3_oddweight(s1: int, s2: int, s3: int, p: int) -> Residue:
-    """Closed form for H(s1, s2, s3; p-1) mod p when w = s1+s2+s3 is odd:
-    ((-1)^s1 C(w,s1) - (-1)^s3 C(w,s3)) * B_{p-w} / (2w), for p > w.
-    Vanishes when s1 = s3 and s2 is odd."""
+def _depth3_oddweight(s1: int, s2: int, s3: int) -> tuple[int, Terms]:
+    """H(s1, s2, s3; p-1) mod p at odd weight w, for p > w:
+    ((-1)^s1 C(w,s1) - (-1)^s3 C(w,s3)) B_{p-w} / (2w)."""
     w = _odd_weight(s1, s2, s3)
     num = (-1) ** s1 * math.comb(w, s1) - (-1) ** s3 * math.comb(w, s3)
-    return _residue((w + 1, _one(Fraction(num, 2 * w), w)), p, 1)
+    return w + 1, _one(Fraction(num, 2 * w), w)
 
 
 def _tauraso_232(a: int, b: int, middle: int) -> tuple[int, Terms]:
+    """H({2}^a, middle, {2}^b; p-1) mod p, middle in {1, 3}.  Both forms
+    carry an (a-b) factor, so a = b gives the zero coefficient."""
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
     if middle == 3:
@@ -267,29 +208,14 @@ def _tauraso_232(a: int, b: int, middle: int) -> tuple[int, Terms]:
     return w + 1, _one(coef, w)
 
 
-def rhs_tauraso_232(a: int, b: int, middle: int, p: int) -> Residue:
-    """Closed form for H({2}^a, middle, {2}^b; p-1) mod p, middle in {1, 3}.
-
-    Both families carry an (a-b) factor, so a = b gives zero outright;
-    the zero coefficient short-circuits before the Bernoulli factor is
-    touched (for a = b = 0, middle = 1 that factor would be the genuinely
-    undefined B_{p-1}).
-    """
-    return _residue(_tauraso_232(a, b, middle), p, 1)
-
-
 def _thm23(s1: int, s2: int, s3: int) -> tuple[int, Terms]:
+    """sum_j H_j^(s1) H_j^(s3) / j^(s2) mod p at odd weight w, for p > w:
+    [(-1)^(s1+1) C(w,s1) + ((-1)^s3 + 2(-1)^(s1+s2)) C(w,s3)] B_{p-w} / (2w)."""
     w = _odd_weight(s1, s2, s3)
     num = (-1) ** (s1 + 1) * math.comb(w, s1) + (
         (-1) ** s3 + 2 * (-1) ** (s1 + s2)
     ) * math.comb(w, s3)
     return w + 1, _one(Fraction(num, 2 * w), w)
-
-
-def rhs_thm23(s1: int, s2: int, s3: int, p: int) -> Residue:
-    """Closed form for sum_j H_j^(s1) H_j^(s3) / j^(s2) mod p at odd weight:
-    [(-1)^(s1+1) C(w,s1) + ((-1)^s3 + 2(-1)^(s1+s2)) C(w,s3)] B_{p-w} / (2w)."""
-    return _residue(_thm23(s1, s2, s3), p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +321,16 @@ def thm23_random_triples(
     count: int = 50, *, smax: int = 5, wmax: int = 15, seed: int = THM23_TRIPLES_SEED
 ) -> tuple[tuple[int, int, int], ...]:
     """Deterministic sample of distinct odd-weight exponent triples."""
+    available = sum(
+        1
+        for t in itertools.product(range(1, smax + 1), repeat=3)
+        if sum(t) % 2 and sum(t) <= wmax
+    )
+    if count > available:
+        raise ValueError(
+            f"only {available} distinct odd-weight triples have parts <= {smax}"
+            f" and weight <= {wmax}, asked for {count}"
+        )
     rng = random.Random(seed)
     seen: set[tuple[int, int, int]] = set()
     out: list[tuple[int, int, int]] = []
@@ -669,6 +605,50 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             " mod p^2",
             ((1, 2), (2, 1), (2, 2), (1, 4), (4, 1)),
         ),
+        CongruenceCheck(
+            "depth2-modp",
+            1,
+            "H(s1,s2) against (-1)^s2 C(w,s1) B_{p-w}/w, mod p",
+            tuple(
+                CheckMember(
+                    f"H({s1},{s2})",
+                    s1 + s2 + 1,
+                    ("mhs", ((s1, s2),)),
+                    _one(
+                        Fraction((-1) ** s2 * math.comb(s1 + s2, s1), s1 + s2), s1 + s2
+                    ),
+                )
+                for s1, s2 in itertools.product(range(1, 5), repeat=2)
+            ),
+        ),
+        CongruenceCheck(
+            "depth2-modp2",
+            2,
+            "H(s1,s2) at even weight against the p B_{p-w-1} form, and the"
+            " refined H(1,4) and H(4,1), mod p^2",
+            tuple(
+                _built(f"H({s1},{s2})", ("mhs", ((s1, s2),)), _depth2_modp2(s1, s2))
+                for s1, s2 in (
+                    (1, 3), (3, 1), (2, 2), (2, 4), (1, 5), (3, 3), (1, 4), (4, 1)
+                )
+            ),
+        ),
+        CongruenceCheck(
+            "depth3-oddweight-modp",
+            1,
+            "odd-weight H(s1,s2,s3) against"
+            " ((-1)^s1 C(w,s1) - (-1)^s3 C(w,s3)) B_{p-w}/(2w), mod p",
+            tuple(
+                _built(
+                    f"H({s1},{s2},{s3})",
+                    ("mhs", ((s1, s2, s3),)),
+                    _depth3_oddweight(s1, s2, s3),
+                )
+                for s1, s2, s3 in (
+                    (1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 3, 1), (3, 1, 1), (2, 2, 3)
+                )
+            ),
+        ),
     ]
 
     # The four weight-9/weight-7 triple-factor sums.  Right sides use the
@@ -754,7 +734,8 @@ def _render(values: dict[str, int], multi: bool) -> str:
 def run_check(check_id: str, p: int, *, table: PrefixTable | None = None) -> CheckReport:
     """Evaluate one check at one prime.  Members whose smallest admissible
     prime exceeds p are left out, a check with none left and a Bernoulli
-    pole come back as skipped reports, never exceptions."""
+    pole come back as skipped reports, never exceptions.  A given table
+    must be mod p^e for this check's e (ValueError otherwise)."""
     chk = get_check(check_id)
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -783,7 +764,7 @@ def run_check(check_id: str, p: int, *, table: PrefixTable | None = None) -> Che
                 "",
                 note=f"p divides a Bernoulli denominator at {mem.label}",
             )
-    t = table if table is not None else PrefixTable.for_prime(p, chk.e)
+    t = _mod_table(p, chk.e, table)
     # The H(...) members share their prefix rows through one trie walk.
     sums = t.mhs_many(c for mem in active if (c := mem.composition) is not None)
     lhs_vals = {

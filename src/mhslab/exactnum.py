@@ -3,9 +3,10 @@ rational reconstruction.
 
 Rationals are `fractions.Fraction` (always stored reduced, denominator
 positive); their modular images live in Z/p^e for an odd prime p and
-exponent e in {1, 2, 3}.  Inversion is by extended Euclid throughout, so a
-non-unit is detected exactly rather than silently mapped through a Fermat
-power.
+exponent e in {1, 2, 3}.  A Residue is only a value handed across the API
+boundary; arithmetic happens on plain ints.  Inversion is pow(a, -1, m),
+so a non-unit is detected exactly rather than silently mapped through a
+Fermat power.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from fractions import Fraction
 __all__ = [
     "NotAUnit",
     "DenominatorDivisibleByP",
-    "xgcd",
     "mod_inverse_int",
     "is_prime",
     "primes_in_range",
@@ -36,27 +36,13 @@ class DenominatorDivisibleByP(ArithmeticError):
     """A rational whose denominator the prime divides has no residue mod p^e."""
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def mod_inverse_int(a: int, m: int) -> int:
-    """Inverse of a modulo m by extended Euclid; raises NotAUnit if gcd != 1."""
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise NotAUnit(f"{a} is not a unit modulo {m} (gcd {g})")
-    return x % m
+    """Inverse of a modulo m in [0, m); raises NotAUnit if gcd(a, m) != 1."""
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        g = math.gcd(a, m)
+        raise NotAUnit(f"{a} is not a unit modulo {m} (gcd {g})") from None
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -89,7 +75,8 @@ def is_prime(n: int) -> bool:
 
 @functools.lru_cache(maxsize=1024)
 def _is_odd_prime(n: int) -> bool:
-    """Memoized ring check: Residue arithmetic revisits a handful of primes."""
+    """Memoized ring check: bernoulli_mod builds a Residue for every
+    right-side Bernoulli factor, at a handful of primes."""
     return n >= 3 and is_prime(n)
 
 
@@ -108,11 +95,10 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class Residue:
-    """An element of Z/p^e for an odd prime p and exponent e in {1, 2, 3}.
-
-    Arithmetic is defined between residues of the same (prime, exponent)
-    pair; plain integers are coerced into the ring.  Instances are
-    immutable and hashable.
+    """An element of Z/p^e for an odd prime p and exponent e in {1, 2, 3},
+    as returned by the public evaluators: the value reduced into [0, p^e),
+    validated on construction.  It has no arithmetic; int(r) gives the
+    value to compute with.  Instances are immutable and hashable.
     """
 
     value: int
@@ -129,75 +115,6 @@ class Residue:
     @property
     def modulus(self) -> int:
         return self.prime**self.exponent
-
-    def _coerce(self, other: "Residue | int") -> "Residue":
-        if isinstance(other, Residue):
-            if (other.prime, other.exponent) != (self.prime, self.exponent):
-                raise ValueError(
-                    f"mixed residue rings: mod {self.prime}^{self.exponent} "
-                    f"vs mod {other.prime}^{other.exponent}"
-                )
-            return other
-        if isinstance(other, int):
-            return Residue(other, self.prime, self.exponent)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: "Residue | int") -> "Residue":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + other.value, self.prime, self.exponent)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Residue | int") -> "Residue":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - other.value, self.prime, self.exponent)
-
-    def __rsub__(self, other: "Residue | int") -> "Residue":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(other.value - self.value, self.prime, self.exponent)
-
-    def __mul__(self, other: "Residue | int") -> "Residue":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value, self.prime, self.exponent)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.prime, self.exponent)
-
-    def inverse(self) -> "Residue":
-        """Multiplicative inverse by extended Euclid; NotAUnit if p | value."""
-        return Residue(
-            mod_inverse_int(self.value, self.modulus), self.prime, self.exponent
-        )
-
-    def __truediv__(self, other: "Residue | int") -> "Residue":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other: "Residue | int") -> "Residue":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, k: int) -> "Residue":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return Residue(pow(self.value, k, self.modulus), self.prime, self.exponent)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
 
     def __int__(self) -> int:
         return self.value

@@ -183,7 +183,7 @@ def test_criterion_09_fitter_soundness():
     c = Fraction(-691, 2730)
 
     def planted(p):
-        return int(rational_to_residue(c, p, 1) * bernoulli_mod(p - 3, p, 1))
+        return int(rational_to_residue(c, p, 1)) * int(bernoulli_mod(p - 3, p, 1)) % p
 
     res = fit_coefficient(planted, 3, (31, 37, 41, 43, 47))
     assert res.coefficient == c

@@ -82,6 +82,21 @@ def test_eval_usage_errors(argv, capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--mhs", "(1,2)", "--n", "6", "--e", "3"],
+        ["eval", "--wsum2", "1,1,1", "--n", "6", "--e", "1"],
+        ["bernoulli", "--n", "12", "--e", "3"],
+    ],
+)
+def test_exponent_without_a_prime_is_a_usage_error(argv, capsys):
+    # an exact value takes no exponent, so --e would be ignored
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert "--e: no effect without --prime" in err
+
+
 # --- stuffle / bernoulli ---------------------------------------------------
 
 
@@ -172,6 +187,41 @@ def test_identity_probes_it_cannot_serve(argv, message, capsys):
     code, err = run_cli_error(argv, capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["identity", "--thm", "2.1", "--probes", "5", "--at-primes", "7"],
+            "--at-primes, --probes: no effect with --thm 2.1",
+        ),
+        (["identity", "--thm", "2.1", "--seed", "3"], "--seed: no effect with --thm 2.1"),
+        (["identity", "--thm", "3.1", "--nmax", "50"], "--nmax: no effect without --probes"),
+        (
+            ["identity", "--thm", "3.1", "--probes", "0", "--seed", "3"],
+            "--seed: no effect without --probes",
+        ),
+    ],
+)
+def test_identity_flags_the_suite_ignores(argv, message, capsys):
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert message in err
+
+
+def test_identity_probe_seed_defaults_to_1729(monkeypatch, capsys):
+    seeds = []
+    probe = cli.probe_thm31_random
+
+    def spy(count, **kwargs):
+        seeds.append(kwargs["seed"])
+        return probe(count, **kwargs)
+
+    monkeypatch.setattr(cli, "probe_thm31_random", spy)
+    base = ["identity", "--thm", "3.1", "--smax", "1", "--probes", "2"]
+    assert run_cli(base, capsys)[0] == run_cli([*base, "--seed", "5"], capsys)[0] == 0
+    assert seeds == [1729, 5]
 
 
 def test_identity_bad_smax(capsys):

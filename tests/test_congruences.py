@@ -8,6 +8,7 @@ sabotaging the other side's entry points.
 """
 
 import json
+import math
 import pickle
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from mhslab.congruences import (
     STATUS_SKIP_POLE,
     CheckMember,
     CongruenceCheck,
-    HypothesisViolated,
     InsufficientPrimes,
     UnknownCheckId,
     fit_coefficient,
@@ -32,11 +32,6 @@ from mhslab.congruences import (
     registry,
     reports_to_csv,
     reports_to_json,
-    rhs_depth2,
-    rhs_depth3_oddweight,
-    rhs_homogeneous,
-    rhs_tauraso_232,
-    rhs_thm23,
     run_check,
     run_scan,
     thm23_random_triples,
@@ -54,6 +49,9 @@ ALL_CHECK_IDS = [
     "cor34-fourth",
     "cor34-second",
     "cor34-third",
+    "depth2-modp",
+    "depth2-modp2",
+    "depth3-oddweight-modp",
     "h-ones-modp3",
     "h2-over-j3-modp2",
     "h2h-over-j",
@@ -75,131 +73,173 @@ ALL_CHECK_IDS = [
 # ---------------------------------------------------------------------------
 
 
+def _member(check_id, label):
+    chk = get_check(check_id)
+    (mem,) = [m for m in chk.members if m.label == label]
+    return mem
+
+
+def _assert_members_match(check_id, primes):
+    """Every member of a check agrees with mhs_mod at its admissible primes."""
+    chk = get_check(check_id)
+    checked = 0
+    for p in primes:
+        t = PrefixTable.for_prime(p, chk.e)
+        for mem in chk.members:
+            if p >= mem.min_prime:
+                want = int(mhs_mod(mem.composition, p, chk.e, table=t))
+                assert mem.rhs(p, chk.e) == want, (mem.label, p)
+                checked += 1
+    return checked
+
+
 def test_homogeneous_closed_form():
+    for check_id in (
+        "homog-vanishing-modp",
+        "homog-vanishing-modp2",
+        "homog-bernoulli-modp2",
+        "h-ones-modp3",
+    ):
+        assert _assert_members_match(check_id, primes_in_range(5, 40))
+    # the builder over the full (s, k) grid, registered or not
     for p in (13, 17, 19):
         for s in (1, 2, 3):
             for k in (1, 2, 3):
-                if p < s * k + 3:
-                    continue
                 for e in (1, 2):
-                    got = rhs_homogeneous(s, k, p, e)
-                    assert got == mhs_mod((s,) * k, p, e), (s, k, p, e)
-    for p in primes_in_range(7, 40):
-        for k in (1, 3):
-            assert rhs_homogeneous(1, k, p, 3) == mhs_mod((1,) * k, p, 3)
+                    min_prime, terms = congruences._homogeneous(s, k, e)
+                    if p < min_prime:
+                        continue
+                    got = congruences._evaluate(terms, p, e)
+                    assert got == int(mhs_mod((s,) * k, p, e)), (s, k, p, e)
 
 
 def test_homogeneous_validation():
-    with pytest.raises(HypothesisViolated):
-        rhs_homogeneous(2, 3, 7, 1)  # needs p >= 9
+    # the hypothesis p >= sk+3 is the member's smallest prime
+    assert _member("homog-vanishing-modp", "s=2,l=3").min_prime == 9
+    rep = run_check("homog-vanishing-modp", 7)
+    assert rep.status == STATUS_PASS and "s=2,l=3" not in rep.lhs
     with pytest.raises(ValueError):
-        rhs_homogeneous(0, 1, 7, 1)
+        congruences._homogeneous(0, 1, 1)
     with pytest.raises(ValueError):
-        rhs_homogeneous(1, 1, 7, 4)
+        congruences._homogeneous(1, 1, 4)
 
 
 def test_depth2_mod_p_full_grid():
-    for p in (7, 11, 13):
-        for s1 in range(1, 5):
-            for s2 in range(1, 5):
-                assert rhs_depth2(s1, s2, p, 1) == mhs_mod((s1, s2), p, 1)
+    chk = get_check("depth2-modp")
+    grid = [(s1, s2) for s1 in range(1, 5) for s2 in range(1, 5)]
+    assert [m.composition for m in chk.members] == grid
+    assert all(m.min_prime == sum(m.composition) + 1 for m in chk.members)
+    assert _assert_members_match("depth2-modp", (7, 11, 13)) == 13 + 16 + 16
 
 
 def test_depth2_mod_p_exponent_reduction():
-    # exponents reduce mod p-1 before the formula applies
-    assert int(rhs_depth2(8, 9, 7, 1)) == int(mhs_mod((8, 9), 7, 1)) == 2
-    with pytest.raises(HypothesisViolated):
-        rhs_depth2(6, 1, 7, 1)  # 6 reduces to 0 mod 6
+    # exponents reduce mod p-1, onto a registered member's closed form
+    rhs = _member("depth2-modp", "H(2,3)").rhs(7, 1)
+    assert int(mhs_mod((8, 9), 7, 1)) == int(mhs_mod((2, 3), 7, 1)) == rhs == 2
 
 
 def test_depth2_mod_p_weight_boundary():
-    # at p = s1+s2 the binomial coefficient absorbs the prime and B_0 = 1
-    assert int(rhs_depth2(2, 3, 5, 1)) == int(mhs_mod((2, 3), 5, 1)) == 3
+    # at p = s1+s2, just below the registered range, the binomial
+    # coefficient (-1)^s2 C(p,s1)/p absorbs the prime and B_0 = 1
+    for (s1, s2), p in (((2, 3), 5), ((3, 4), 7), ((4, 3), 7)):
+        want = (-1) ** s2 * (math.comb(p, s1) // p) % p
+        assert int(mhs_mod((s1, s2), p, 1)) == want, (s1, s2)
+    assert int(mhs_mod((2, 3), 5, 1)) == 3
     # above the boundary the sum vanishes mod p
-    assert int(rhs_depth2(3, 3, 5, 1)) == int(mhs_mod((3, 3), 5, 1)) == 0
+    assert int(mhs_mod((3, 3), 5, 1)) == 0
+    assert int(mhs_mod((4, 4), 7, 1)) == 0
 
 
 def test_depth2_mod_p2_even_weight():
-    for p in (11, 13, 17):
-        for s1, s2 in ((1, 3), (3, 1), (2, 2), (2, 4), (1, 5), (3, 3)):
-            assert rhs_depth2(s1, s2, p, 2) == mhs_mod((s1, s2), p, 2), (s1, s2, p)
-    with pytest.raises(HypothesisViolated):
-        rhs_depth2(2, 2, 5, 2)  # needs p > w+1
+    assert _assert_members_match("depth2-modp2", (11, 13, 17)) == 3 * 8
+    # p > w+1: at p = 5 no member is admissible
+    assert _member("depth2-modp2", "H(2,2)").min_prime == 6
+    rep = run_check("depth2-modp2", 5)
+    assert (rep.status, rep.note) == (STATUS_SKIP_HYPOTHESIS, "requires p >= 6")
 
 
 def test_depth2_mod_p2_odd_weight_four_term_form():
     # the refined closed form for H(1,4) and its negated reversal,
     # exact mod p^2 for every prime from 11 up
+    h14, h41 = _member("depth2-modp2", "H(1,4)"), _member("depth2-modp2", "H(4,1)")
     for p in primes_in_range(11, 60):
         t = PrefixTable.for_prime(p, 2)
-        assert rhs_depth2(1, 4, p, 2) == mhs_mod((1, 4), p, 2, table=t)
-        assert rhs_depth2(4, 1, p, 2) == mhs_mod((4, 1), p, 2, table=t)
+        assert h14.rhs(p, 2) == int(mhs_mod((1, 4), p, 2, table=t))
+        assert h41.rhs(p, 2) == int(mhs_mod((4, 1), p, 2, table=t))
         # reduced mod p it collapses to the classical one-term values
         b = int(bernoulli_mod(p - 5, p, 1))
-        assert int(rhs_depth2(1, 4, p, 2)) % p == b
-        assert int(rhs_depth2(4, 1, p, 2)) % p == -b % p
+        assert h14.rhs(p, 2) % p == b
+        assert h41.rhs(p, 2) % p == -b % p
 
 
 def test_depth2_mod_p2_odd_weight_rejections():
-    with pytest.raises(HypothesisViolated):
-        rhs_depth2(1, 4, 7, 2)  # the four-term form starts at p = 11
-    with pytest.raises(HypothesisViolated):
-        rhs_depth2(2, 3, 13, 2)  # no closed form registered for (2,3)
-    with pytest.raises(HypothesisViolated):
-        rhs_depth2(1, 2, 11, 3)  # depth-2 forms stop at e = 2
+    # the four-term form starts at p = 11: at p = 7 it is defined but wrong
+    assert _member("depth2-modp2", "H(1,4)").min_prime == 11
+    assert _member("depth2-modp2", "H(1,4)").rhs(7, 2) != int(mhs_mod((1, 4), 7, 2))
+    assert "H(1,4)" not in run_check("depth2-modp2", 7).lhs
     with pytest.raises(ValueError):
-        rhs_depth2(0, 1, 7, 1)
+        congruences._depth2_modp2(2, 3)  # no closed form registered for (2,3)
+    with pytest.raises(ValueError):
+        congruences._depth2_modp2(0, 2)
 
 
 def test_depth3_odd_weight_closed_form():
-    for p in (11, 13):
-        for tr in ((1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 3, 1), (3, 1, 1), (2, 2, 3)):
-            assert rhs_depth3_oddweight(*tr, p) == mhs_mod(tr, p, 1), (tr, p)
-    assert int(rhs_depth3_oddweight(1, 1, 1, 11)) == 0  # symmetric, odd middle
-    with pytest.raises(HypothesisViolated):
-        rhs_depth3_oddweight(1, 1, 2, 11)  # even weight
-    with pytest.raises(HypothesisViolated):
-        rhs_depth3_oddweight(2, 3, 2, 7)  # p <= w
+    chk = get_check("depth3-oddweight-modp")
+    triples = [(1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 3, 1), (3, 1, 1), (2, 2, 3)]
+    assert [m.composition for m in chk.members] == triples
+    assert _assert_members_match("depth3-oddweight-modp", (11, 13)) == 12
+    assert _member("depth3-oddweight-modp", "H(1,1,1)").rhs(11, 1) == 0  # odd middle
+    with pytest.raises(ValueError):
+        congruences._depth3_oddweight(1, 1, 2)  # even weight
+    # p <= w is outside the hypothesis: (2,2,3) needs p >= 8
+    assert _member("depth3-oddweight-modp", "H(2,2,3)").min_prime == 8
+    assert "H(2,2,3)" not in run_check("depth3-oddweight-modp", 7).lhs
 
 
 def test_tauraso_closed_form():
-    for p in (13, 17):
-        for a in range(3):
-            for b in range(3):
-                for mid in (1, 3):
-                    if p <= 2 * a + 2 * b + mid:
-                        continue
-                    comp = (2,) * a + (mid,) + (2,) * b
-                    assert rhs_tauraso_232(a, b, mid, p) == mhs_mod(comp, p, 1)
+    assert _assert_members_match("tauraso-lemma", (13, 17)) == 28 + 32
 
 
 def test_tauraso_symmetric_case_skips_bernoulli():
     # a = b makes the coefficient vanish; for a = b = 0, mid = 1 the
     # Bernoulli factor would be the undefined B_{p-1}, so the zero must
     # short-circuit first.
-    assert int(rhs_tauraso_232(0, 0, 1, 3)) == 0
-    assert int(rhs_tauraso_232(2, 2, 3, 23)) == 0
+    assert _member("tauraso-lemma", "a=0,mid=1,b=0").rhs(3, 1) == 0
+    assert _member("tauraso-lemma", "a=2,mid=3,b=2").rhs(23, 1) == 0
 
 
 def test_tauraso_validation():
     with pytest.raises(ValueError):
-        rhs_tauraso_232(-1, 0, 1, 7)
+        congruences._tauraso_232(-1, 0, 1)
     with pytest.raises(ValueError):
-        rhs_tauraso_232(1, 0, 2, 7)
-    with pytest.raises(HypothesisViolated):
-        rhs_tauraso_232(1, 1, 3, 7)  # w = 7 needs p > 7
+        congruences._tauraso_232(1, 0, 2)
+    # w = 7 needs p > 7
+    assert _member("tauraso-lemma", "a=1,mid=3,b=1").min_prime == 8
+    assert "a=1,mid=3,b=1" not in run_check("tauraso-lemma", 7).lhs
+
+
+def test_closed_form_checks_pass_below_400():
+    for check_id in ("depth2-modp", "depth2-modp2", "depth3-oddweight-modp"):
+        chk = get_check(check_id)
+        reports = run_scan(check_id, primes_in_range(3, 400), jobs=1)
+        for r in reports:
+            # a row is skipped only when no member is admissible yet
+            want = STATUS_PASS if r.p >= chk.min_prime else STATUS_SKIP_HYPOTHESIS
+            assert r.status == want, (check_id, r.p, r.note)
 
 
 def test_weighted_sum_closed_form():
-    for p in (11, 13):
-        t = PrefixTable.for_prime(p, 1)
-        for tr in ((1, 1, 1), (2, 1, 2), (1, 2, 2), (3, 1, 1), (1, 4, 2)):
-            got = rhs_thm23(*tr, p)
-            assert int(got) == int(weighted_sum2(*tr, p=p, table=t)), (tr, p)
-    with pytest.raises(HypothesisViolated):
-        rhs_thm23(1, 1, 2, 11)
-    with pytest.raises(HypothesisViolated):
-        rhs_thm23(3, 3, 3, 7)
+    # every odd-weight triple the sampler can draw, registered or not
+    tables = {p: PrefixTable.for_prime(p, 1) for p in (11, 13)}
+    for tr in thm23_random_triples(63):
+        min_prime, terms = congruences._thm23(*tr)
+        for p, t in tables.items():
+            if p >= min_prime:
+                got = congruences._evaluate(terms, p, 1)
+                assert got == int(weighted_sum2(*tr, p=p, table=t)), (tr, p)
+    with pytest.raises(ValueError):
+        congruences._thm23(1, 1, 2)
+    assert congruences._thm23(3, 3, 3)[0] == 10  # p = 7 is below the hypothesis
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +266,15 @@ def test_registry_is_picklable_data():
 
 
 def test_every_member_rhs_evaluates_at_every_admissible_prime():
-    # min_prime carries every hypothesis: no rhs raises HypothesisViolated
-    # or hits a Bernoulli pole at an admissible prime.
+    # min_prime carries every hypothesis: no rhs raises or hits a
+    # Bernoulli pole at an admissible prime.
     pairs = 0
     for chk in registry().values():
         for mem in chk.members:
             for p in primes_in_range(max(3, mem.min_prime), 400):
                 assert 0 <= mem.rhs(p, chk.e) < p**chk.e
                 pairs += 1
-    assert pairs == 10138
+    assert pairs == 12387
 
 
 def test_get_check_unknown_id():
@@ -264,6 +304,17 @@ def test_run_check_rejects_bad_prime():
         run_check("cor-sun-modp", 9)
     with pytest.raises(ValueError):
         run_check("cor-sun-modp", 2)
+
+
+def test_run_check_rejects_a_table_for_another_ring():
+    # a table for another prime or exponent would put a foreign left side
+    # into the report
+    with pytest.raises(ValueError):
+        run_check("cor-sun-modp", 7, table=PrefixTable.for_prime(11, 1))
+    with pytest.raises(ValueError):
+        run_check("cor-sun-modp", 11, table=PrefixTable.for_prime(11, 2))
+    shared = PrefixTable.for_prime(11, 1)
+    assert run_check("cor-sun-modp", 11, table=shared) == run_check("cor-sun-modp", 11)
 
 
 def _fake_registry(monkeypatch, member):
@@ -474,6 +525,16 @@ def test_random_triples_are_deterministic():
     assert thm23_random_triples(10, seed=1) != thm23_random_triples(10, seed=2)
 
 
+def test_random_triples_refuse_more_than_exist():
+    # [1,5]^3 holds 63 odd-weight triples, all of weight <= 15
+    every = thm23_random_triples(63)
+    assert len(set(every)) == 63
+    with pytest.raises(ValueError, match="only 63"):
+        thm23_random_triples(64)
+    with pytest.raises(ValueError):
+        thm23_random_triples(2, smax=1, wmax=3)  # (1,1,1) is the only one
+
+
 # ---------------------------------------------------------------------------
 # Coefficient fitting.
 # ---------------------------------------------------------------------------
@@ -544,7 +605,8 @@ def test_fit_planted_coefficient_with_p_power():
     c = Fraction(-691, 2730)
 
     def family(p):
-        return p * int(rational_to_residue(c, p, 1) * bernoulli_mod(p - 3, p, 1))
+        b = int(bernoulli_mod(p - 3, p, 1))
+        return p * (int(rational_to_residue(c, p, 1)) * b % p)
 
     res = fit_coefficient(family, 3, (31, 37, 41, 43, 47), t=1, e=2)
     assert res.coefficient == c

@@ -1,5 +1,5 @@
-"""Unit tests for the exact-arithmetic layer: extended Euclid, primality,
-residue rings, rational reconstruction, CRT."""
+"""Unit tests for the exact-arithmetic layer: modular inverses, primality,
+residue values, rational reconstruction, CRT."""
 
 import math
 from fractions import Fraction
@@ -18,24 +18,7 @@ from mhslab.exactnum import (
     primes_in_range,
     rational_reconstruct,
     rational_to_residue,
-    xgcd,
 )
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_xgcd_bezout(a, b):
-    g, x, y = xgcd(a, b)
-    assert g == math.gcd(a, b)
-    assert a * x + b * y == g
-    assert g >= 0
-
-
-def test_xgcd_corner_cases():
-    assert xgcd(0, 0) == (0, 1, 0)
-    g, x, y = xgcd(0, 5)
-    assert g == 5 and 5 * y == 5
-    g, x, y = xgcd(-12, 18)
-    assert g == 6 and -12 * x + 18 * y == 6
 
 
 @given(st.integers(2, 10**6), st.integers(-10**6, 10**6))
@@ -45,7 +28,7 @@ def test_mod_inverse_int_roundtrip(m, a):
         assert 0 <= inv < m
         assert a * inv % m == 1
     else:
-        with pytest.raises(NotAUnit):
+        with pytest.raises(NotAUnit, match=rf"\(gcd {math.gcd(a, m)}\)"):
             mod_inverse_int(a, m)
 
 
@@ -88,43 +71,10 @@ def test_residue_rejects_bad_ring(p, e):
         Residue(1, p, e)
 
 
-def test_residue_mixed_ring_raises():
-    with pytest.raises(ValueError):
-        Residue(1, 7, 1) + Residue(1, 11, 1)
-    with pytest.raises(ValueError):
-        Residue(1, 7, 1) * Residue(1, 7, 2)
-
-
-@given(st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from([3, 7, 101, 997]))
-def test_residue_ring_ops_match_int_arithmetic(a, b, p):
-    m = p**2
-    x, y = Residue(a, p, 2), Residue(b, p, 2)
-    assert (x + y).value == (a + b) % m
-    assert (x - y).value == (a - b) % m
-    assert (x * y).value == a * b % m
-    assert (-x).value == -a % m
-    assert (x**3).value == pow(a, 3, m)
-    # int operands coerce on either side
-    assert (x + b).value == (b + x).value == (a + b) % m
-    assert (b - x).value == (b - a) % m
-
-
-def test_residue_division_and_inverse():
-    x = Residue(3, 7, 2)
-    assert (x * x.inverse()).value == 1
-    assert (1 / x).value == x.inverse().value
-    assert (x / x).value == 1
-    assert (x**-2).value == (x.inverse() ** 2).value
-    with pytest.raises(NotAUnit):
-        Residue(7, 7, 2).inverse()
-
-
 def test_residue_dunder_views():
     r = Residue(5, 7, 2)
     assert int(r) == 5
     assert str(r) == "5 (mod 49)"
-    assert r.is_zero() is False
-    assert Residue(0, 7, 2).is_zero() is True
     assert hash(Residue(5, 7, 2)) == hash(r)
 
 
