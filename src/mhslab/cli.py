@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bernoulli import PDividesDenominator, bernoulli_exact
+from .bernoulli import DEFAULT_CAP, PDividesDenominator, bernoulli_exact, bernoulli_mod
 from .compositions import parse_composition, stuffle
 from .congruences import (
     STATUS_FAIL,
@@ -142,6 +142,9 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     try:
         if args.prime is None:
             print(bernoulli_exact(args.n))
+        elif args.n > DEFAULT_CAP:
+            # Past the exact cache's cap, from O(e*p) power sums.
+            print(bernoulli_mod(args.n, args.prime, args.e or 1))
         else:
             # The exact value reduced: instant for a small index at a huge
             # prime, where bernoulli_mod's O(p) power sums are not.

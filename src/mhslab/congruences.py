@@ -14,6 +14,15 @@ c * p^t * prod B_{kp-w}, which one evaluator reduces mod p^e.  The closed
 forms with real logic are builders that return such a sum together with
 the smallest prime it holds for; only the registry calls them.
 
+Scans run prime-major.  The work unit is one prime with the ids of every
+check to evaluate there; a battery (and a scan, a battery of one check)
+sends all its units through one process pool, or runs them in process
+with one worker, and run_check is the one-unit case.  At a prime the
+checks share one PrefixTable per exponent e, and every H(...) member at
+that e goes through one trie walk, so a prefix chain common to several
+checks is built once.  A refit reads the left sides the units computed
+and builds a table only at a prime the scan skipped.
+
 The fitter inverts the ansatz  lhs(p) = c * p^t * B_{p-w} (mod p^e)  per
 prime, combines the per-prime values of c by CRT, and applies rational
 reconstruction; a coefficient is only returned when it reproduces every
@@ -22,6 +31,7 @@ per-prime value exactly.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import multiprocessing
@@ -731,57 +741,91 @@ def _render(values: dict[str, int], multi: bool) -> str:
     return ";".join(f"{label}={v}" for label, v in values.items())
 
 
-def run_check(check_id: str, p: int, *, table: PrefixTable | None = None) -> CheckReport:
-    """Evaluate one check at one prime.  Members whose smallest admissible
-    prime exceeds p are left out, a check with none left and a Bernoulli
-    pole come back as skipped reports, never exceptions.  A given table
-    must be mod p^e for this check's e (ValueError otherwise)."""
-    chk = get_check(check_id)
+def _skip(chk: CongruenceCheck, p: int, status: str, note: str) -> CheckReport:
+    return CheckReport(chk.check_id, p, chk.e, status, "", "", note=note)
+
+
+# A work unit: one prime and the ids of the checks to evaluate there.  Plain
+# data, so that any multiprocessing start method can send it to a worker.
+Unit = tuple[int, tuple[str, ...]]
+
+
+def _run_unit(
+    unit: Unit, tables: Mapping[int, PrefixTable] = MappingProxyType({})
+) -> tuple[list[CheckReport], dict[str, int]]:
+    """Evaluate the unit's checks at its prime.  Returns their reports, in
+    the unit's order, and, by check id, the raw left side of the fit-family
+    member of each check that has one and evaluated it, for a refit.
+
+    The checks share one PrefixTable per exponent e, taken from `tables`
+    when it holds one (which must be mod p^e), and every H(...) member of
+    every check at that e goes through one trie walk, so a prefix chain
+    common to several checks is built once.  Members whose smallest
+    admissible prime exceeds p are left out; a check with none left and a
+    Bernoulli pole come back as skipped reports, never exceptions.
+    """
+    p, check_ids = unit
+    checks = [get_check(cid) for cid in check_ids]
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    active = [m for m in chk.members if p >= m.min_prime]
-    if not active:
-        return CheckReport(
-            chk.check_id,
-            p,
-            chk.e,
-            STATUS_SKIP_HYPOTHESIS,
-            "",
-            "",
-            note=f"requires p >= {chk.min_prime}",
+    reports: list = [None] * len(checks)
+    family_lhs: dict[str, int] = {}
+    # e -> (position, check, active members, right sides) of the checks
+    # whose left sides are still to be evaluated.
+    pending: dict[int, list] = {}
+    for i, chk in enumerate(checks):
+        active = [m for m in chk.members if p >= m.min_prime]
+        if not active:
+            note = f"requires p >= {chk.min_prime}"
+            reports[i] = _skip(chk, p, STATUS_SKIP_HYPOTHESIS, note)
+            continue
+        rhs_vals: dict[str, int] = {}
+        for mem in active:
+            try:
+                rhs_vals[mem.label] = mem.rhs(p, chk.e)
+            except PDividesDenominator:
+                note = f"p divides a Bernoulli denominator at {mem.label}"
+                reports[i] = _skip(chk, p, STATUS_SKIP_POLE, note)
+                break
+        else:
+            pending.setdefault(chk.e, []).append((i, chk, active, rhs_vals))
+    for e, group in pending.items():
+        t = _mod_table(p, e, tables.get(e))
+        sums = t.mhs_many(
+            c for _, _, active, _ in group for m in active if (c := m.composition) is not None
         )
-    rhs_vals: dict[str, int] = {}
-    for mem in active:
-        try:
-            rhs_vals[mem.label] = mem.rhs(p, chk.e)
-        except PDividesDenominator:
-            return CheckReport(
+        for i, chk, active, rhs_vals in group:
+            lhs_vals = {
+                m.label: m.lhs(t) if m.composition is None else sums[m.composition]
+                for m in active
+            }
+            bad = [lab for lab in lhs_vals if lhs_vals[lab] != rhs_vals[lab]]
+            multi = len(chk.members) > 1
+            reports[i] = CheckReport(
                 chk.check_id,
                 p,
-                chk.e,
-                STATUS_SKIP_POLE,
-                "",
-                "",
-                note=f"p divides a Bernoulli denominator at {mem.label}",
+                e,
+                STATUS_FAIL if bad else STATUS_PASS,
+                _render(lhs_vals, multi),
+                _render(rhs_vals, multi),
+                note=("fail: " + "; ".join(bad)) if bad else "",
             )
-    t = _mod_table(p, chk.e, table)
-    # The H(...) members share their prefix rows through one trie walk.
-    sums = t.mhs_many(c for mem in active if (c := mem.composition) is not None)
-    lhs_vals = {
-        mem.label: mem.lhs(t) if mem.composition is None else sums[mem.composition]
-        for mem in active
-    }
-    bad = [lab for lab in lhs_vals if lhs_vals[lab] != rhs_vals[lab]]
-    multi = len(chk.members) > 1
-    return CheckReport(
-        chk.check_id,
-        p,
-        chk.e,
-        STATUS_FAIL if bad else STATUS_PASS,
-        _render(lhs_vals, multi),
-        _render(rhs_vals, multi),
-        note=("fail: " + "; ".join(bad)) if bad else "",
-    )
+            if chk.fit_family is not None:
+                label = fit_families()[chk.fit_family].member.label
+                if label in lhs_vals:
+                    family_lhs[chk.check_id] = lhs_vals[label]
+    return reports, family_lhs
+
+
+def run_check(check_id: str, p: int, *, table: PrefixTable | None = None) -> CheckReport:
+    """Evaluate one check at one prime: the one-unit case of a scan.
+    Members whose smallest admissible prime exceeds p are left out, a check
+    with none left and a Bernoulli pole come back as skipped reports, never
+    exceptions.  A given table must be mod p^e for this check's e
+    (ValueError otherwise)."""
+    tables = {} if table is None else {get_check(check_id).e: table}
+    (report,), _ = _run_unit((p, (check_id,)), tables)
+    return report
 
 
 def _resolve_jobs(jobs: int | None) -> int:
@@ -801,74 +845,99 @@ def _resolve_jobs(jobs: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _scan_worker(args: tuple[str, int]) -> CheckReport:
-    check_id, p = args
-    return run_check(check_id, p)
+def _with_refit(
+    chk: CongruenceCheck, reports: list[CheckReport], known: Mapping[int, int]
+) -> list[CheckReport]:
+    """The check's reports, with the refitted coefficient appended to each
+    fail row's note when the check carries a fit family and at least three
+    primes fail.  `known` maps primes to the family's raw left side where
+    the scan evaluated it; only another prime builds a table."""
+    if chk.fit_family is None or sum(r.status == STATUS_FAIL for r in reports) < 3:
+        return reports
+    fam = fit_families()[chk.fit_family]
+
+    def family(p: int) -> int:
+        return known[p] if p in known else fam.lhs(p)
+
+    primes = [r.p for r in reports]
+    try:
+        fit = fit_coefficient(family, fam.w, primes, t=fam.t, e=fam.e, name=fam.name)
+        suffix = (
+            f"fitted={fit.coefficient}" if fit.coefficient is not None else "fitted=unstable"
+        )
+    except InsufficientPrimes:
+        suffix = "fitted=insufficient-primes"
+    return [
+        replace(r, note=f"{r.note}; {suffix}" if r.note else suffix)
+        if r.status == STATUS_FAIL
+        else r
+        for r in reports
+    ]
+
+
+def _run_scans(
+    scans: Iterable[tuple[str, Iterable[int]]], jobs: int | None
+) -> list[CheckReport]:
+    """Run (check id, primes) scans prime-major: one unit per prime, holding
+    every check scanned at it, and every unit through one pool, or in
+    process when one worker suffices.  Reports are sorted by
+    (check_id, p), with refit notes appended per check."""
+    at_prime: dict[int, list[str]] = {}
+    for check_id, primes in scans:
+        for p in primes:
+            at_prime.setdefault(p, []).append(check_id)
+    # Largest primes first: their units cost the most, so the pool's last
+    # chunks are short ones, and their rows come and go before the
+    # reports pile up.
+    units = [(p, tuple(ids)) for p, ids in sorted(at_prime.items(), reverse=True)]
+    # The pool starts every worker at once: never more than the units or
+    # the CPUs.
+    workers = min(_resolve_jobs(jobs), len(units), os.cpu_count() or 1)
+    reports: list[CheckReport] = []
+    known: dict[str, dict[int, int]] = {}
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            try:
+                ctx = multiprocessing.get_context("fork")
+            except ValueError:  # pragma: no cover - non-POSIX fallback
+                ctx = None
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=ctx))
+            done = pool.map(_run_unit, units, chunksize=max(1, len(units) // (8 * workers)))
+        else:
+            done = map(_run_unit, units)
+        for (p, _), (unit_reports, family_lhs) in zip(units, done):
+            reports.extend(unit_reports)
+            for check_id, value in family_lhs.items():
+                known.setdefault(check_id, {})[p] = value
+    reports.sort(key=lambda r: (r.check_id, r.p))
+    out: list[CheckReport] = []
+    for check_id, group in itertools.groupby(reports, key=lambda r: r.check_id):
+        out.extend(_with_refit(get_check(check_id), list(group), known.get(check_id, {})))
+    return out
 
 
 def run_scan(
     check_id: str, primes: Iterable[int], *, jobs: int | None = None
 ) -> list[CheckReport]:
     """Evaluate a check over a set of primes, one report per prime, sorted
-    by prime.  Output is byte-identical for every parallelism degree.
+    by prime: a battery of one check.  Output is byte-identical for every
+    parallelism degree.
 
     When the check carries a fit family and at least three primes fail,
     the refitted coefficient is appended to each fail row's note.
     """
-    chk = get_check(check_id)
+    get_check(check_id)  # an unknown id fails before the primes are read
     plist = sorted(set(primes))
     for p in plist:
         if p < 3 or not is_prime(p):
             raise ValueError(f"prime list contains {p}, which is not an odd prime")
     if not plist:
         return []
-    # The pool starts every worker at once: never more than the primes or
-    # the CPUs.
-    workers = min(_resolve_jobs(jobs), len(plist), os.cpu_count() or 1)
-    if workers > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = None
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            chunk = max(1, len(plist) // (8 * workers))
-            reports = list(
-                pool.map(
-                    _scan_worker,
-                    [(check_id, p) for p in plist],
-                    chunksize=chunk,
-                )
-            )
-    else:
-        reports = [run_check(check_id, p) for p in plist]
-    reports.sort(key=lambda r: (r.check_id, r.p))
-
-    if chk.fit_family is not None:
-        fail_count = sum(1 for r in reports if r.status == STATUS_FAIL)
-        if fail_count >= 3:
-            fam = fit_families()[chk.fit_family]
-            try:
-                fit = fit_coefficient(
-                    fam.lhs, fam.w, plist, t=fam.t, e=fam.e, name=fam.name
-                )
-                suffix = (
-                    f"fitted={fit.coefficient}"
-                    if fit.coefficient is not None
-                    else "fitted=unstable"
-                )
-            except InsufficientPrimes:
-                suffix = "fitted=insufficient-primes"
-            reports = [
-                replace(r, note=f"{r.note}; {suffix}" if r.note else suffix)
-                if r.status == STATUS_FAIL
-                else r
-                for r in reports
-            ]
-    return reports
+    return _run_scans(((check_id, plist),), jobs)
 
 
 # Default scan battery: the full mod-p, mod-p^2 and mod-p^3 verification
-# ranges. Runs single-threaded in well under five minutes.
+# ranges.
 DEFAULT_BATTERY: tuple[tuple[str, int, int], ...] = (
     ("cor-sun-modp", 3, 1000),
     ("thm23-general", 3, 300),
@@ -887,14 +956,13 @@ DEFAULT_BATTERY: tuple[tuple[str, int, int], ...] = (
 
 
 def run_battery(*, jobs: int | None = None) -> list[CheckReport]:
-    """Run the default battery; reports sorted by (check_id, p)."""
+    """Run the default battery; reports sorted by (check_id, p).  The
+    checks share one pool, and at each prime one table per exponent."""
     from .exactnum import primes_in_range
 
-    reports: list[CheckReport] = []
-    for check_id, lo, hi in DEFAULT_BATTERY:
-        reports.extend(run_scan(check_id, primes_in_range(lo, hi), jobs=jobs))
-    reports.sort(key=lambda r: (r.check_id, r.p))
-    return reports
+    return _run_scans(
+        ((check_id, primes_in_range(lo, hi)) for check_id, lo, hi in DEFAULT_BATTERY), jobs
+    )
 
 
 # ---------------------------------------------------------------------------

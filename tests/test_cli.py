@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import mhslab.cli as cli
+from mhslab.bernoulli import DEFAULT_CAP, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
 from mhslab.mhs import mhs_exact
 
@@ -135,6 +136,17 @@ def test_bernoulli_pole_is_a_usage_error(capsys):
     code, err = run_cli_error(["bernoulli", "--n", "6", "--prime", "7"], capsys)
     assert code == 2
     assert "denominator" in err
+
+
+def test_bernoulli_past_the_exact_cap_uses_power_sums(capsys):
+    assert DEFAULT_CAP < 3002
+    assert run_cli(["bernoulli", "--n", "3002", "--prime", "7"], capsys) == (
+        0,
+        f"{bernoulli_mod(3002, 7, 1)}\n",
+    )
+    code, err = run_cli_error(["bernoulli", "--n", "3000", "--prime", "7"], capsys)
+    assert code == 2
+    assert "denominator of B_3000" in err and "cap" not in err
 
 
 # --- identity --------------------------------------------------------------

@@ -9,7 +9,11 @@ sabotaging the other side's entry points.
 
 import json
 import math
+import multiprocessing
 import pickle
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +36,7 @@ from mhslab.congruences import (
     registry,
     reports_to_csv,
     reports_to_json,
+    run_battery,
     run_check,
     run_scan,
     thm23_random_triples,
@@ -359,6 +364,26 @@ def test_run_check_sends_its_sums_through_one_trie_walk(monkeypatch):
     assert rep.lhs == ";".join(f"{m.label}={t.mhs(*m.lhs_spec[1])}" for m in chk.members)
 
 
+def test_checks_at_one_prime_share_one_trie_walk(monkeypatch):
+    # tauraso-lemma and homog-vanishing-modp both need H(2,2,...) chains.
+    calls = []
+    original = PrefixTable.mhs_many
+
+    def spy(self, compositions, n=None):
+        comps = list(compositions)
+        calls.append(comps)
+        return original(self, comps, n)
+
+    monkeypatch.setattr(PrefixTable, "mhs_many", spy)
+    ids = ("tauraso-lemma", "homog-vanishing-modp")
+    monkeypatch.setattr(congruences, "DEFAULT_BATTERY", tuple((cid, 101, 101) for cid in ids))
+    reports = run_battery(jobs=1)
+    assert [m.composition for cid in ids for m in get_check(cid).members] == calls[0]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert reports == [run_check(cid, 101) for cid in sorted(ids)]
+
+
 class _Bomb:
     def __getattr__(self, name):
         raise AssertionError("forbidden code path reached")
@@ -452,7 +477,10 @@ def test_scan_worker_count_env(monkeypatch):
         run_scan("cor-sun-modp", [7, 11])
 
 
-def test_scan_pool_is_clamped_to_the_primes(monkeypatch):
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the process pool by an in-process fake; the list it returns
+    records the worker count of every pool started."""
     started = []
 
     class InProcessPool:
@@ -469,36 +497,105 @@ def test_scan_pool_is_clamped_to_the_primes(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(congruences, "ProcessPoolExecutor", InProcessPool)
+    return started
+
+
+def test_scan_pool_is_clamped_to_the_primes(in_process_pool):
     reports = run_scan("cor-sun-modp", [7, 11], jobs=64)
-    assert started == [2]
+    assert in_process_pool == [2]
     assert reports == run_scan("cor-sun-modp", [7, 11], jobs=1)
 
 
-def test_scan_pool_is_clamped_to_the_cpus(monkeypatch):
-    started = []
-
-    class InProcessPool:
-        def __init__(self, max_workers, mp_context=None):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(congruences, "ProcessPoolExecutor", InProcessPool)
+def test_scan_pool_is_clamped_to_the_cpus(monkeypatch, in_process_pool):
     monkeypatch.setattr(congruences.os, "cpu_count", lambda: 3)
     primes = primes_in_range(3, 3000)
     parallel = reports_to_csv(run_scan("cor-sun-modp2", primes, jobs=5000))
-    assert started == [3]
+    assert in_process_pool == [3]
     assert parallel == reports_to_csv(run_scan("cor-sun-modp2", primes, jobs=1))
     monkeypatch.setenv("MHSLAB_THREADS", "5000")
     run_scan("cor-sun-modp2", primes_in_range(3, 100))
-    assert started == [3, 3]
+    assert in_process_pool == [3, 3]
+
+
+def test_battery_starts_one_pool(monkeypatch, in_process_pool):
+    monkeypatch.setattr(congruences.os, "cpu_count", lambda: 2)
+    parallel = reports_to_csv(run_battery(jobs=2))
+    assert in_process_pool == [2]
+    assert parallel == reports_to_csv(run_battery(jobs=1))
+    assert in_process_pool == [2]
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Count PrefixTable constructions by (prime, exponent)."""
+    built = Counter()
+    init = PrefixTable.__init__
+
+    def counting_init(self, n, *, prime=None, exponent=1):
+        built[(prime, exponent)] += 1
+        init(self, n, prime=prime, exponent=exponent)
+
+    monkeypatch.setattr(PrefixTable, "__init__", counting_init)
+    return built
+
+
+def _evaluated(reports):
+    return {(r.p, r.e) for r in reports if r.status in (STATUS_PASS, STATUS_FAIL)}
+
+
+def test_battery_builds_one_table_per_prime_and_exponent(table_builds):
+    reports = run_battery(jobs=1)
+    assert set(table_builds.values()) == {1}
+    # A table is built exactly where some check evaluated its left sides.
+    assert set(table_builds) == _evaluated(reports)
+    assert len(table_builds) <= 303
+
+
+def test_refit_reads_the_scans_left_sides(table_builds):
+    # 3, 5 and 7 are skipped rows, and the fit skips them too (p <= w = 9).
+    reports = run_scan("cor34-first", primes_in_range(3, 120), jobs=1)
+    assert {r.note for r in reports if r.status == STATUS_FAIL} == {
+        "fail: (2,2,2,3); fitted=-11/3"
+    }
+    assert set(table_builds.values()) == {1}
+    assert set(table_builds) == _evaluated(reports)
+
+
+def test_battery_units_cross_a_spawn_pool(monkeypatch):
+    # Spawned workers import mhslab afresh, so every unit and the function
+    # that runs it must pickle.
+    spawn = multiprocessing.get_context("spawn")
+    started = []
+
+    def spawn_pool(max_workers, mp_context=None):
+        started.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, mp_context=spawn)
+
+    monkeypatch.setattr(congruences, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr(congruences.os, "cpu_count", lambda: 2)
+    small = (("cor-sun-modp", 3, 60), ("tauraso-lemma", 3, 60))
+    monkeypatch.setattr(congruences, "DEFAULT_BATTERY", small)
+    parallel = reports_to_csv(run_battery(jobs=2))
+    assert started == [2]
+    serial = reports_to_csv(run_battery(jobs=1))
+    assert parallel == serial
+    assert {row.split(",")[0] for row in serial.splitlines()[1:]} == {cid for cid, _, _ in small}
+
+
+# The refits a scan over 3..200 appends to the fail rows of these checks.
+REFITS = {"cor34-first": "-11/3", "cor34-second": "29/3", "cor34-fourth": "31/8"}
+
+
+@pytest.mark.parametrize("check_id", ALL_CHECK_IDS)
+def test_scan_is_run_check_at_every_prime(check_id):
+    primes = primes_in_range(3, 200)
+    single = [run_check(check_id, p) for p in primes]
+    if check_id in REFITS:
+        suffix = f"; fitted={REFITS[check_id]}"
+        single = [
+            replace(r, note=r.note + suffix) if r.status == STATUS_FAIL else r for r in single
+        ]
+    assert reports_to_csv(run_scan(check_id, primes, jobs=1)) == reports_to_csv(single)
 
 
 def test_scan_past_the_exact_bernoulli_cap():
