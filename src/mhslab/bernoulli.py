@@ -29,7 +29,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .exactnum import DenominatorDivisibleByP, Residue, is_prime
+from .exactnum import MAX_PRIME, DenominatorDivisibleByP, Residue, is_prime
 
 __all__ = [
     "IndexAboveCap",
@@ -37,6 +37,7 @@ __all__ = [
     "BernoulliCache",
     "bernoulli_exact",
     "bernoulli_mod",
+    "check_pole",
     "von_staudt_clausen_check",
     "DEFAULT_CAP",
 ]
@@ -147,18 +148,25 @@ def _p_times_bernoulli(n: int, p: int, k: int) -> int:
     return acc % m
 
 
-def bernoulli_mod(n: int, p: int, e: int) -> Residue:
-    """B_n reduced into Z/p^e, for any index n >= 0.
+def check_pole(n: int, p: int) -> None:
+    """Raise PDividesDenominator when p divides the denominator of B_n:
+    by von Staudt-Clausen, exactly when (p-1) | n for even n > 0."""
+    if n > 0 and n % 2 == 0 and n % (p - 1) == 0:
+        raise PDividesDenominator(f"p = {p} divides the denominator of B_{n}")
 
-    Raises PDividesDenominator when (p-1) | n for even n > 0; by von
-    Staudt-Clausen these are exactly the indices where p divides the
-    denominator of B_n.
+
+def bernoulli_mod(n: int, p: int, e: int) -> Residue:
+    """B_n reduced into Z/p^e, for any index n >= 0 and any odd prime p
+    up to MAX_PRIME (ValueError above it).
+
+    Raises PDividesDenominator where check_pole does.
     """
     if n < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
     Residue(0, p, e)  # validate the ring before anything else
-    if n > 0 and n % 2 == 0 and n % (p - 1) == 0:
-        raise PDividesDenominator(f"p = {p} divides the denominator of B_{n}")
+    check_pole(n, p)
+    if p > MAX_PRIME:
+        raise ValueError(f"prime {p} exceeds the limit {MAX_PRIME} for O(p) work")
     return Residue(_p_times_bernoulli(n, p, e + 1) // p, p, e)
 
 

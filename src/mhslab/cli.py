@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bernoulli import DEFAULT_CAP, PDividesDenominator, bernoulli_exact, bernoulli_mod
+from .bernoulli import DEFAULT_CAP, bernoulli_exact, bernoulli_mod, check_pole
 from .compositions import parse_composition, stuffle
 from .congruences import (
     STATUS_FAIL,
@@ -79,31 +79,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         args.parser.error("give exactly one of --n or --prime")
     if args.prime is None:
         _reject_ignored(args, "without --prime", "e")
-    e = args.e or 1
+    n, p, e = args.n, args.prime, args.e or 1
     kind, text = chosen[0]
     try:
         parts = parse_composition(text)
         if kind == "mhs":
-            if args.n is not None:
-                out = mhs_exact(parts, args.n)
-            else:
-                out = mhs_mod(parts, args.prime, e)
+            out = mhs_mod(parts, p, e) if n is None else mhs_exact(parts, n)
         elif kind == "wsum2":
             if len(parts) != 3:
                 raise ValueError("--wsum2 needs exactly three exponents")
-            s1, s2, s3 = parts
-            if args.n is not None:
-                out = weighted_sum2(s1, s2, s3, n=args.n)
-            else:
-                out = weighted_sum2(s1, s2, s3, p=args.prime, e=e)
+            out = weighted_sum2(*parts, n, p=p, e=e)
         else:
             if len(parts) != 4:
                 raise ValueError("--wsum3 needs exactly four exponents")
-            s1, s2, s3, s4 = parts
-            if args.n is not None:
-                out = weighted_sum3(s1, s2, s3, s4, n=args.n)
-            else:
-                out = weighted_sum3(s1, s2, s3, s4, p=args.prime, e=e)
+            out = weighted_sum3(*parts, n, p=p, e=e)
     except (ValueError, ArithmeticError) as exc:
         args.parser.error(str(exc))
     _print_unlimited(out)
@@ -139,23 +128,19 @@ def _cmd_stuffle(args: argparse.Namespace) -> int:
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
     if args.prime is None:
         _reject_ignored(args, "without --prime", "e")
+    n, p, e = args.n, args.prime, args.e or 1
     try:
-        if args.prime is None:
-            print(bernoulli_exact(args.n))
-        elif args.n > DEFAULT_CAP:
+        if p is None:
+            print(bernoulli_exact(n))
+        elif n > DEFAULT_CAP:
             # Past the exact cache's cap, from O(e*p) power sums.
-            print(bernoulli_mod(args.n, args.prime, args.e or 1))
+            print(bernoulli_mod(n, p, e))
         else:
             # The exact value reduced: instant for a small index at a huge
             # prime, where bernoulli_mod's O(p) power sums are not.
-            e = args.e or 1
-            Residue(0, args.prime, e)  # validate the ring first
-            exact = bernoulli_exact(args.n)
-            if exact.denominator % args.prime == 0:
-                raise PDividesDenominator(
-                    f"p = {args.prime} divides the denominator of B_{args.n}"
-                )
-            print(rational_to_residue(exact, args.prime, e))
+            Residue(0, p, e)  # validate the ring first
+            check_pole(n, p)
+            print(rational_to_residue(bernoulli_exact(n), p, e))
     except (ValueError, ArithmeticError) as exc:
         args.parser.error(str(exc))
     return 0

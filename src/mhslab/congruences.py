@@ -52,7 +52,7 @@ from .exactnum import (
     rational_to_residue,
     rational_reconstruct,
 )
-from .mhs import PrefixTable, _mod_table
+from .mhs import PrefixTable
 
 __all__ = [
     "UnknownCheckId",
@@ -750,17 +750,14 @@ def _skip(chk: CongruenceCheck, p: int, status: str, note: str) -> CheckReport:
 Unit = tuple[int, tuple[str, ...]]
 
 
-def _run_unit(
-    unit: Unit, tables: Mapping[int, PrefixTable] = MappingProxyType({})
-) -> tuple[list[CheckReport], dict[str, int]]:
+def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, int]]:
     """Evaluate the unit's checks at its prime.  Returns their reports, in
     the unit's order, and, by check id, the raw left side of the fit-family
     member of each check that has one and evaluated it, for a refit.
 
-    The checks share one PrefixTable per exponent e, taken from `tables`
-    when it holds one (which must be mod p^e), and every H(...) member of
-    every check at that e goes through one trie walk, so a prefix chain
-    common to several checks is built once.  Members whose smallest
+    The checks share one PrefixTable per exponent e, and every H(...)
+    member of every check at that e goes through one trie walk, so a prefix
+    chain common to several checks is built once.  Members whose smallest
     admissible prime exceeds p are left out; a check with none left and a
     Bernoulli pole come back as skipped reports, never exceptions.
     """
@@ -790,7 +787,7 @@ def _run_unit(
         else:
             pending.setdefault(chk.e, []).append((i, chk, active, rhs_vals))
     for e, group in pending.items():
-        t = _mod_table(p, e, tables.get(e))
+        t = PrefixTable.for_prime(p, e)
         sums = t.mhs_many(
             c for _, _, active, _ in group for m in active if (c := m.composition) is not None
         )
@@ -817,14 +814,12 @@ def _run_unit(
     return reports, family_lhs
 
 
-def run_check(check_id: str, p: int, *, table: PrefixTable | None = None) -> CheckReport:
+def run_check(check_id: str, p: int) -> CheckReport:
     """Evaluate one check at one prime: the one-unit case of a scan.
     Members whose smallest admissible prime exceeds p are left out, a check
     with none left and a Bernoulli pole come back as skipped reports, never
-    exceptions.  A given table must be mod p^e for this check's e
-    (ValueError otherwise)."""
-    tables = {} if table is None else {get_check(check_id).e: table}
-    (report,), _ = _run_unit((p, (check_id,)), tables)
+    exceptions.  A prime above MAX_PRIME raises ValueError."""
+    (report,), _ = _run_unit((p, (check_id,)))
     return report
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "MAX_PRIME",
     "NotAUnit",
     "DenominatorDivisibleByP",
     "mod_inverse_int",
@@ -27,6 +28,12 @@ __all__ = [
     "rational_reconstruct",
     "crt_list",
 ]
+
+# Largest prime accepted for O(p) work: mod-mode PrefixTable rows and the
+# power sums behind bernoulli_mod hold p ints per row, so time and memory
+# grow linearly with p: at the limit one such row takes about 400 MiB.
+MAX_PRIME = 10_000_000
+
 
 class NotAUnit(ArithmeticError):
     """Inversion was requested for a residue sharing a factor with the modulus."""

@@ -4,10 +4,12 @@ weighted sums to plain multiple harmonic sums.
 Everything here compares exact values for equality; no modular shortcut
 is taken.  The two three-factor-free forms (form1 with the product term,
 form2 fully expanded through the quasi-shuffle) and the four-exponent
-relation are each exposed as single-point checks plus grid suites.  Grid
-suites share one PrefixTable and reuse whole prefix rows.  Every term of
-an identity has the same weight, so both sides are compared as raw-int
-numerators over one denominator; only reported instances carry Fractions.
+relation are each exposed as single-point checks plus grid suites.  Every
+check and suite builds one exact PrefixTable for its largest upper index,
+refused above EXACT_N_CAP before any row is built, and a suite reuses whole
+prefix rows across its grid.  Every term of an identity has the same
+weight, so both sides are compared as raw-int numerators over one
+denominator; only reported instances carry Fractions.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .compositions import FormalSum
-from .exactnum import Residue, is_prime
-from .mhs import EXACT_N_CAP, PrefixTable, _exact_table, _mod_table
+from .exactnum import is_prime
+from .mhs import PrefixTable, _value
 
 __all__ = [
     "IdentityInstance",
@@ -112,76 +114,57 @@ def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int) -> tuple[lis
     return lhs, rhs
 
 
-def check_thm21_form1(
-    s1: int, s2: int, s3: int, n: int, *, table: PrefixTable | None = None
-) -> IdentityInstance:
+def check_thm21_form1(s1: int, s2: int, s3: int, n: int) -> IdentityInstance:
     """Compare sum_j H^(s1)H^(s3)/j^(s2) (up to n) against
     -H(s1,s2,s3) + H(s3,s1+s2) + H(s1+s2+s3) + H(s3)H(s1,s2)."""
-    t = _exact_table(n, table, EXACT_N_CAP)
+    t = PrefixTable.for_exact(n)
     lhs, rhs = _thm21_rows(t, s1, s2, s3, form=1)
     return _instance("thm21-form1", (s1, s2, s3), n, t, lhs[n], rhs[n])
 
 
-def check_thm21_form2(
-    s1: int, s2: int, s3: int, n: int, *, table: PrefixTable | None = None
-) -> IdentityInstance:
+def check_thm21_form2(s1: int, s2: int, s3: int, n: int) -> IdentityInstance:
     """Compare the same weighted sum against its fully expanded six-term
     form H(s1,s3,s2) + H(s3,s1,s2) + H(s3,s1+s2) + H(s1+s3,s2) +
     H(s1,s2+s3) + H(s1+s2+s3)."""
-    t = _exact_table(n, table, EXACT_N_CAP)
+    t = PrefixTable.for_exact(n)
     lhs, rhs = _thm21_rows(t, s1, s2, s3, form=2)
     return _instance("thm21-form2", (s1, s2, s3), n, t, lhs[n], rhs[n])
 
 
-def check_thm31(
-    s1: int, s2: int, s3: int, s4: int, n: int, *, table: PrefixTable | None = None
-) -> IdentityInstance:
+def check_thm31(s1: int, s2: int, s3: int, s4: int, n: int) -> IdentityInstance:
     """Compare -sum_j H^(s1)H^(s3)H^(s4)/j^(s2) against the six length-four
     sums minus H^(s4)_n times the two-factor weighted sum."""
-    t = _exact_table(n, table, EXACT_N_CAP)
+    t = PrefixTable.for_exact(n)
     lhs, rhs = _thm31_rows(t, s1, s2, s3, s4)
     return _instance("thm31", (s1, s2, s3, s4), n, t, lhs[n], rhs[n])
 
 
-def eval_formal_sum(
-    F: FormalSum,
-    n: int | None = None,
-    *,
-    p: int | None = None,
-    e: int = 1,
-    table: PrefixTable | None = None,
-):
+def eval_formal_sum(F: FormalSum, n: int | None = None, *, p: int | None = None, e: int = 1):
     """Evaluate sum coeff * H(c; n) over the terms of F.
 
     Exact mode (give n) returns a Fraction; mod mode (give p, e) evaluates
-    at n = p-1 and returns a Residue.
+    at n = p-1 and returns a Residue.  Every term goes through one trie walk.
     """
-    if (n is None) == (p is None):
-        raise ValueError("give exactly one of n (exact mode) or p (mod mode)")
-    if p is None:
-        assert n is not None
-        t = _exact_table(n, table, EXACT_N_CAP)
-        # Bring every term to the largest weight's denominator.
-        top = max((comp.weight for comp, _ in F), default=0)
-        sums = t.mhs_many((comp for comp, _ in F), n)
-        num = sum(c * sums[comp] * t.scale ** (top - comp.weight) for comp, c in F)
-        return t.to_fraction(num, top)
-    t = _mod_table(p, e, table)
-    sums = t.mhs_many(comp for comp, _ in F)
-    return Residue(sum(c * sums[comp] for comp, c in F), p, e)
+    # Bring every term to the largest weight's denominator (mod mode has
+    # scale 1, so there the factor is 1).
+    top = max((comp.weight for comp, _ in F), default=0)
+
+    def evaluate(t: PrefixTable) -> int:
+        sums = t.mhs_many(comp for comp, _ in F)
+        return sum(c * sums[comp] * t.scale ** (top - comp.weight) for comp, c in F)
+
+    return _value(evaluate, top, n, p, e)
 
 
-def run_thm21_suite(
-    smax: int = 4, nmax: int = 40, *, forms: Iterable[int] = (1, 2)
-) -> SuiteReport:
+def run_thm21_suite(smax: int = 4, nmax: int = 40) -> SuiteReport:
     """Verify both expanded forms on the whole grid [1,smax]^3 x [0,nmax]."""
     if smax < 1 or nmax < 0:
         raise ValueError("smax must be >= 1 and nmax >= 0")
-    t = _exact_table(nmax, None, EXACT_N_CAP)
+    t = PrefixTable.for_exact(nmax)
     failures: list[IdentityInstance] = []
     points = 0
     for s1, s2, s3 in product(range(1, smax + 1), repeat=3):
-        for form in forms:
+        for form in (1, 2):
             lhs, rhs = _thm21_rows(t, s1, s2, s3, form)
             for n in range(nmax + 1):
                 points += 1
@@ -196,7 +179,7 @@ def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> S
     """Verify the four-exponent relation on [1,smax]^4 at the given n."""
     if smax < 1 or not nvalues or min(nvalues) < 0:
         raise ValueError("smax must be >= 1 and nvalues non-empty, >= 0")
-    t = _exact_table(max(nvalues), None, EXACT_N_CAP)
+    t = PrefixTable.for_exact(max(nvalues))
     failures: list[IdentityInstance] = []
     points = 0
     for s in product(range(1, smax + 1), repeat=4):
@@ -217,7 +200,7 @@ def probe_thm31_random(
         raise ValueError(f"probe count must be >= 0, got {count}")
     if nmax < 5:
         raise ValueError(f"nmax must be >= 5 (the smallest n with n+1 composite is 5), got {nmax}")
-    t = _exact_table(nmax, None, EXACT_N_CAP)
+    t = PrefixTable.for_exact(nmax)
     rng = random.Random(seed)
     composite_n = [n for n in range(4, nmax + 1) if not is_prime(n + 1)]
     failures: list[IdentityInstance] = []

@@ -21,6 +21,11 @@ its last row: that level is one dot product and one reduction.  The
 modular inverse row comes from the recurrence 1/j = -(m // j) / (m mod j)
 mod m, one product per cell.  mhs_many() evaluates a batch of compositions
 over their prefix trie, so a prefix shared by several sums is built once.
+
+The table methods return raw ints and are what a caller shares to evaluate
+many sums at one upper index or prime.  The functions mhs_exact, mhs_mod,
+weighted_sum2 and weighted_sum3 build a table for one value and hand it
+across the boundary as a Fraction (exact mode) or a Residue (mod mode).
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from operator import mod, mul
-from typing import Iterable, Iterator, Sequence
+from operator import methodcaller, mod, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .compositions import Composition
-from .exactnum import Residue, is_prime
+from .exactnum import MAX_PRIME, Residue, is_prime
 
 __all__ = [
     "EXACT_N_CAP",
@@ -60,9 +65,8 @@ class PrefixTable:
     the sum of their weights.  to_fraction() turns one cell into its value.
     Mod mode sets scale to 1.
 
-    The single-value methods (mhs, mhs_many, weighted_sum2, weighted_sum3)
-    take an optional upper index n <= self.n, so an exact table built for a
-    large n also serves every smaller one.
+    Exact mode refuses n above EXACT_N_CAP, and mod mode a prime above
+    MAX_PRIME, before any row is built.
     """
 
     __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_ipow", "_hpref")
@@ -71,11 +75,15 @@ class PrefixTable:
         if prime is None:
             if n < 0:
                 raise ValueError(f"upper index must be >= 0, got {n}")
+            if n > EXACT_N_CAP:
+                raise ValueError(f"exact upper index {n} exceeds cap {EXACT_N_CAP}")
             self.modulus = None
             self.scale = math.lcm(*range(1, n + 1))
         else:
             if prime < 3 or not is_prime(prime):
                 raise ValueError(f"modulus base must be an odd prime, got {prime}")
+            if prime > MAX_PRIME:
+                raise ValueError(f"prime {prime} exceeds the limit {MAX_PRIME} for O(p) work")
             if exponent not in (1, 2, 3):
                 raise ValueError(f"exponent must be 1, 2 or 3, got {exponent}")
             if n != prime - 1:
@@ -111,30 +119,23 @@ class PrefixTable:
         m = self.modulus
         return value if m is None else value % m
 
-    def _upto(self, n: int | None) -> int:
-        if n is None:
-            return self.n
-        if not 0 <= n <= self.n:
-            raise ValueError(f"upper index {n} is outside the table's range 0..{self.n}")
-        return n
-
-    def _terms(self, prev: Sequence | None, s: int, n: int) -> Iterator[int]:
+    def _terms(self, prev: Sequence | None, s: int) -> Iterator[int]:
         """j -> j^(-s) H(P; j-1) for j = 1..n, where prev is the row of the
         prefix P over 0..n (None for the empty prefix, whose row is all 1)."""
-        head = islice(self.inv_powers(s), 1, n + 1)
+        head = islice(self.inv_powers(s), 1, None)
         return head if prev is None else map(mul, head, prev)
 
-    def _extend(self, prev: Sequence | None, s: int, n: int) -> list:
+    def _extend(self, prev: Sequence | None, s: int) -> list:
         """The row m -> H(P, s; m), m = 0..n, from the row of P."""
-        return [0, *self._reduced(accumulate(self._terms(prev, s, n)))]
+        return [0, *self._reduced(accumulate(self._terms(prev, s)))]
 
-    def _dot(self, prev: Sequence | None, s: int, n: int) -> int:
+    def _dot(self, prev: Sequence | None, s: int) -> int:
         """H(P, s; n) alone: the last level as one sum, no row built."""
-        return self._reduce(sum(self._terms(prev, s, n)))
+        return self._reduce(sum(self._terms(prev, s)))
 
-    def _wsum_terms(self, s2: int, factors: tuple[int, ...], n: int) -> Iterator[int]:
+    def _wsum_terms(self, s2: int, factors: tuple[int, ...]) -> Iterator[int]:
         """j -> j^(-s2) prod_s H_j^(s) over the factors, j = 0..n, unreduced."""
-        terms = islice(self.inv_powers(s2), n + 1)
+        terms = iter(self.inv_powers(s2))
         for s in factors:
             terms = map(mul, terms, self.harmonic_prefix(s))
         return terms
@@ -173,31 +174,29 @@ class PrefixTable:
         """The row j -> H_j^(s), j = 0..n."""
         row = self._hpref.get(s)
         if row is None:
-            row = self._hpref[s] = self._extend(None, s, self.n)
+            row = self._hpref[s] = self._extend(None, s)
         return row
 
     def mhs_all(self, parts: Iterable[int]) -> list:
         """H(parts; m) for every m = 0..n, by the recurrence."""
         row = None
         for s in Composition(parts):
-            row = self._extend(row, s, self.n)
+            row = self._extend(row, s)
         return [1] * (self.n + 1) if row is None else row
 
     def weighted_sum2_all(self, s1: int, s2: int, s3: int) -> list:
         """sum_{j<=m} H_j^(s1) H_j^(s3) / j^(s2) for every m = 0..n."""
-        terms = self._wsum_terms(s2, (s1, s3), self.n)
+        terms = self._wsum_terms(s2, (s1, s3))
         return list(self._reduced(accumulate(terms)))
 
     def weighted_sum3_all(self, s1: int, s2: int, s3: int, s4: int) -> list:
         """As weighted_sum2_all with a third harmonic factor H_j^(s4)."""
-        terms = self._wsum_terms(s2, (s1, s3, s4), self.n)
+        terms = self._wsum_terms(s2, (s1, s3, s4))
         return list(self._reduced(accumulate(terms)))
 
     # -- single values -------------------------------------------------------
 
-    def mhs_many(
-        self, compositions: Iterable[Iterable[int]], n: int | None = None
-    ) -> dict[Composition, int]:
+    def mhs_many(self, compositions: Iterable[Iterable[int]]) -> dict[Composition, int]:
         """H(c; n) as a raw int for every composition c, keyed by c as a
         tuple; the empty composition gives 1.
 
@@ -207,7 +206,6 @@ class PrefixTable:
         one dot product and builds no row.  A chain of prefixes thus never
         holds more than two rows at once.
         """
-        n = self._upto(n)
         wanted = dict.fromkeys(map(Composition, compositions))
         trie: dict = {}
         for comp in wanted:
@@ -226,112 +224,75 @@ class PrefixTable:
                 stack.pop()
             comp = Composition((*prefix, s))
             if not grandchildren:
-                out[comp] = self._dot(row, s, n)
+                out[comp] = self._dot(row, s)
                 continue
-            child = self._extend(row, s, n)
+            child = self._extend(row, s)
             if comp in wanted:
-                out[comp] = child[n]
+                out[comp] = child[-1]
             stack.append((comp, child, list(grandchildren.items())))
         return out
 
-    def mhs(self, parts: Iterable[int], n: int | None = None) -> int:
+    def mhs(self, parts: Iterable[int]) -> int:
         """H(parts; n) as a raw int: the numerator over scale**weight in
-        exact mode, the residue in mod mode.  n defaults to the table's."""
+        exact mode, the residue in mod mode."""
         parts = Composition(parts)
-        return self.mhs_many((parts,), n)[parts]
+        return self.mhs_many((parts,))[parts]
 
-    def weighted_sum2(self, s1: int, s2: int, s3: int, n: int | None = None) -> int:
+    def weighted_sum2(self, s1: int, s2: int, s3: int) -> int:
         """sum_{j<=n} H_j^(s1) H_j^(s3) / j^(s2) as a raw int."""
-        return self._reduce(sum(self._wsum_terms(s2, (s1, s3), self._upto(n))))
+        return self._reduce(sum(self._wsum_terms(s2, (s1, s3))))
 
-    def weighted_sum3(self, s1: int, s2: int, s3: int, s4: int, n: int | None = None) -> int:
+    def weighted_sum3(self, s1: int, s2: int, s3: int, s4: int) -> int:
         """As weighted_sum2 with a third harmonic factor H_j^(s4)."""
-        return self._reduce(sum(self._wsum_terms(s2, (s1, s3, s4), self._upto(n))))
+        return self._reduce(sum(self._wsum_terms(s2, (s1, s3, s4))))
 
 
-def _exact_table(n: int, table: PrefixTable | None, cap: int) -> PrefixTable:
-    if n > cap:
-        raise ValueError(f"exact upper index {n} exceeds cap {cap}")
-    if table is None:
-        return PrefixTable.for_exact(n)
-    if table.modulus is not None or table.n < n:
-        raise ValueError("table must be an exact-mode PrefixTable covering n")
-    return table
+def _value(
+    evaluate: Callable[[PrefixTable], int], weight: int, n: int | None, p: int | None, e: int
+):
+    """evaluate(table) as a boundary value: over a fresh exact table for
+    upper index n as a Fraction (its raw int is a numerator over
+    scale**weight), or over a fresh table mod p^e, at n = p-1, as a Residue.
+    Exactly one of n and p must be given."""
+    if (n is None) == (p is None):
+        raise ValueError("give exactly one of n (exact mode) or p (mod mode)")
+    if p is None:
+        t = PrefixTable.for_exact(n)
+        return t.to_fraction(evaluate(t), weight)
+    return Residue(evaluate(PrefixTable.for_prime(p, e)), p, e)
 
 
-def _mod_table(p: int, e: int, table: PrefixTable | None) -> PrefixTable:
-    if table is None:
-        return PrefixTable.for_prime(p, e)
-    if table.prime != p or table.exponent != e:
-        raise ValueError(f"table is mod {table.prime}^{table.exponent}, not {p}^{e}")
-    return table
-
-
-def mhs_exact(
-    parts: Iterable[int], n: int, *, table: PrefixTable | None = None, cap: int = EXACT_N_CAP
-) -> Fraction:
+def mhs_exact(parts: Iterable[int], n: int) -> Fraction:
     """H(parts; n) as an exact Fraction.
 
     Conventions: H(parts; r) = 0 for r < len(parts), and the empty
     composition evaluates to 1 for every n.
     """
     parts = Composition(parts)
-    t = _exact_table(n, table, cap)
-    return t.to_fraction(t.mhs(parts, n), parts.weight)
+    return _value(methodcaller("mhs", parts), parts.weight, n, None, 1)
 
 
-def mhs_mod(
-    parts: Iterable[int], p: int, e: int = 1, *, table: PrefixTable | None = None
-) -> Residue:
+def mhs_mod(parts: Iterable[int], p: int, e: int = 1) -> Residue:
     """H(parts; p-1) as a Residue mod p^e."""
-    t = _mod_table(p, e, table)
-    return Residue(t.mhs(parts), p, e)
+    parts = Composition(parts)
+    return _value(methodcaller("mhs", parts), parts.weight, None, p, e)
 
 
 def weighted_sum2(
-    s1: int,
-    s2: int,
-    s3: int,
-    n: int | None = None,
-    *,
-    p: int | None = None,
-    e: int = 1,
-    table: PrefixTable | None = None,
-    cap: int = EXACT_N_CAP,
+    s1: int, s2: int, s3: int, n: int | None = None, *, p: int | None = None, e: int = 1
 ):
     """sum_{j=1}^{n} H_j^(s1) H_j^(s3) / j^(s2).
 
     Exact mode (give n): returns a Fraction.  Mod mode (give p and e):
     the sum runs to p-1 and a Residue comes back.
     """
-    if (n is None) == (p is None):
-        raise ValueError("give exactly one of n (exact mode) or p (mod mode)")
-    if p is None:
-        assert n is not None
-        t = _exact_table(n, table, cap)
-        return t.to_fraction(t.weighted_sum2(s1, s2, s3, n), s1 + s2 + s3)
-    t = _mod_table(p, e, table)
-    return Residue(t.weighted_sum2(s1, s2, s3), p, e)
+    return _value(methodcaller("weighted_sum2", s1, s2, s3), s1 + s2 + s3, n, p, e)
 
 
 def weighted_sum3(
-    s1: int,
-    s2: int,
-    s3: int,
-    s4: int,
-    n: int | None = None,
-    *,
-    p: int | None = None,
-    e: int = 1,
-    table: PrefixTable | None = None,
-    cap: int = EXACT_N_CAP,
+    s1: int, s2: int, s3: int, s4: int, n: int | None = None, *, p: int | None = None, e: int = 1
 ):
     """sum_{j=1}^{n} H_j^(s1) H_j^(s3) H_j^(s4) / j^(s2), as weighted_sum2."""
-    if (n is None) == (p is None):
-        raise ValueError("give exactly one of n (exact mode) or p (mod mode)")
-    if p is None:
-        assert n is not None
-        t = _exact_table(n, table, cap)
-        return t.to_fraction(t.weighted_sum3(s1, s2, s3, s4, n), s1 + s2 + s3 + s4)
-    t = _mod_table(p, e, table)
-    return Residue(t.weighted_sum3(s1, s2, s3, s4), p, e)
+    return _value(
+        methodcaller("weighted_sum3", s1, s2, s3, s4), s1 + s2 + s3 + s4, n, p, e
+    )

@@ -103,6 +103,8 @@ def test_bernoulli_mod_values_and_poles():
         bernoulli_mod(-2, 7, 1)
     with pytest.raises(ValueError):
         bernoulli_mod(4, 9, 1)  # 9 is not prime
+    with pytest.raises(ValueError, match="exceeds the limit 10000000"):
+        bernoulli_mod(4, 10000019, 1)  # the smallest prime above MAX_PRIME
 
 
 def test_bernoulli_mod_matches_exact_reduction_below_200():

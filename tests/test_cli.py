@@ -9,6 +9,7 @@ import pytest
 import mhslab.cli as cli
 from mhslab.bernoulli import DEFAULT_CAP, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
+from mhslab.exactnum import MAX_PRIME
 from mhslab.mhs import mhs_exact
 
 
@@ -136,6 +137,34 @@ def test_bernoulli_pole_is_a_usage_error(capsys):
     code, err = run_cli_error(["bernoulli", "--n", "6", "--prime", "7"], capsys)
     assert code == 2
     assert "denominator" in err
+
+
+def test_bernoulli_pole_message_is_the_same_on_both_paths(capsys):
+    # --n 2 reduces the exact value, --n 3000 takes the power sums; both
+    # name the pole the same way.
+    for n, p in ((2, 3), (3000, 7)):
+        code, err = run_cli_error(["bernoulli", "--n", str(n), "--prime", str(p)], capsys)
+        assert code == 2
+        assert f"p = {p} divides the denominator of B_{n}" in err
+
+
+# 10000019 is the smallest prime above the limit.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--mhs", "1", "--prime", "10000019"],
+        ["eval", "--wsum3", "2,2,2,3", "--prime", "10000019", "--e", "3"],
+        ["scan", "--check", "homog-vanishing-modp2", "--primes", "10000019"],
+        ["scan", "--check", "cor-sun-modp", "--primes", "10000019", "--jobs", "1"],
+        ["fit", "--family", "sun-s1", "--primes", "10000019"],
+        ["bernoulli", "--n", "3002", "--prime", "10000019"],
+    ],
+)
+def test_o_of_p_work_past_the_prime_limit_is_a_usage_error(argv, capsys):
+    assert MAX_PRIME == 10**7
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert "prime 10000019 exceeds the limit 10000000" in err
 
 
 def test_bernoulli_past_the_exact_cap_uses_power_sums(capsys):

@@ -42,7 +42,7 @@ from mhslab.congruences import (
     thm23_random_triples,
 )
 from mhslab.exactnum import primes_in_range, rational_to_residue
-from mhslab.mhs import PrefixTable, mhs_mod, weighted_sum2
+from mhslab.mhs import PrefixTable, mhs_mod
 
 ALL_CHECK_IDS = [
     "cor-conjecture2",
@@ -92,7 +92,7 @@ def _assert_members_match(check_id, primes):
         t = PrefixTable.for_prime(p, chk.e)
         for mem in chk.members:
             if p >= mem.min_prime:
-                want = int(mhs_mod(mem.composition, p, chk.e, table=t))
+                want = t.mhs(mem.composition)
                 assert mem.rhs(p, chk.e) == want, (mem.label, p)
                 checked += 1
     return checked
@@ -169,8 +169,8 @@ def test_depth2_mod_p2_odd_weight_four_term_form():
     h14, h41 = _member("depth2-modp2", "H(1,4)"), _member("depth2-modp2", "H(4,1)")
     for p in primes_in_range(11, 60):
         t = PrefixTable.for_prime(p, 2)
-        assert h14.rhs(p, 2) == int(mhs_mod((1, 4), p, 2, table=t))
-        assert h41.rhs(p, 2) == int(mhs_mod((4, 1), p, 2, table=t))
+        assert h14.rhs(p, 2) == t.mhs((1, 4))
+        assert h41.rhs(p, 2) == t.mhs((4, 1))
         # reduced mod p it collapses to the classical one-term values
         b = int(bernoulli_mod(p - 5, p, 1))
         assert h14.rhs(p, 2) % p == b
@@ -241,7 +241,7 @@ def test_weighted_sum_closed_form():
         for p, t in tables.items():
             if p >= min_prime:
                 got = congruences._evaluate(terms, p, 1)
-                assert got == int(weighted_sum2(*tr, p=p, table=t)), (tr, p)
+                assert got == t.weighted_sum2(*tr), (tr, p)
     with pytest.raises(ValueError):
         congruences._thm23(1, 1, 2)
     assert congruences._thm23(3, 3, 3)[0] == 10  # p = 7 is below the hypothesis
@@ -311,17 +311,6 @@ def test_run_check_rejects_bad_prime():
         run_check("cor-sun-modp", 2)
 
 
-def test_run_check_rejects_a_table_for_another_ring():
-    # a table for another prime or exponent would put a foreign left side
-    # into the report
-    with pytest.raises(ValueError):
-        run_check("cor-sun-modp", 7, table=PrefixTable.for_prime(11, 1))
-    with pytest.raises(ValueError):
-        run_check("cor-sun-modp", 11, table=PrefixTable.for_prime(11, 2))
-    shared = PrefixTable.for_prime(11, 1)
-    assert run_check("cor-sun-modp", 11, table=shared) == run_check("cor-sun-modp", 11)
-
-
 def _fake_registry(monkeypatch, member):
     chk = CongruenceCheck("fake", 1, "synthetic", (member,))
     monkeypatch.setattr(congruences, "_registry", lambda: {"fake": chk})
@@ -351,10 +340,10 @@ def test_run_check_sends_its_sums_through_one_trie_walk(monkeypatch):
     calls = []
     original = PrefixTable.mhs_many
 
-    def spy(self, compositions, n=None):
+    def spy(self, compositions):
         comps = list(compositions)
         calls.append(comps)
-        return original(self, comps, n)
+        return original(self, comps)
 
     monkeypatch.setattr(PrefixTable, "mhs_many", spy)
     chk = get_check("homog-vanishing-modp")
@@ -369,10 +358,10 @@ def test_checks_at_one_prime_share_one_trie_walk(monkeypatch):
     calls = []
     original = PrefixTable.mhs_many
 
-    def spy(self, compositions, n=None):
+    def spy(self, compositions):
         comps = list(compositions)
         calls.append(comps)
-        return original(self, comps, n)
+        return original(self, comps)
 
     monkeypatch.setattr(PrefixTable, "mhs_many", spy)
     ids = ("tauraso-lemma", "homog-vanishing-modp")

@@ -3,6 +3,7 @@ table plumbing (inverse row, single-value and trie paths, caching, mode
 validation)."""
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -11,8 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhslab.compositions import Composition, stuffle
-from mhslab.exactnum import mod_inverse_int, primes_in_range, rational_to_residue
-from mhslab.identities import eval_formal_sum
+from mhslab.exactnum import Residue, mod_inverse_int, primes_in_range, rational_to_residue
+from mhslab.identities import (
+    check_thm21_form1,
+    check_thm21_form2,
+    check_thm31,
+    eval_formal_sum,
+    probe_thm31_random,
+    run_thm21_suite,
+    run_thm31_suite,
+)
 from mhslab.mhs import (
     EXACT_N_CAP,
     PrefixTable,
@@ -90,16 +99,22 @@ def test_longer_table_matches_brute_force():
     # A table built for N > n scales its rows by lcm(1..N), not lcm(1..n).
     table = PrefixTable.for_exact(30)
     h = lambda s, m: brute_mhs((s,), m)
+
+    def at(row, w, n):
+        return table.to_fraction(row[n], w)
+
     for n in (0, 1, 7):
         for parts in SMALL_COMPS:
-            assert mhs_exact(parts, n, table=table) == brute_mhs(parts, n), (parts, n)
+            w = sum(parts)
+            assert at(table.mhs_all(parts), w, n) == brute_mhs(parts, n), (parts, n)
             f = stuffle(parts, (2,))
-            assert eval_formal_sum(f, n, table=table) == brute_mhs(parts, n) * h(2, n)
-        assert weighted_sum2(2, 1, 2, n, table=table) == brute_weighted2(2, 1, 2, n)
+            got = sum(c * at(table.mhs_all(comp), comp.weight, n) for comp, c in f)
+            assert got == brute_mhs(parts, n) * h(2, n)
+        assert at(table.weighted_sum2_all(2, 1, 2), 5, n) == brute_weighted2(2, 1, 2, n)
         direct = sum(
             (h(2, j) * h(1, j) * h(3, j) / j for j in range(1, n + 1)), Fraction(0)
         )
-        assert weighted_sum3(2, 1, 1, 3, n, table=table) == direct
+        assert at(table.weighted_sum3_all(2, 1, 1, 3), 7, n) == direct
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
@@ -110,10 +125,13 @@ def test_mod_agrees_with_exact_reduction(p, e):
     table = PrefixTable.for_prime(p, e)
     for parts in [(1,), (1, 1), (2, 1), (1, 3, 1), (2, 2, 2)]:
         exact = mhs_exact(parts, p - 1)
-        assert mhs_mod(parts, p, e, table=table) == rational_to_residue(exact, p, e)
-    w2 = weighted_sum2(1, 2, 1, p=p, e=e, table=table)
+        assert Residue(table.mhs(parts), p, e) == rational_to_residue(exact, p, e)
+        assert mhs_mod(parts, p, e) == rational_to_residue(exact, p, e)
+    w2 = Residue(table.weighted_sum2(1, 2, 1), p, e)
+    assert w2 == weighted_sum2(1, 2, 1, p=p, e=e)
     assert w2 == rational_to_residue(weighted_sum2(1, 2, 1, p - 1), p, e)
-    w3 = weighted_sum3(1, 1, 2, 1, p=p, e=e, table=table)
+    w3 = Residue(table.weighted_sum3(1, 1, 2, 1), p, e)
+    assert w3 == weighted_sum3(1, 1, 2, 1, p=p, e=e)
     assert w3 == rational_to_residue(weighted_sum3(1, 1, 2, 1, p - 1), p, e)
 
 
@@ -148,8 +166,8 @@ def test_stuffle_evaluates_to_the_product_mod_p():
     p = 13
     table = PrefixTable.for_prime(p, 2)
     for a, b in [((1,), (2,)), ((1, 1), (2,)), ((2, 1), (1, 2))]:
-        lhs = int(mhs_mod(a, p, 2, table=table)) * int(mhs_mod(b, p, 2, table=table))
-        assert lhs % p**2 == int(eval_formal_sum(stuffle(a, b), p=p, e=2, table=table))
+        lhs = table.mhs(a) * table.mhs(b)
+        assert lhs % p**2 == int(eval_formal_sum(stuffle(a, b), p=p, e=2))
 
 
 def test_inverse_row_and_powers():
@@ -182,21 +200,14 @@ def test_table_validation():
         PrefixTable(5, prime=7)  # mod tables live at n = p-1
     with pytest.raises(ValueError):
         PrefixTable(6, prime=7, exponent=5)
+    with pytest.raises(ValueError, match="exceeds the limit 10000000"):
+        PrefixTable.for_prime(10000019)  # the smallest prime above MAX_PRIME
+    assert PrefixTable.for_prime(9999991).n == 9999990  # the largest below; no rows yet
     with pytest.raises(ValueError):
         PrefixTable.for_exact(3).inv_powers(0)
 
 
 def test_wrapper_table_validation():
-    exact = PrefixTable.for_exact(10)
-    modtab = PrefixTable.for_prime(7, 1)
-    with pytest.raises(ValueError):
-        mhs_exact((1,), 20, table=exact)  # table too short
-    with pytest.raises(ValueError):
-        mhs_exact((1,), 5, table=modtab)  # wrong mode
-    with pytest.raises(ValueError):
-        mhs_mod((1,), 11, table=modtab)  # wrong prime
-    with pytest.raises(ValueError):
-        mhs_mod((1,), 7, 2, table=modtab)  # wrong exponent
     with pytest.raises(ValueError):
         weighted_sum2(1, 1, 1)  # neither n nor p
     with pytest.raises(ValueError):
@@ -205,9 +216,31 @@ def test_wrapper_table_validation():
         weighted_sum3(1, 1, 1, 1)
 
 
-def test_exact_cap_enforced():
-    with pytest.raises(ValueError):
-        mhs_exact((1,), 51, cap=50)
+def test_exact_cap_enforced(monkeypatch):
+    # Every exact entry point refuses n = EXACT_N_CAP + 1 before it builds
+    # a row, or even the lcm that scales the rows.
+    def bomb(*args):
+        raise AssertionError("built before the cap was checked")
+
+    monkeypatch.setattr(math, "lcm", bomb)
+    monkeypatch.setattr(PrefixTable, "inv_powers", bomb)
+    big = EXACT_N_CAP + 1
+    calls = [
+        lambda: PrefixTable.for_exact(big),
+        lambda: mhs_exact((1,), big),
+        lambda: weighted_sum2(1, 1, 1, big),
+        lambda: weighted_sum3(1, 1, 1, 1, big),
+        lambda: eval_formal_sum(stuffle((1,), (2,)), big),
+        lambda: check_thm21_form1(1, 1, 1, big),
+        lambda: check_thm21_form2(1, 1, 1, big),
+        lambda: check_thm31(1, 1, 1, 1, big),
+        lambda: run_thm21_suite(1, big),
+        lambda: run_thm31_suite(1, (4, big)),
+        lambda: probe_thm31_random(1, smax=1, nmax=big),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="exceeds cap 10000"):
+            call()
     assert EXACT_N_CAP >= 10_000
 
 
@@ -274,10 +307,10 @@ def test_trie_takes_duplicates_the_empty_composition_and_mixed_chains():
         (1,),
         (2, 2),
     ]
-    for t, n in ((PrefixTable.for_prime(97, 2), None), (PrefixTable.for_exact(40), 25)):
-        got = t.mhs_many(iter(comps), n)
+    for t in (PrefixTable.for_prime(97, 2), PrefixTable.for_exact(25)):
+        got = t.mhs_many(iter(comps))
         assert set(got) == set(comps)
-        assert got == {c: t.mhs(c, n) for c in comps}
+        assert got == {c: t.mhs(c) for c in comps}
         assert got[()] == 1
     assert PrefixTable.for_prime(7).mhs_many([]) == {}
     assert PrefixTable.for_prime(7).mhs_many([()]) == {(): 1}
@@ -312,21 +345,15 @@ def test_weighted_sum_single_values_equal_the_rows(p):
             assert t.weighted_sum2(*tr) == t.weighted_sum2_all(*tr)[p - 1], (p, t.modulus, tr)
         for q in quads:
             assert t.weighted_sum3(*q) == t.weighted_sum3_all(*q)[p - 1], (p, t.modulus, q)
+    # The single values of a table for n equal the cells at n of the rows
+    # of the table for p-1 (as values: the two scales differ).
     exact = tables[-1]
     for n in range(0, p, max(1, p // 7)):
-        assert exact.weighted_sum2(2, 1, 3, n) == exact.weighted_sum2_all(2, 1, 3)[n]
-        assert exact.weighted_sum3(1, 2, 1, 2, n) == exact.weighted_sum3_all(1, 2, 1, 2)[n]
-        assert exact.mhs((2, 1, 1), n) == exact.mhs_all((2, 1, 1))[n]
-
-
-def test_single_value_upper_index_validation():
-    t = PrefixTable.for_exact(10)
-    for bad in (-1, 11):
-        with pytest.raises(ValueError):
-            t.mhs((1,), bad)
-        with pytest.raises(ValueError):
-            t.mhs_many([(1,)], bad)
-        with pytest.raises(ValueError):
-            t.weighted_sum2(1, 1, 1, bad)
-        with pytest.raises(ValueError):
-            t.weighted_sum3(1, 1, 1, 1, bad)
+        small = PrefixTable.for_exact(n)
+        cell = lambda row, w: exact.to_fraction(row[n], w)
+        wsum2 = small.to_fraction(small.weighted_sum2(2, 1, 3), 6)
+        assert wsum2 == cell(exact.weighted_sum2_all(2, 1, 3), 6)
+        wsum3 = small.to_fraction(small.weighted_sum3(1, 2, 1, 2), 6)
+        assert wsum3 == cell(exact.weighted_sum3_all(1, 2, 1, 2), 6)
+        h = small.to_fraction(small.mhs((2, 1, 1)), 4)
+        assert h == cell(exact.mhs_all((2, 1, 1)), 4)
