@@ -13,14 +13,21 @@ modes: residues mod p^e, or in exact mode numerators over scale**w with
 scale = lcm(1..n) and w the weight of the value.  Fraction and Residue
 objects appear only at the public boundary.
 
-Rows are built by one kernel for both modes: products and running sums
-stream through itertools.accumulate and map(operator.mul, ...), reduced
-mod p^e cell by cell as they are stored (exact mode stores them as they
-are).  A single value, H(s_1..s_k; n) or a weighted sum at n, never builds
-its last row: that level is one dot product and one reduction.  The
-modular inverse row comes from the recurrence 1/j = -(m // j) / (m mod j)
-mod m, one product per cell.  mhs_many() evaluates a batch of compositions
-over their prefix trie, so a prefix shared by several sums is built once.
+Rows are built by one of two kernels, picked once per table.  The Python
+kernel streams products and running sums through itertools.accumulate and
+map(operator.mul, ...), reduced mod p^e cell by cell as they are stored
+(exact mode stores them as they are); its modular inverse row comes from
+the recurrence 1/j = -(m // j) / (m mod j) mod m, one product per cell.
+A mod-mode table with m = p^e < 2^40 and n >= _NUMPY_MIN_N uses
+the numpy kernel instead when numpy can be imported: int64 arrays, every
+product reduced before the next operation (with 20-bit split factors
+above 2^31), so its cells are the same residues; see _kernel for the
+bounds.  numpy is imported the
+first time a table picks that kernel, never at package import.  A single
+value, H(s_1..s_k; n) or a weighted sum at n, never builds its last row:
+that level is one dot product and one reduction.  mhs_many() evaluates a
+batch of compositions over their prefix trie, so a prefix shared by
+several sums is built once.
 
 The table methods return raw ints and are what a caller shares to evaluate
 many sums at one upper index or prime.  The functions mhs_exact, mhs_mod,
@@ -32,7 +39,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from functools import lru_cache
+from itertools import accumulate, count, islice, repeat
 from operator import methodcaller, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -51,11 +59,215 @@ __all__ = [
 # Exact-mode upper-index cap: rational bit-length grows superlinearly in n.
 EXACT_N_CAP = 10_000
 
+# Smallest upper index n = p-1 at which a mod-mode table takes the numpy
+# kernel.  Importing numpy costs about 0.17 s and 14 MiB of RSS once per
+# process, and only tables this large earn it back.  Measured per table
+# (constructor, inverse row, the seven H({s}^l) sums of homog-vanishing-modp
+# and weighted_sum2(2,2,2); medians of 15; e = 1 and 2 alike; 2 CPUs,
+# Python 3.11, numpy 2.4, numpy already imported), Python -> numpy kernel:
+#     n = 1000: 1.7 -> 0.45 ms      n = 8000:  12-13.5 -> 2.1 ms
+#     n = 2000: 3.3 -> 0.8 ms       n = 16000: 30-36 -> 4.7 ms
+#     n = 4000: 6.4 -> 1.1 ms
+# From n = 4000 on a table saves at least 5 ms, so some 30 tables (one
+# check over 30 primes, or a few checks at a handful of primes) repay the
+# import; at n = 1000 it would take 130.  A run that builds a single table
+# of this size pays more for the import than it saves.
+_NUMPY_MIN_N = 4000
+
+
+class _PythonKernel:
+    """Rows as lists of Python ints, modulo m (exact mode: m is None).
+
+    Products stream through map(operator.mul, ...) unreduced and running
+    sums through itertools.accumulate; a cell is reduced mod m as it is
+    stored.  This kernel serves every exact table, every small table and
+    every machine without numpy, and it is the reference the numpy kernel
+    is tested against.
+    """
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int | None) -> None:
+        self.m = m
+
+    def _reduced(self, values: Iterator[int]) -> Iterator[int]:
+        m = self.m
+        return values if m is None else map(mod, values, repeat(m))
+
+    def inverses(self, p: int, e: int) -> list[int]:
+        """1/j mod m for j = 1..p-1 (index 0 holds a zero), m = p^e, by the
+        recurrence 1/j = -(m // j) * 1/(m mod j).  It needs j < p: then j
+        does not divide m, so m mod j is a smaller nonzero index."""
+        m = self.m
+        inv = [0, 1]
+        push = inv.append
+        for j in range(2, p):
+            push((m - m // j) * inv[m % j] % m)
+        return inv
+
+    def power(self, row: list[int], s: int) -> list[int]:
+        return list(map(pow, row, repeat(s), repeat(self.m)))
+
+    def terms(self, row: list[int], prev: Sequence | None) -> Iterator[int]:
+        """j -> row[j] * prev[j-1] for j = 1..n (prev None: all ones)."""
+        head = islice(row, 1, None)
+        return head if prev is None else map(mul, head, prev)
+
+    def times(self, terms: Iterable[int], row: list[int]) -> Iterator[int]:
+        """j -> terms[j] * row[j], cell by cell."""
+        return map(mul, terms, row)
+
+    def prefix(self, terms: Iterator[int]) -> list[int]:
+        """The row of running sums over j = 0..n of terms over j = 1..n."""
+        return [0, *self._reduced(accumulate(terms))]
+
+    def running(self, terms: Iterator[int]) -> list[int]:
+        """The row of running sums of terms over j = 0..n."""
+        return list(self._reduced(accumulate(terms)))
+
+    def total(self, terms: Iterable[int]) -> int:
+        total = sum(terms)
+        return total if self.m is None else total % self.m
+
+    def tolist(self, row: list[int]) -> list[int]:
+        return row
+
+
+class _NumpyKernel:
+    """Rows as int64 arrays of residues mod m, for m < 2^40 and n * m < 2^63.
+
+    Every cell is reduced before the next operation, so the arithmetic is
+    exact: for m < 2^31 a product of two residues is below 2^62; above, the
+    second factor is split into 20-bit halves (see _mul).  A running sum of
+    n reduced cells stays below n * m.  The rows hold the same residues as
+    the Python kernel's, which the tests check cell for cell.
+    """
+
+    __slots__ = ("np", "m")
+
+    def __init__(self, np, m: int) -> None:
+        self.np = np
+        self.m = m
+
+    def _mul(self, a, b):
+        """a * b mod m, cell by cell, for residues a and b."""
+        m = self.m
+        if m < 1 << 31:
+            return a * b % m  # a * b < 2^62
+        # a * b_hi < 2^60, (a * b_hi mod m) << 20 < 2^60 and a * b_lo < 2^60,
+        # so the sum stays below 2^61.
+        high = a * (b >> 20) % m
+        return ((high << 20) + a * (b & 0xFFFFF)) % m
+
+    def inverses(self, p: int, e: int):
+        """1/j mod p^e for j = 1..p-1 (index 0 holds a zero).
+
+        The powers g^k of a primitive root g list every unit mod p once, and
+        the inverse of g^k is g^(p-1-k).  They are laid out as a square
+        grid of products g^(side*i) * g^c with side about sqrt(p), so only
+        O(sqrt p) steps run in Python.  Newton's step x -> x(2 - jx)
+        doubles the precision of the inverses, from mod p to mod p^2
+        (e = 2) and once more to mod p^4 (e = 3).
+        """
+        np = self.np
+        n = p - 1
+        g = _primitive_root(p)
+        side = math.isqrt(n) + 1
+        rows = np.array([pow(g, side * i, p) for i in range(side)], dtype=np.int64)
+        cols = np.array([pow(g, c, p) for c in range(side)], dtype=np.int64)
+        powers = (rows[:, None] * cols % p).ravel()[:n]  # powers[k] = g^k
+        inv = np.zeros(p, dtype=np.int64)
+        inv[powers] = np.roll(powers[::-1], 1)  # g^k -> g^(-k mod p-1)
+        for _ in range((e - 1).bit_length()):
+            jx = self._mul(np.arange(p, dtype=np.int64), inv)
+            inv = self._mul(inv, (2 - jx) % self.m)
+        return inv
+
+    def power(self, row, s: int):
+        """The cells of row to the power s, by square and multiply."""
+        result = None
+        while True:
+            if s & 1:
+                result = row if result is None else self._mul(result, row)
+            s >>= 1
+            if not s:
+                return result
+            row = self._mul(row, row)
+
+    def terms(self, row, prev):
+        head = row[1:]
+        return head if prev is None else self._mul(head, prev[:-1])
+
+    def times(self, terms, row):
+        return self._mul(terms, row)
+
+    def prefix(self, terms):
+        out = self.np.zeros(len(terms) + 1, dtype=self.np.int64)
+        self.np.cumsum(terms, out=out[1:])
+        out %= self.m
+        return out
+
+    def running(self, terms):
+        out = self.np.cumsum(terms)
+        out %= self.m
+        return out
+
+    def total(self, terms) -> int:
+        return int(terms.sum()) % self.m
+
+    def tolist(self, row) -> list[int]:
+        return row.tolist()
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of the units mod the odd prime p."""
+    n = rest = p - 1
+    factors = []
+    q = 2
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        factors.append(rest)
+    return next(g for g in count(2) if all(pow(g, n // q, p) != 1 for q in factors))
+
+
+@lru_cache(maxsize=None)
+def _numpy():
+    """The numpy module, imported on first use; None where it is missing."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
+def _kernel(n: int, m: int | None):
+    """The row kernel of a table at upper index n, modulo m (None: exact).
+
+    The numpy kernel is exact while a reduced product fits int64 and a
+    running sum of n reduced cells does too: m < 2^40 (with the split
+    multiply above 2^31) and n * m < 2^63.  With n = p - 1 and m = p^e,
+    n * m < p^(e+1): below 10^14 for e = 1 (p <= MAX_PRIME), and below
+    2^60 and 2^54 for e = 2 and 3 (m < 2^40), so the second bound follows;
+    both are checked here all the same.  Tables with n < _NUMPY_MIN_N keep
+    the Python kernel, so a run that builds no larger one never imports
+    numpy.
+    """
+    if m is not None and n >= _NUMPY_MIN_N and m < 1 << 40 and n * m < 1 << 63:
+        np = _numpy()
+        if np is not None:
+            return _NumpyKernel(np, m)
+    return _PythonKernel(m)
+
 
 class PrefixTable:
     """Inverse-power and harmonic-prefix caches for upper indices 0..n.
 
-    Every row is a list of raw ints indexed by j = 0..n.  Mod mode stores
+    Every row holds raw ints indexed by j = 0..n.  Mod mode stores
     residues in [0, p^e) with n fixed to p-1, where every j <= n is a unit.
     Exact mode (modulus None) stores numerators over scale**w, where
     scale = lcm(1..n) and w is the row's weight: s for inv_powers(s) and
@@ -65,11 +277,15 @@ class PrefixTable:
     the sum of their weights.  to_fraction() turns one cell into its value.
     Mod mode sets scale to 1.
 
+    The table picks its row kernel once, in the constructor (see _kernel);
+    the cached rows are that kernel's own, and the row methods hand them out
+    as lists of Python ints.
+
     Exact mode refuses n above EXACT_N_CAP, and mod mode a prime above
     MAX_PRIME, before any row is built.
     """
 
-    __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_ipow", "_hpref")
+    __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_k", "_ipow", "_hpref")
 
     def __init__(self, n: int, *, prime: int | None = None, exponent: int = 1) -> None:
         if prime is None:
@@ -93,6 +309,7 @@ class PrefixTable:
         self.n = n
         self.prime = prime
         self.exponent = exponent
+        self._k = _kernel(n, self.modulus)
         self._ipow: dict[int, Sequence] = {}
         self._hpref: dict[int, Sequence] = {}
 
@@ -108,53 +325,41 @@ class PrefixTable:
         """The exact value of one weight-w cell: num / scale**w."""
         return Fraction(num, self.scale**w)
 
-    # -- the kernel: one code path for both modes --------------------------
+    # -- cached rows in the kernel's own form --------------------------------
 
-    def _reduced(self, values: Iterator[int]) -> Iterator[int]:
-        """The values mod p^e, lazily; exact mode passes them through."""
-        m = self.modulus
-        return values if m is None else map(mod, values, repeat(m))
+    def _row(self, cache: dict, build: Callable[[int], list], s: int):
+        """The cached row for s, in the kernel's own form.  On first use
+        build(s), that is inv_powers or harmonic_prefix, makes it, so every
+        row is built inside those two methods, where a wrapper around them
+        (such as bench/tracing.py) sees and times it; the list they return
+        is dropped."""
+        if s not in cache:
+            build(s)
+        return cache[s]
 
-    def _reduce(self, value: int) -> int:
-        m = self.modulus
-        return value if m is None else value % m
-
-    def _terms(self, prev: Sequence | None, s: int) -> Iterator[int]:
+    def _terms(self, prev, s: int):
         """j -> j^(-s) H(P; j-1) for j = 1..n, where prev is the row of the
         prefix P over 0..n (None for the empty prefix, whose row is all 1)."""
-        head = islice(self.inv_powers(s), 1, None)
-        return head if prev is None else map(mul, head, prev)
+        return self._k.terms(self._row(self._ipow, self.inv_powers, s), prev)
 
-    def _extend(self, prev: Sequence | None, s: int) -> list:
+    def _extend(self, prev, s: int):
         """The row m -> H(P, s; m), m = 0..n, from the row of P."""
-        return [0, *self._reduced(accumulate(self._terms(prev, s)))]
+        return self._k.prefix(self._terms(prev, s))
 
-    def _dot(self, prev: Sequence | None, s: int) -> int:
+    def _dot(self, prev, s: int) -> int:
         """H(P, s; n) alone: the last level as one sum, no row built."""
-        return self._reduce(sum(self._terms(prev, s)))
+        return self._k.total(self._terms(prev, s))
 
-    def _wsum_terms(self, s2: int, factors: tuple[int, ...]) -> Iterator[int]:
-        """j -> j^(-s2) prod_s H_j^(s) over the factors, j = 0..n, unreduced."""
-        terms = iter(self.inv_powers(s2))
+    def _wsum_terms(self, s2: int, factors: tuple[int, ...]):
+        """j -> j^(-s2) prod_s H_j^(s) over the factors, j = 0..n."""
+        terms = self._row(self._ipow, self.inv_powers, s2)
         for s in factors:
-            terms = map(mul, terms, self.harmonic_prefix(s))
+            terms = self._k.times(terms, self._row(self._hpref, self.harmonic_prefix, s))
         return terms
 
     # -- rows ----------------------------------------------------------------
 
-    def _inverses(self) -> list[int]:
-        """1/j mod m for j = 1..n (index 0 holds a zero), m = p^e, by the
-        recurrence 1/j = -(m // j) * 1/(m mod j).  It needs j < p: then j
-        does not divide m, so m mod j is a smaller nonzero index."""
-        m = self.modulus
-        assert m is not None
-        inv = [0, 1]
-        push = inv.append
-        for j in range(2, self.n + 1):
-            push((m - m // j) * inv[m % j] % m)
-        return inv
-
-    def inv_powers(self, s: int) -> Sequence:
+    def inv_powers(self, s: int) -> list[int]:
         """The row j -> j^(-s), j = 1..n (index 0 holds a zero)."""
         if s < 1:
             raise ValueError(f"exponent must be >= 1, got {s}")
@@ -164,35 +369,33 @@ class PrefixTable:
                 scale = self.scale
                 row = [0] + [(scale // j) ** s for j in range(1, self.n + 1)]
             elif s == 1:
-                row = self._inverses()
+                row = self._k.inverses(self.prime, self.exponent)
             else:
-                row = list(map(pow, self.inv_powers(1), repeat(s), repeat(self.modulus)))
+                row = self._k.power(self._row(self._ipow, self.inv_powers, 1), s)
             self._ipow[s] = row
-        return row
+        return self._k.tolist(row)
 
-    def harmonic_prefix(self, s: int) -> Sequence:
+    def harmonic_prefix(self, s: int) -> list[int]:
         """The row j -> H_j^(s), j = 0..n."""
         row = self._hpref.get(s)
         if row is None:
             row = self._hpref[s] = self._extend(None, s)
-        return row
+        return self._k.tolist(row)
 
-    def mhs_all(self, parts: Iterable[int]) -> list:
+    def mhs_all(self, parts: Iterable[int]) -> list[int]:
         """H(parts; m) for every m = 0..n, by the recurrence."""
         row = None
         for s in Composition(parts):
             row = self._extend(row, s)
-        return [1] * (self.n + 1) if row is None else row
+        return [1] * (self.n + 1) if row is None else self._k.tolist(row)
 
-    def weighted_sum2_all(self, s1: int, s2: int, s3: int) -> list:
+    def weighted_sum2_all(self, s1: int, s2: int, s3: int) -> list[int]:
         """sum_{j<=m} H_j^(s1) H_j^(s3) / j^(s2) for every m = 0..n."""
-        terms = self._wsum_terms(s2, (s1, s3))
-        return list(self._reduced(accumulate(terms)))
+        return self._k.tolist(self._k.running(self._wsum_terms(s2, (s1, s3))))
 
-    def weighted_sum3_all(self, s1: int, s2: int, s3: int, s4: int) -> list:
+    def weighted_sum3_all(self, s1: int, s2: int, s3: int, s4: int) -> list[int]:
         """As weighted_sum2_all with a third harmonic factor H_j^(s4)."""
-        terms = self._wsum_terms(s2, (s1, s3, s4))
-        return list(self._reduced(accumulate(terms)))
+        return self._k.tolist(self._k.running(self._wsum_terms(s2, (s1, s3, s4))))
 
     # -- single values -------------------------------------------------------
 
@@ -228,7 +431,7 @@ class PrefixTable:
                 continue
             child = self._extend(row, s)
             if comp in wanted:
-                out[comp] = child[-1]
+                out[comp] = int(child[-1])
             stack.append((comp, child, list(grandchildren.items())))
         return out
 
@@ -240,11 +443,11 @@ class PrefixTable:
 
     def weighted_sum2(self, s1: int, s2: int, s3: int) -> int:
         """sum_{j<=n} H_j^(s1) H_j^(s3) / j^(s2) as a raw int."""
-        return self._reduce(sum(self._wsum_terms(s2, (s1, s3))))
+        return self._k.total(self._wsum_terms(s2, (s1, s3)))
 
     def weighted_sum3(self, s1: int, s2: int, s3: int, s4: int) -> int:
         """As weighted_sum2 with a third harmonic factor H_j^(s4)."""
-        return self._reduce(sum(self._wsum_terms(s2, (s1, s3, s4))))
+        return self._k.total(self._wsum_terms(s2, (s1, s3, s4)))
 
 
 def _value(

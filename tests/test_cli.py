@@ -1,11 +1,14 @@
 """Command-line interface: argument handling, output text, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mhslab
 import mhslab.cli as cli
 from mhslab.bernoulli import DEFAULT_CAP, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
@@ -404,10 +407,16 @@ def test_parser_top_level():
 
 
 def test_module_entry_point():
+    # The child does not read pytest's pythonpath setting: put the source
+    # directory this package was imported from on its PYTHONPATH.
+    src = str(Path(mhslab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "mhslab", "bernoulli", "--n", "10"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "5/66\n"
