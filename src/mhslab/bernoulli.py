@@ -18,8 +18,9 @@ and every p*B_m is p-integral (von Staudt-Clausen), so the j-th term has
 p-adic valuation at least j - v_p(j+1).  Mod p^(e+1) only the first few
 terms survive, each needing p*B_{n-j} to lower precision; B_n mod p^e is
 then p*B_n divided by p.  That costs O(e*p) per (index, prime), with no
-index cap.  von Staudt-Clausen also pins down exactly when B_n has no
-residue: (p-1) | n for even n > 0.
+index cap.  von Staudt-Clausen pins down exactly when B_n has no residue,
+(p-1) | n for even n > 0, and gives p*B_n mod p without a power sum: -1
+in that case, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -134,6 +135,9 @@ def _p_times_bernoulli(n: int, p: int, k: int) -> int:
         return -p * ((m + 1) // 2) % m  # p * (-1/2); m is odd
     if n % 2:
         return 0
+    if k == 1:
+        # von Staudt-Clausen: p*B_n = -1 (mod p) when (p-1) | n, else 0.
+        return p - 1 if n % (p - 1) == 0 else 0
     acc = _power_sum(n, p, m)
     # j - v_p(j+1) >= j - log_3(j+1) >= k once j > 2k: later terms vanish.
     for j in range(1, min(n, 2 * k) + 1):

@@ -20,7 +20,7 @@ from .congruences import (
     reports_to_json,
     run_scan,
 )
-from .exactnum import Residue, is_prime, primes_in_range, rational_to_residue
+from .exactnum import MAX_PRIME, Residue, is_prime, primes_in_range, rational_to_residue
 from .identities import probe_thm31_random, run_thm21_suite, run_thm31_suite
 from .mhs import mhs_exact, mhs_mod, weighted_sum2, weighted_sum3
 
@@ -29,8 +29,9 @@ __all__ = ["build_parser", "main", "parse_primes"]
 
 def parse_primes(spec: str) -> list[int]:
     """Expand a prime spec: either an inclusive range "a..b" or a comma
-    list "5,7,11" of odd primes.  Ranges silently drop anything below 3;
-    explicit lists are validated entry by entry."""
+    list "5,7,11" of odd primes.  Ranges silently drop anything below 3
+    and may not reach past MAX_PRIME; explicit lists are validated entry
+    by entry."""
     spec = spec.strip()
     if ".." in spec:
         lo_text, _, hi_text = spec.partition("..")
@@ -38,10 +39,10 @@ def parse_primes(spec: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
             raise ValueError(f"bad prime range {spec!r}; expected a..b") from None
-        try:
-            primes = [p for p in primes_in_range(lo, hi) if p >= 3]
-        except MemoryError:
-            raise ValueError(f"prime range {spec!r} is too large to sieve") from None
+        if hi > MAX_PRIME:
+            # Refused before the sieve, whose memory grows with hi.
+            raise ValueError(f"prime range {spec!r} goes past the limit {MAX_PRIME} for O(p) work")
+        primes = [p for p in primes_in_range(lo, hi) if p >= 3]
     else:
         primes = []
         for token in spec.split(","):

@@ -17,7 +17,9 @@ the smallest prime it holds for; only the registry calls them.
 Scans run prime-major.  The work unit is one prime with the ids of every
 check to evaluate there; a battery (and a scan, a battery of one check)
 sends all its units through one process pool, or runs them in process
-with one worker, and run_check is the one-unit case.  At a prime the
+with one worker, and run_check is the one-unit case.  multiprocessing and
+concurrent.futures load with the first pool, so importing the package, a
+serial scan and every other command never pay for them.  At a prime the
 checks share one PrefixTable per exponent e, and every H(...) member at
 that e goes through one trie walk, so a prefix chain common to several
 checks is built once.  A refit reads the left sides the units computed
@@ -34,10 +36,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import multiprocessing
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -870,6 +870,15 @@ def _with_refit(
     ]
 
 
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor(*args, **kwargs), imported
+    on the first call.  _run_scans starts every pool through this name, so
+    it is the one place to replace the pool."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(*args, **kwargs)
+
+
 def _run_scans(
     scans: Iterable[tuple[str, Iterable[int]]], jobs: int | None
 ) -> list[CheckReport]:
@@ -892,6 +901,8 @@ def _run_scans(
     known: dict[str, dict[int, int]] = {}
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            import multiprocessing
+
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX fallback

@@ -52,13 +52,20 @@ def mod_inverse_int(a: int, m: int) -> int:
         raise NotAUnit(f"{a} is not a unit modulo {m} (gcd {g})") from None
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the smallest strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster 2017): below it the bases decide primality exactly.
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for every n below 3.3e24)."""
+    """Deterministic Miller-Rabin, exact for every n below
+    3317044064679887385961981; ValueError at or above it, where these
+    bases cannot certify primality."""
     if n < 2:
         return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot certify primality of {n}: at or above {_MR_EXACT_BELOW}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

@@ -17,6 +17,8 @@ from mhslab.bernoulli import (
     BernoulliCache,
     IndexAboveCap,
     PDividesDenominator,
+    _p_times_bernoulli,
+    _power_sum,
     bernoulli_exact,
     bernoulli_mod,
     von_staudt_clausen_check,
@@ -89,6 +91,13 @@ def test_power_sum_oracle_mod_p_squared():
                     bernoulli_mod(m, p, 1)
                 continue
             assert s == p * int(bernoulli_mod(m, p, 1)) % p**2, (p, m)
+
+
+def test_p_times_bernoulli_mod_p_is_von_staudt_clausen():
+    # The mod-p shortcut against the power sum it replaces.
+    for p in primes_in_range(3, 200):
+        for n in range(2, 3 * p + 1, 2):
+            assert _p_times_bernoulli(n, p, 1) == _power_sum(n, p, p), (p, n)
 
 
 def test_bernoulli_mod_values_and_poles():

@@ -170,6 +170,20 @@ def test_o_of_p_work_past_the_prime_limit_is_a_usage_error(argv, capsys):
     assert "prime 10000019 exceeds the limit 10000000" in err
 
 
+@pytest.mark.parametrize(
+    "prime, message",
+    [
+        # psi_12, which passes Miller-Rabin at every prime base up to 37
+        ("318665857834031151167461", "must be an odd prime"),
+        # psi_13, past every base up to 41: primality cannot be certified
+        ("3317044064679887385961981", "cannot certify primality"),
+    ],
+)
+def test_bernoulli_at_a_strong_pseudoprime_is_a_usage_error(prime, message, capsys):
+    code, err = run_cli_error(["bernoulli", "--n", "12", "--prime", prime], capsys)
+    assert code == 2 and message in err
+
+
 def test_bernoulli_past_the_exact_cap_uses_power_sums(capsys):
     assert DEFAULT_CAP < 3002
     assert run_cli(["bernoulli", "--n", "3002", "--prime", "7"], capsys) == (
@@ -381,19 +395,21 @@ def test_parse_primes():
 
 
 def test_huge_prime_range_is_a_usage_error(monkeypatch, capsys):
-    # a range like 3..10^12 cannot be sieved; never allocate it for real
-    def no_memory(lo, hi):
-        raise MemoryError
+    # A range past the limit is refused before the sieve, whose memory
+    # grows with the top of the range.
+    def no_sieve(lo, hi):
+        raise AssertionError(f"sieved {lo}..{hi}")
 
-    monkeypatch.setattr(cli, "primes_in_range", no_memory)
-    with pytest.raises(ValueError, match="too large"):
+    monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+    with pytest.raises(ValueError, match=f"past the limit {MAX_PRIME}"):
         parse_primes("3..1000000000000")
     for argv in (
-        ["scan", "--check", "cor-sun-modp", "--primes", "3..1000000000000"],
+        ["scan", "--check", "cor-sun-modp", "--primes", "100000000..100000100"],
         ["fit", "--family", "sun-s1", "--primes", "7..1000000000000"],
+        ["identity", "--thm", "3.1", "--at-primes", f"3..{MAX_PRIME + 1}"],
     ):
         code, err = run_cli_error(argv, capsys)
-        assert code == 2 and "too large to sieve" in err
+        assert code == 2 and f"past the limit {MAX_PRIME}" in err
 
 
 def test_parser_top_level():

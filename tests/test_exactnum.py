@@ -38,15 +38,29 @@ def test_is_prime_matches_sieve_below_2000():
         assert is_prime(n) == (n in sieve)
 
 
-@pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 6601, 3215031751])
+@pytest.mark.parametrize(
+    "n", [561, 1105, 1729, 2465, 6601, 3215031751, 318665857834031151167461]
+)
 def test_is_prime_rejects_pseudoprimes(n):
-    # Carmichael numbers and the smallest strong pseudoprime to bases 2,3,5,7.
+    # Carmichael numbers, the smallest strong pseudoprime to bases 2,3,5,7,
+    # and psi_12 = 399165290221 * 798330580441, the smallest one to every
+    # prime base up to 37.
     assert not is_prime(n)
 
 
 def test_is_prime_large_known_values():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+
+
+def test_is_prime_refuses_what_it_cannot_certify():
+    # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to
+    # every prime base up to 41: from there on, no answer is certain.
+    psi13 = 3317044064679887385961981
+    assert not is_prime(psi13 - 1)
+    for n in (psi13, psi13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="cannot certify"):
+            is_prime(n)
 
 
 def test_primes_in_range_boundaries():

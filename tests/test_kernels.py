@@ -183,14 +183,22 @@ def test_scan_csv_is_identical_with_and_without_numpy():
     assert run_python(NO_NUMPY + scan(2)) == with_numpy
 
 
-def test_small_runs_never_import_numpy():
+def test_serial_runs_never_import_numpy_or_the_pool():
+    # numpy loads with the first large table, the pool machinery with the
+    # first pool: a small serial run loads neither, and a pool started
+    # afterwards in the same interpreter still gives the serial reports.
     code = (
         "import sys\n"
-        "from mhslab.congruences import run_scan\n"
+        "import mhslab.cli\n"
+        "from mhslab.congruences import registry, run_check, run_scan\n"
         "from mhslab.exactnum import primes_in_range\n"
         "from mhslab.identities import run_thm21_suite\n"
-        "assert run_scan('cor-sun-modp', primes_in_range(3, 1000), jobs=1)\n"
+        "registry()\n"
+        "assert run_check('cor-sun-modp', 101).status == 'pass'\n"
+        "serial = run_scan('cor-sun-modp', primes_in_range(3, 1000), jobs=1)\n"
         "assert run_thm21_suite(2, 30).ok\n"
-        "print('numpy' in sys.modules)\n"
+        "lazy = ('numpy', 'multiprocessing', 'concurrent.futures')\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+        "print(run_scan('cor-sun-modp', primes_in_range(3, 1000), jobs=2) == serial)\n"
     )
-    assert run_python(code) == "False\n"
+    assert run_python(code) == "[]\nTrue\n"
