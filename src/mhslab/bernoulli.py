@@ -2,12 +2,16 @@
 residues mod p^e.
 
 The cache holds even-index values only; B_n for odd n >= 3 is zero and
-never stored.  Values come from the defining recurrence
+never stored.  They come from the tangent numbers T_k, read off Seidel's
+boustrophedon triangle: each row is the running sums of the previous row
+reversed, starting from 0, and row 2k-1 ends in T_k.  Then
 
-    sum_{j=0}^{m} C(m+1, j) B_j = 0        (m >= 1),
+    B_{2k} = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1))
 
-solved for the top index, restricted to even j since the odd entries drop
-out.
+(Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
+numbers", 2011).  The triangle takes only integer additions, and one
+Fraction is made per published value.  The cache keeps its last row, so
+it extends from where it stopped.
 
 Modular values never touch the exact cache.  Faulhaber's formula for the
 prime power sum S_n(p) = sum_{a=1}^{p-1} a^n reads
@@ -29,6 +33,7 @@ import functools
 import math
 import threading
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactnum import MAX_PRIME, DenominatorDivisibleByP, Residue, is_prime
 
@@ -47,7 +52,7 @@ DEFAULT_CAP = 2000
 
 
 class IndexAboveCap(ValueError):
-    """A Bernoulli index beyond the configured cache cap was requested."""
+    """A Bernoulli index beyond DEFAULT_CAP was requested."""
 
 
 class PDividesDenominator(DenominatorDivisibleByP):
@@ -56,32 +61,34 @@ class PDividesDenominator(DenominatorDivisibleByP):
 
 
 class BernoulliCache:
-    """Append-only cache of B_0, B_2, B_4, ... up to a fixed cap.
+    """Append-only cache of B_0, B_2, B_4, ... up to DEFAULT_CAP.
 
     One writer at a time (guarded internally); concurrent reads of
     already-published entries are safe.
     """
 
-    def __init__(self, cap: int = DEFAULT_CAP) -> None:
-        self.cap = cap
+    def __init__(self) -> None:
         self._even: list[Fraction] = [Fraction(1)]
+        self._row = [1]  # row 2k of Seidel's triangle, k = len(self._even) - 1
         self._lock = threading.Lock()
 
     def warm(self, n: int) -> None:
         """Ensure every B_k for k <= n is computed."""
-        if n > self.cap:
-            raise IndexAboveCap(f"index {n} exceeds cache cap {self.cap}")
+        if n > DEFAULT_CAP:
+            raise IndexAboveCap(f"index {n} exceeds cache cap {DEFAULT_CAP}")
         top = n // 2
         if top < len(self._even):
             return
         with self._lock:
-            for m in range(len(self._even), top + 1):
-                # B_{2m} = -[1 - (2m+1)/2 + sum_{j=1}^{m-1} C(2m+1,2j) B_{2j}]
-                #          / (2m+1)
-                acc = 1 - Fraction(2 * m + 1, 2)
-                for j in range(1, m):
-                    acc += math.comb(2 * m + 1, 2 * j) * self._even[j]
-                self._even.append(-acc / (2 * m + 1))
+            row = self._row
+            for k in range(len(self._even), top + 1):
+                row = list(accumulate(reversed(row), initial=0))
+                t = row[-1] if k % 2 else -row[-1]  # row 2k-1 ends in T_k
+                row = list(accumulate(reversed(row), initial=0))
+                b = Fraction(2 * k * t, 4**k * (4**k - 1))
+                # Row and value back to back, so an interrupt cannot split them.
+                self._row = row
+                self._even.append(b)
 
     def get(self, n: int) -> Fraction:
         if n < 0:
@@ -97,9 +104,9 @@ class BernoulliCache:
 _CACHE = BernoulliCache()
 
 
-def bernoulli_exact(n: int, cache: BernoulliCache | None = None) -> Fraction:
-    """Exact B_n; raises IndexAboveCap beyond the cache cap (default 2000)."""
-    return (cache or _CACHE).get(n)
+def bernoulli_exact(n: int) -> Fraction:
+    """Exact B_n; raises IndexAboveCap beyond DEFAULT_CAP (2000)."""
+    return _CACHE.get(n)
 
 
 def _power_sum(n: int, p: int, m: int) -> int:
@@ -174,11 +181,11 @@ def bernoulli_mod(n: int, p: int, e: int) -> Residue:
     return Residue(_p_times_bernoulli(n, p, e + 1) // p, p, e)
 
 
-def von_staudt_clausen_check(n: int, cache: BernoulliCache | None = None) -> bool:
+def von_staudt_clausen_check(n: int) -> bool:
     """True iff denominator(B_n) equals the product of primes q with (q-1) | n.
 
-    Independent structural validation of the recurrence output; n must be
-    even and >= 2.
+    Independent structural validation of the exact values; n must be even
+    and >= 2.
     """
     if n < 2 or n % 2:
         raise ValueError(f"von Staudt-Clausen applies to even n >= 2, got {n}")
@@ -186,4 +193,4 @@ def von_staudt_clausen_check(n: int, cache: BernoulliCache | None = None) -> boo
     for d in range(1, n + 1):
         if n % d == 0 and is_prime(d + 1):
             denom *= d + 1
-    return bernoulli_exact(n, cache).denominator == denom
+    return bernoulli_exact(n).denominator == denom

@@ -987,9 +987,10 @@ def fit_coefficient(
 ) -> FitResult:
     """Fit c in  family(p) = c * p^t * B_{p-w}  (mod p^e) across primes.
 
-    Primes with p <= w are skipped (hypothesis), primes where B_{p-w} is
-    not a unit are skipped (bernoulli-pole), and primes where p^t does not
-    divide the left side are skipped (the ansatz cannot hold there).  The
+    Primes with p <= w are skipped (hypothesis), primes where p divides
+    the denominator of B_{p-w} (bernoulli-pole) or its numerator
+    (bernoulli-zero) are skipped, and primes where p^t does not divide the
+    left side are skipped (p-power: the ansatz cannot hold there).  The
     surviving per-prime coefficients live mod p^(e-t); they are CRT-combined
     and rationally reconstructed.  The coefficient is reported only when it
     reproduces every per-prime value; otherwise it is None.
@@ -1010,7 +1011,7 @@ def fit_coefficient(
             skipped.append((p, "bernoulli-pole"))
             continue
         if b % p == 0:
-            skipped.append((p, "bernoulli-pole"))
+            skipped.append((p, "bernoulli-zero"))
             continue
         value = int(family(p)) % p**e
         if t and value % p**t:

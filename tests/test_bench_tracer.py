@@ -1,10 +1,12 @@
-"""The benchmark's span tracer (bench/tracing.py) patches PrefixTable and
-congruence methods by name; this guards those names against a refactor
-that renames or removes one, which would raise KeyError at install()."""
+"""The benchmark's span tracer (bench/tracing.py) patches PrefixTable,
+BernoulliCache and congruence methods by name; this guards those names
+against a refactor that renames or removes one, which would raise
+KeyError at install()."""
 
 from pathlib import Path
 
 import mhslab.congruences as congruences
+from mhslab.bernoulli import BernoulliCache, bernoulli_exact
 from mhslab.mhs import PrefixTable
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -31,3 +33,18 @@ def test_tracer_installs_runs_and_uninstalls(monkeypatch):
     assert tracer.counts["mhs.inv_powers_calls"] > 0
     inclusive, _ = tracer.times()
     assert inclusive["congruences.run_check"] > 0 and inclusive["mhs.wsum2"] > 0
+
+
+def test_tracer_sees_the_exact_bernoulli_cache(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    originals = dict(vars(BernoulliCache))
+    tracer = tracing.Tracer().install()
+    try:
+        bernoulli_exact(40)
+    finally:
+        tracer.uninstall()
+    assert dict(vars(BernoulliCache)) == originals
+    assert [span[0] for span in tracer.spans] == ["bernoulli.warm"]
+    assert tracer.counts["bernoulli.top_index"] == 40

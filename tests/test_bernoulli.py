@@ -1,6 +1,7 @@
 """Bernoulli numbers against independent oracles.
 
-Two cross-checks that share no code with the recurrence under test:
+Two cross-checks that share no code with the tangent-number triangle
+under test:
 
 * the Akiyama-Tanigawa triangle, which produces B_n (with B_1 = +1/2;
   even indices are unaffected by the sign convention);
@@ -14,6 +15,8 @@ from fractions import Fraction
 import pytest
 
 from mhslab.bernoulli import (
+    _CACHE,
+    DEFAULT_CAP,
     BernoulliCache,
     IndexAboveCap,
     PDividesDenominator,
@@ -117,7 +120,7 @@ def test_bernoulli_mod_values_and_poles():
 
 
 def test_bernoulli_mod_matches_exact_reduction_below_200():
-    # The power-sum path against the exact recurrence, poles included.
+    # The power-sum path against the exact values, poles included.
     for p in primes_in_range(3, 199):
         for n in range(2 * p + 1):
             exact = bernoulli_exact(n)
@@ -157,19 +160,43 @@ def test_irregular_pair_gives_zero_residue():
     assert int(bernoulli_mod(32, 37, 1)) == 0
 
 
+@pytest.mark.parametrize("n", [1000, 1500, 2000])
+def test_bernoulli_mod_matches_exact_reduction_up_to_the_cap(n):
+    # Faulhaber's power sums share no code with the triangle; no pole here.
+    for p in (1009, 1013, 2003):
+        assert rational_to_residue(bernoulli_exact(n), p, 2) == bernoulli_mod(n, p, 2), (n, p)
+
+
+def test_von_staudt_clausen_denominator_at_the_cap():
+    assert von_staudt_clausen_check(DEFAULT_CAP)
+
+
+def test_cache_extends_from_where_it_stopped():
+    grown, straight = BernoulliCache(), BernoulliCache()
+    for n in (40, 41, 200):
+        grown.warm(n)
+    straight.warm(200)
+    values = [grown.get(n) for n in range(201)]
+    assert values == [straight.get(n) for n in range(201)]
+    oracle = akiyama_tanigawa(60)
+    assert all(values[n] == oracle[n] for n in range(61) if n != 1)
+
+
 def test_cache_cap_and_index_validation():
-    small = BernoulliCache(cap=10)
-    assert small.get(10) == Fraction(5, 66)
+    cache = BernoulliCache()
     with pytest.raises(IndexAboveCap):
-        small.get(12)
-    assert small.get(11) == 0  # odd indices never touch the cap
+        cache.get(DEFAULT_CAP + 2)
+    assert cache.get(DEFAULT_CAP + 1) == 0  # odd indices never touch the cap
     with pytest.raises(ValueError):
-        small.get(-1)
+        cache.get(-1)
     with pytest.raises(IndexAboveCap):
-        bernoulli_exact(2002)
+        bernoulli_exact(DEFAULT_CAP + 2)
+    assert len(cache._even) == 1  # nothing was computed
 
 
 def test_private_cache_is_independent():
-    mine = BernoulliCache(cap=40)
-    assert bernoulli_exact(12, cache=mine) == Fraction(-691, 2730)
-    assert von_staudt_clausen_check(40, cache=mine)
+    published, row = len(_CACHE._even), _CACHE._row
+    mine = BernoulliCache()
+    assert mine.get(12) == Fraction(-691, 2730)
+    assert len(mine._even) == 7
+    assert len(_CACHE._even) == published and _CACHE._row is row

@@ -381,6 +381,15 @@ def test_fit_insufficient_primes(capsys):
     assert code == 2
 
 
+def test_fit_at_a_vanishing_bernoulli_number_names_the_zero(capsys):
+    # B_p has an odd index, so it is 0 mod p at every prime: no pole.
+    code, err = run_cli_error(
+        ["fit", "--family", "sun-s1", "--w", "0", "--primes", "7..50"], capsys
+    )
+    assert code == 2
+    assert "(7, 'bernoulli-zero')" in err and "bernoulli-pole" not in err
+
+
 # --- plumbing --------------------------------------------------------------
 
 

@@ -669,7 +669,7 @@ def test_fit_zero_family_skips_irregular_prime():
     fam = fit_families()["zero"]
     res = fit_coefficient(fam.lhs, fam.w, primes_in_range(11, 80), name=fam.name)
     assert res.coefficient == 0
-    assert (37, "bernoulli-pole") in res.skipped
+    assert (37, "bernoulli-zero") in res.skipped
     assert 37 not in res.primes_used
 
 
@@ -713,6 +713,14 @@ def test_fit_skip_reasons():
     assert "p-power" in str(exc.value)
     with pytest.raises(InsufficientPrimes):
         fit_coefficient(lambda p: 0, 3, [11, 13])
+    # w = 1: B_{p-1} has a pole at every prime (von Staudt-Clausen)
+    with pytest.raises(InsufficientPrimes) as exc:
+        fit_coefficient(lambda p: 1, 1, [11, 13, 17])
+    assert "bernoulli-pole" in str(exc.value)
+    # w = 0: B_p has an odd index, so it is 0, which is not a pole
+    with pytest.raises(InsufficientPrimes) as exc:
+        fit_coefficient(lambda p: 1, 0, [11, 13, 17])
+    assert "bernoulli-zero" in str(exc.value) and "bernoulli-pole" not in str(exc.value)
 
 
 def test_fit_argument_validation():
