@@ -29,6 +29,12 @@ that level is one dot product and one reduction.  mhs_many() evaluates a
 batch of compositions over their prefix trie, so a prefix shared by
 several sums is built once.
 
+Inside a table the rows stay in the kernel's form (int64 arrays on the
+numpy kernel) from build to the last dot product.  A row becomes a list of
+Python ints only when a public row method (inv_powers, harmonic_prefix,
+mhs_all, weighted_sum2_all, weighted_sum3_all) hands it to a caller, and
+that list is always the caller's own: a cached row is copied, never lent.
+
 The table methods return raw ints and are what a caller shares to evaluate
 many sums at one upper index or prime.  The functions mhs_exact, mhs_mod,
 weighted_sum2 and weighted_sum3 build a table for one value and hand it
@@ -60,17 +66,18 @@ __all__ = [
 EXACT_N_CAP = 10_000
 
 # Smallest upper index n = p-1 at which a mod-mode table takes the numpy
-# kernel.  Importing numpy costs about 0.17 s and 14 MiB of RSS once per
+# kernel.  Importing numpy costs about 0.14 s and 13 MiB of RSS once per
 # process, and only tables this large earn it back.  Measured per table
-# (constructor, inverse row, the seven H({s}^l) sums of homog-vanishing-modp
-# and weighted_sum2(2,2,2); medians of 15; e = 1 and 2 alike; 2 CPUs,
-# Python 3.11, numpy 2.4, numpy already imported), Python -> numpy kernel:
-#     n = 1000: 1.7 -> 0.45 ms      n = 8000:  12-13.5 -> 2.1 ms
-#     n = 2000: 3.3 -> 0.8 ms       n = 16000: 30-36 -> 4.7 ms
-#     n = 4000: 6.4 -> 1.1 ms
-# From n = 4000 on a table saves at least 5 ms, so some 30 tables (one
-# check over 30 primes, or a few checks at a handful of primes) repay the
-# import; at n = 1000 it would take 130.  A run that builds a single table
+# (constructor, the seven H({s}^l) sums of homog-vanishing-modp, which build
+# the inverse row, and weighted_sum2(2,2,2); medians of 15; 2 CPUs, Python
+# 3.11, numpy 2.4, numpy already imported), Python -> numpy kernel, e = 1
+# and 2:
+#     n = 1000: 2.2-2.7 -> 0.5 ms     n = 8000:  17-20 -> 2.0-2.1 ms
+#     n = 2000: 4.6-4.9 -> 0.7 ms     n = 16000: 39-43 -> 3.5-3.8 ms
+#     n = 4000: 8.2-10 -> 1.0-1.2 ms
+# From n = 4000 on a table saves at least 7 ms, so some 20 tables (one
+# check over 20 primes, or a few checks at a handful of primes) repay the
+# import; at n = 1000 it would take 80.  A run that builds a single table
 # of this size pays more for the import than it saves.
 _NUMPY_MIN_N = 4000
 
@@ -130,7 +137,9 @@ class _PythonKernel:
         return total if self.m is None else total % self.m
 
     def tolist(self, row: list[int]) -> list[int]:
-        return row
+        """A fresh copy of the row, so that a caller who edits it cannot
+        change a row the table caches."""
+        return list(row)
 
 
 class _NumpyKernel:
@@ -216,6 +225,7 @@ class _NumpyKernel:
         return int(terms.sum()) % self.m
 
     def tolist(self, row) -> list[int]:
+        """The row as a fresh list of Python ints, never numpy.int64."""
         return row.tolist()
 
 
@@ -277,9 +287,10 @@ class PrefixTable:
     the sum of their weights.  to_fraction() turns one cell into its value.
     Mod mode sets scale to 1.
 
-    The table picks its row kernel once, in the constructor (see _kernel);
-    the cached rows are that kernel's own, and the row methods hand them out
-    as lists of Python ints.
+    The table picks its row kernel once, in the constructor (see _kernel).
+    The cached rows are that kernel's own and never leave the table: the
+    recurrences and dot products read them as they are, and the public row
+    methods return a fresh list of Python ints to a caller.
 
     Exact mode refuses n above EXACT_N_CAP, and mod mode a prime above
     MAX_PRIME, before any row is built.
@@ -327,15 +338,14 @@ class PrefixTable:
 
     # -- cached rows in the kernel's own form --------------------------------
 
-    def _row(self, cache: dict, build: Callable[[int], list], s: int):
+    def _row(self, cache: dict, build: Callable[..., Sequence], s: int):
         """The cached row for s, in the kernel's own form.  On first use
-        build(s), that is inv_powers or harmonic_prefix, makes it, so every
-        row is built inside those two methods, where a wrapper around them
-        (such as bench/tracing.py) sees and times it; the list they return
-        is dropped."""
-        if s not in cache:
-            build(s)
-        return cache[s]
+        build(s, _raw=True), that is inv_powers or harmonic_prefix, makes
+        it, so every row is built inside those two methods, where a wrapper
+        around them (such as bench/tracing.py) sees and times it; _raw makes
+        them return the kernel's row, which is never converted to a list."""
+        row = cache.get(s)
+        return build(s, _raw=True) if row is None else row
 
     def _terms(self, prev, s: int):
         """j -> j^(-s) H(P; j-1) for j = 1..n, where prev is the row of the
@@ -359,8 +369,9 @@ class PrefixTable:
 
     # -- rows ----------------------------------------------------------------
 
-    def inv_powers(self, s: int) -> list[int]:
-        """The row j -> j^(-s), j = 1..n (index 0 holds a zero)."""
+    def inv_powers(self, s: int, *, _raw: bool = False) -> list[int]:
+        """The row j -> j^(-s), j = 1..n (index 0 holds a zero), as a fresh
+        list (_raw, for the table's own use: the cached kernel row)."""
         if s < 1:
             raise ValueError(f"exponent must be >= 1, got {s}")
         row = self._ipow.get(s)
@@ -373,14 +384,15 @@ class PrefixTable:
             else:
                 row = self._k.power(self._row(self._ipow, self.inv_powers, 1), s)
             self._ipow[s] = row
-        return self._k.tolist(row)
+        return row if _raw else self._k.tolist(row)
 
-    def harmonic_prefix(self, s: int) -> list[int]:
-        """The row j -> H_j^(s), j = 0..n."""
+    def harmonic_prefix(self, s: int, *, _raw: bool = False) -> list[int]:
+        """The row j -> H_j^(s), j = 0..n, as a fresh list (_raw: as for
+        inv_powers)."""
         row = self._hpref.get(s)
         if row is None:
             row = self._hpref[s] = self._extend(None, s)
-        return self._k.tolist(row)
+        return row if _raw else self._k.tolist(row)
 
     def mhs_all(self, parts: Iterable[int]) -> list[int]:
         """H(parts; m) for every m = 0..n, by the recurrence."""

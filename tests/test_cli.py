@@ -10,7 +10,7 @@ import pytest
 
 import mhslab
 import mhslab.cli as cli
-from mhslab.bernoulli import DEFAULT_CAP, bernoulli_mod
+from mhslab.bernoulli import DEFAULT_CAP, BernoulliCache, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
 from mhslab.exactnum import MAX_PRIME
 from mhslab.mhs import mhs_exact
@@ -193,6 +193,52 @@ def test_bernoulli_past_the_exact_cap_uses_power_sums(capsys):
     code, err = run_cli_error(["bernoulli", "--n", "3000", "--prime", "7"], capsys)
     assert code == 2
     assert "denominator of B_3000" in err and "cap" not in err
+
+
+BERNOULLI_GRID = [
+    (n, p, e)
+    for n in (0, 1, 2, 3, 4, 10, 12, 22, 24, 100, 130, 140, 500)
+    for p in (3, 5, 7, 11, 13, 101, 1009, 4001)
+    for e in (1, 2, 3)
+]
+
+
+def run_bernoulli(n, p, e, capsys):
+    """(exit code, stdout, stderr) of `bernoulli --n n --prime p --e e`."""
+    try:
+        code = main(["bernoulli", "--n", str(n), "--prime", str(p), "--e", str(e)])
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_bernoulli_paths_agree_across_the_cost_boundary(monkeypatch, capsys):
+    # The grid holds points on both sides of the boundary and poles
+    # ((p-1) | n), where both paths must name the same pole.
+    choices = {cli._exact_bernoulli_is_cheaper(n, p, e) for n, p, e in BERNOULLI_GRID}
+    assert choices == {True, False}
+    poles = 0
+    for n, p, e in BERNOULLI_GRID:
+        answers = []
+        for exact in (True, False):
+            monkeypatch.setattr(cli, "_exact_bernoulli_is_cheaper", lambda *a, x=exact: x)
+            answers.append(run_bernoulli(n, p, e, capsys))
+        assert answers[0] == answers[1], (n, p, e)
+        poles += answers[0][0] == 2
+        assert answers[0][0] == 0 or "denominator" in answers[0][2], (n, p, e)
+    assert poles > 0
+
+
+def test_bernoulli_at_a_small_prime_never_warms_the_exact_cache(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the exact cache was warmed")
+
+    monkeypatch.setattr(cli, "bernoulli_exact", refuse)
+    monkeypatch.setattr(BernoulliCache, "warm", refuse)
+    assert run_cli(["bernoulli", "--n", "2000", "--prime", "7"], capsys) == (
+        0,
+        f"{bernoulli_mod(2000, 7, 1)}\n",
+    )
 
 
 # --- identity --------------------------------------------------------------

@@ -151,6 +151,43 @@ def test_both_kernels_cache_the_same_rows(monkeypatch):
     assert fast[0]["mhs.inv_powers_builds"] > 0 and fast[0]["mhs.harmonic_prefix_builds"] > 0
 
 
+def test_internal_builds_never_convert_rows(monkeypatch):
+    # Inside a numpy table the rows stay int64 arrays: only a caller
+    # outside the table gets a list.
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(mhs, "_NUMPY_MIN_N", 0)
+    kernels, conversions = [], []
+    kernel, tolist = mhs._kernel, mhs._NumpyKernel.tolist
+    monkeypatch.setattr(mhs, "_kernel", lambda *a: kernels.append(kernel(*a)) or kernels[-1])
+    monkeypatch.setattr(
+        mhs._NumpyKernel, "tolist", lambda *a, **k: conversions.append(a) or tolist(*a, **k)
+    )
+    for check in ("homog-vanishing-modp2", "cor-sun-modp-even-zero", "h5h4-over-j3"):
+        assert congruences.run_check(check, 4099).status == "pass"
+    assert kernels and all(isinstance(k, mhs._NumpyKernel) for k in kernels)
+    assert conversions == []
+
+
+def test_numpy_rows_reach_callers_as_fresh_lists_of_ints():
+    pytest.importorskip("numpy")
+    t, ref = numpy_table(4099, 2), python_table(4099, 2)
+    t.weighted_sum2(2, 1, 3)  # caches inv_powers(1) and harmonic_prefix(2, 3) as arrays
+    rows = {
+        "inv_powers": lambda t: t.inv_powers(1),
+        "harmonic_prefix": lambda t: t.harmonic_prefix(3),
+        "mhs_all": lambda t: t.mhs_all((2, 1)),
+        "weighted_sum2_all": lambda t: t.weighted_sum2_all(2, 1, 3),
+        "weighted_sum3_all": lambda t: t.weighted_sum3_all(2, 1, 3, 1),
+    }
+    for name, get in rows.items():
+        row = get(t)
+        assert type(row) is list and ints(row), name
+        assert row == get(ref), name
+        row[1] += 1
+        assert get(t) == get(ref), name
+    assert type(t.weighted_sum2(2, 1, 3)) is int and type(t.mhs((2, 1))) is int
+
+
 # --- in fresh interpreters -----------------------------------------------------
 
 NO_NUMPY = 'import sys\nsys.modules["numpy"] = None\n'

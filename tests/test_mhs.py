@@ -191,6 +191,21 @@ def test_harmonic_prefix_row():
     assert row[4] == (Fraction(1) + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)) * 840**2
 
 
+def test_cached_rows_are_handed_out_as_copies():
+    # Editing a returned row must not change the table.  At p = 101, with
+    # the cached rows lent out, these edits turned weighted_sum2(1,1,1)
+    # from 76 into 94 and H(1,2) from 76 into 4.
+    for make in (lambda: PrefixTable.for_prime(101), lambda: PrefixTable.for_exact(30)):
+        t, fresh = make(), make()
+        t.inv_powers(1)[5] = 0
+        t.harmonic_prefix(1)[7] = 3
+        assert t.inv_powers(1) == fresh.inv_powers(1)
+        assert t.harmonic_prefix(1) == fresh.harmonic_prefix(1)
+        assert t.weighted_sum2(1, 1, 1) == fresh.weighted_sum2(1, 1, 1)
+        assert t.mhs((1, 2)) == fresh.mhs((1, 2))
+    assert PrefixTable.for_prime(101).weighted_sum2(1, 1, 1) == 76
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         PrefixTable(-1)
