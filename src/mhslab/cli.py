@@ -13,6 +13,7 @@ from .bernoulli import DEFAULT_CAP, bernoulli_exact, bernoulli_mod, check_pole
 from .compositions import parse_composition, stuffle
 from .congruences import (
     STATUS_FAIL,
+    STATUS_PASS,
     InsufficientPrimes,
     fit_coefficient,
     fit_families,
@@ -210,7 +211,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         tally = {"pass": 0, "fail": 0, "skipped": 0}
         for r in reports:
             tally["fail" if r.status == STATUS_FAIL else
-                  "pass" if r.status == "pass" else "skipped"] += 1
+                  "pass" if r.status == STATUS_PASS else "skipped"] += 1
             line = f"{r.check_id}  p={r.p}  {r.status}"
             if r.status == STATUS_FAIL:
                 line += f"  lhs={r.lhs}  rhs={r.rhs}"

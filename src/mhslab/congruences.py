@@ -22,13 +22,17 @@ concurrent.futures load with the first pool, so importing the package, a
 serial scan and every other command never pay for them.  At a prime the
 checks share one PrefixTable per exponent e, and every H(...) member at
 that e goes through one trie walk, so a prefix chain common to several
-checks is built once.  A refit reads the left sides the units computed
-and builds a table only at a prime the scan skipped.
+checks is built once.
+
+A fit family is a registry member tagged with the family's name.  A
+refit fits that member's left sides at exactly the primes where the
+scan's units evaluated it, and builds no table of its own.
 
 The fitter inverts the ansatz  lhs(p) = c * p^t * B_{p-w} (mod p^e)  per
 prime, combines the per-prime values of c by CRT, and applies rational
-reconstruction; a coefficient is only returned when it reproduces every
-per-prime value exactly.
+reconstruction.  A returned coefficient reproduces every per-prime value
+by construction: reconstruction returns a/b only when gcd(b, M) = 1 and
+a == x*b (mod M), and x is every per-prime value mod its prime power.
 """
 
 from __future__ import annotations
@@ -36,22 +40,17 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .bernoulli import PDividesDenominator, bernoulli_mod
-from .exactnum import (
-    crt_list,
-    is_prime,
-    mod_inverse_int,
-    rational_to_residue,
-    rational_reconstruct,
-)
+from .exactnum import crt_list, is_prime, mod_inverse_int, rational_reconstruct
 from .mhs import PrefixTable
 
 __all__ = [
@@ -237,12 +236,15 @@ def _thm23(s1: int, s2: int, s3: int) -> tuple[int, Terms]:
 class CheckMember:
     """One congruence inside a check, as plain data: a label, the smallest
     admissible prime, the left side as a PrefixTable method name with its
-    arguments, and the right side as a sum of Bernoulli monomials."""
+    arguments, and the right side as a sum of Bernoulli monomials.  A
+    member whose right side is one monomial c * p^t * B_{p-w} may carry
+    the name of the fit family it defines."""
 
     label: str
     min_prime: int
     lhs_spec: tuple[str, tuple]
     rhs_terms: Terms
+    family: str | None = None
 
     def lhs(self, table: PrefixTable) -> int:
         method, args = self.lhs_spec
@@ -264,11 +266,15 @@ class CongruenceCheck:
     e: int
     description: str
     members: tuple[CheckMember, ...]
-    fit_family: str | None = None
 
     @property
     def min_prime(self) -> int:
         return min(m.min_prime for m in self.members)
+
+    @property
+    def fit_family(self) -> str | None:
+        """The family its tagged member carries, if any; a scan refits it."""
+        return next((m.family for m in self.members if m.family), None)
 
 
 @dataclass(frozen=True)
@@ -285,15 +291,15 @@ class CheckReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "p": self.p,
-            "e": self.e,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "note": self.note,
-        }
+        return dict(zip(_REPORT_FIELDS, _report_row(self)))
+
+
+# The report layout, stated once: the CSV header and rows and the JSON
+# objects take their columns from the dataclass, and every report list is
+# sorted by (check_id, p).
+_REPORT_FIELDS = tuple(f.name for f in fields(CheckReport))
+_report_row = operator.attrgetter(*_REPORT_FIELDS)
+_report_order = operator.attrgetter("check_id", "p")
 
 
 @dataclass(frozen=True)
@@ -354,11 +360,11 @@ def thm23_random_triples(
 
 
 def _built(
-    label: str, lhs_spec: tuple[str, tuple], built: tuple[int, Terms]
+    label: str, lhs_spec: tuple[str, tuple], built: tuple[int, Terms], family: str | None = None
 ) -> CheckMember:
     """A member whose right side and smallest prime come from a closed form."""
     min_prime, terms = built
-    return CheckMember(label, min_prime, lhs_spec, terms)
+    return CheckMember(label, min_prime, lhs_spec, terms, family)
 
 
 def _homogeneous_check(
@@ -389,10 +395,10 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                     3 * s + 3,
                     ("weighted_sum2", (s, s, s)),
                     _one(Fraction(math.comb(3 * s, s), 3 * s), 3 * s),
+                    "sun-s1" if s == 1 else None,
                 )
                 for s in range(1, 6)
             ),
-            fit_family="sun-s1",
         ),
         # Even s makes the Bernoulli index odd, so the same sum vanishes mod p.
         CongruenceCheck(
@@ -488,6 +494,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                     f"a={a},mid={mid},b={b}",
                     ("mhs", ((2,) * a + (mid,) + (2,) * b,)),
                     _tauraso_232(a, b, mid),
+                    "zero" if (a, mid, b) == (1, 1, 1) else None,  # coefficient 0
                 )
                 for mid in (3, 1)
                 for a in range(4)
@@ -564,9 +571,9 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                     7,
                     ("weighted_sum3", (1, 1, 1, 1)),
                     _one(Fraction(3, 2), 5, t=1),
+                    "h3-over-j",
                 ),
             ),
-            fit_family="h3-over-j",
         ),
         CongruenceCheck(
             "cor-conjecture2",
@@ -682,9 +689,9 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                         11,
                         ("weighted_sum3", exps),
                         _one(coef, offset),
+                        fam,
                     ),
                 ),
-                fit_family=fam,
             )
         )
 
@@ -705,28 +712,17 @@ def get_check(check_id: str) -> CongruenceCheck:
     return chk
 
 
-# Family name -> (check id, member label).  Each source member's right side
-# is one monomial c * p^t * B_{p-w}, which fixes the family's w and t.
-_FIT_SOURCES = (
-    ("sun-s1", "cor-sun-modp", "s=1"),
-    ("cor34-1", "cor34-first", "(2,2,2,3)"),
-    ("cor34-2", "cor34-second", "(2,3,2,2)"),
-    ("cor34-3", "cor34-third", "(2,2,2,1)"),
-    ("cor34-4", "cor34-fourth", "(2,1,2,2)"),
-    ("zero", "tauraso-lemma", "a=1,mid=1,b=1"),
-    ("h3-over-j", "h3-over-j-modp2", "(1,1,1,1)"),
-)
-
-
 @lru_cache(maxsize=1)
 def fit_families() -> Mapping[str, FitFamily]:
-    """Named left-side families accepted by the coefficient fitter."""
+    """Named left-side families accepted by the coefficient fitter, one per
+    tagged registry member: its single monomial c * p^t * B_{p-w} fixes
+    the family's w and t, and its check fixes e."""
     fams = {}
-    for name, check_id, label in _FIT_SOURCES:
-        chk = get_check(check_id)
-        (mem,) = [m for m in chk.members if m.label == label]
-        ((_, t, ((_, w),)),) = mem.rhs_terms
-        fams[name] = FitFamily(name, w, t, chk.e, mem)
+    for chk in _registry().values():
+        for mem in chk.members:
+            if mem.family:
+                ((_, t, ((_, w),)),) = mem.rhs_terms
+                fams[mem.family] = FitFamily(mem.family, w, t, chk.e, mem)
     return MappingProxyType(fams)
 
 
@@ -752,8 +748,8 @@ Unit = tuple[int, tuple[str, ...]]
 
 def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, int]]:
     """Evaluate the unit's checks at its prime.  Returns their reports, in
-    the unit's order, and, by check id, the raw left side of the fit-family
-    member of each check that has one and evaluated it, for a refit.
+    the unit's order, and, by check id, the raw left side of each tagged
+    fit-family member that was evaluated, for a refit.
 
     The checks share one PrefixTable per exponent e, and every H(...)
     member of every check at that e goes through one trie walk, so a prefix
@@ -807,10 +803,7 @@ def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, int]]:
                 _render(rhs_vals, multi),
                 note=("fail: " + "; ".join(bad)) if bad else "",
             )
-            if chk.fit_family is not None:
-                label = fit_families()[chk.fit_family].member.label
-                if label in lhs_vals:
-                    family_lhs[chk.check_id] = lhs_vals[label]
+            family_lhs.update((chk.check_id, lhs_vals[m.label]) for m in active if m.family)
     return reports, family_lhs
 
 
@@ -845,18 +838,14 @@ def _with_refit(
 ) -> list[CheckReport]:
     """The check's reports, with the refitted coefficient appended to each
     fail row's note when the check carries a fit family and at least three
-    primes fail.  `known` maps primes to the family's raw left side where
-    the scan evaluated it; only another prime builds a table."""
+    primes fail.  `known` maps each prime where the scan evaluated the
+    family's member to its raw left side, and the fit reads those primes
+    alone."""
     if chk.fit_family is None or sum(r.status == STATUS_FAIL for r in reports) < 3:
         return reports
     fam = fit_families()[chk.fit_family]
-
-    def family(p: int) -> int:
-        return known[p] if p in known else fam.lhs(p)
-
-    primes = [r.p for r in reports]
     try:
-        fit = fit_coefficient(family, fam.w, primes, t=fam.t, e=fam.e, name=fam.name)
+        fit = fit_coefficient(known.__getitem__, fam.w, known, t=fam.t, e=fam.e, name=fam.name)
         suffix = (
             f"fitted={fit.coefficient}" if fit.coefficient is not None else "fitted=unstable"
         )
@@ -915,9 +904,9 @@ def _run_scans(
             reports.extend(unit_reports)
             for check_id, value in family_lhs.items():
                 known.setdefault(check_id, {})[p] = value
-    reports.sort(key=lambda r: (r.check_id, r.p))
+    reports.sort(key=_report_order)
     out: list[CheckReport] = []
-    for check_id, group in itertools.groupby(reports, key=lambda r: r.check_id):
+    for check_id, group in itertools.groupby(reports, key=operator.attrgetter("check_id")):
         out.extend(_with_refit(get_check(check_id), list(group), known.get(check_id, {})))
     return out
 
@@ -992,8 +981,9 @@ def fit_coefficient(
     (bernoulli-zero) are skipped, and primes where p^t does not divide the
     left side are skipped (p-power: the ansatz cannot hold there).  The
     surviving per-prime coefficients live mod p^(e-t); they are CRT-combined
-    and rationally reconstructed.  The coefficient is reported only when it
-    reproduces every per-prime value; otherwise it is None.
+    and rationally reconstructed.  The coefficient is None when the combined
+    residue has no representative within the reconstruction bound; a
+    returned one reproduces every per-prime value by construction.
     """
     if e not in (1, 2, 3) or not 0 <= t < e:
         raise ValueError(f"need e in {{1,2,3}} and 0 <= t < e, got t={t}, e={e}")
@@ -1025,12 +1015,6 @@ def fit_coefficient(
             f"only {len(usable)} usable primes (need >= 3); skipped: {skipped}"
         )
     x, modulus = crt_list([residuals[p] for p in usable], [p**ring for p in usable])
-    coef = rational_reconstruct(x, modulus)
-    if coef is not None:
-        for p in usable:
-            if int(rational_to_residue(coef, p, ring)) != residuals[p]:
-                coef = None
-                break
     return FitResult(
         family=name,
         w=w,
@@ -1038,7 +1022,7 @@ def fit_coefficient(
         e=e,
         primes_used=tuple(usable),
         skipped=tuple(skipped),
-        coefficient=coef,
+        coefficient=rational_reconstruct(x, modulus),
         residuals=residuals,
     )
 
@@ -1056,9 +1040,8 @@ def reports_to_csv(reports: Iterable[CheckReport]) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check_id", "p", "e", "status", "lhs", "rhs", "note"])
-    for r in sorted(reports, key=lambda r: (r.check_id, r.p)):
-        writer.writerow([r.check_id, r.p, r.e, r.status, r.lhs, r.rhs, r.note])
+    writer.writerow(_REPORT_FIELDS)
+    writer.writerows(map(_report_row, sorted(reports, key=_report_order)))
     return buf.getvalue()
 
 
@@ -1068,6 +1051,6 @@ def reports_to_json(reports: Iterable[CheckReport]) -> str:
 
     doc = {
         "schema": 1,
-        "reports": [r.to_dict() for r in sorted(reports, key=lambda r: (r.check_id, r.p))],
+        "reports": [r.to_dict() for r in sorted(reports, key=_report_order)],
     }
     return json.dumps(doc, indent=2) + "\n"

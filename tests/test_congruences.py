@@ -550,6 +550,20 @@ def test_refit_reads_the_scans_left_sides(table_builds):
     assert set(table_builds) == _evaluated(reports)
 
 
+def test_refit_builds_no_table_of_its_own(monkeypatch, table_builds):
+    # Bump the right side of the sun-s1 member, s=1, so that every evaluated
+    # prime fails.  The refit then fits the left sides at 7..59 alone: p = 5
+    # is a skipped row (the member needs p >= 6) and gets no table either.
+    rhs = CheckMember.rhs
+    monkeypatch.setattr(CheckMember, "rhs", lambda m, p, e: rhs(m, p, e) + (m.label == "s=1"))
+    reports = run_scan("cor-sun-modp", primes_in_range(3, 60), jobs=1)
+    fails = [r for r in reports if r.status == STATUS_FAIL]
+    assert [r.p for r in fails] == primes_in_range(7, 60)
+    assert {r.note for r in fails} == {"fail: s=1; fitted=1"}
+    assert set(table_builds.values()) == {1}
+    assert set(table_builds) == _evaluated(reports)
+
+
 def test_battery_units_cross_a_spawn_pool(monkeypatch):
     # Spawned workers import mhslab afresh, so every unit and the function
     # that runs it must pickle.
@@ -653,10 +667,19 @@ def test_every_fit_family_recovers_its_value(name, value):
 
 
 def test_fit_families_are_registry_members():
-    # a check's scan refits with a family built from one of its own members
+    # a check's scan refits with a family built from one of its own members:
+    # each family is carried by exactly one member, each check by at most one
+    carriers = Counter()
     for chk in registry().values():
+        tagged = [m.family for m in chk.members if m.family is not None]
+        assert len(tagged) <= 1, chk.check_id
+        carriers.update(tagged)
+        assert chk.fit_family == (tagged[0] if tagged else None)
         if chk.fit_family is not None:
             assert fit_families()[chk.fit_family].member in chk.members
+    assert set(carriers.values()) == {1}
+    assert set(carriers) == set(fit_families())
+    assert get_check("tauraso-lemma").fit_family == "zero"
     # w and t come from the member's single monomial, e from its check
     fam = fit_families()["h3-over-j"]
     assert (fam.w, fam.t, fam.e) == (5, 1, 2)
