@@ -35,7 +35,7 @@ import threading
 from fractions import Fraction
 from itertools import accumulate
 
-from .exactnum import MAX_PRIME, DenominatorDivisibleByP, Residue, is_prime
+from .exactnum import DenominatorDivisibleByP, Residue, check_o_of_p, check_ring, is_prime
 
 __all__ = [
     "IndexAboveCap",
@@ -174,10 +174,9 @@ def bernoulli_mod(n: int, p: int, e: int) -> Residue:
     """
     if n < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-    Residue(0, p, e)  # validate the ring before anything else
+    check_ring(p, e)
     check_pole(n, p)
-    if p > MAX_PRIME:
-        raise ValueError(f"prime {p} exceeds the limit {MAX_PRIME} for O(p) work")
+    check_o_of_p(p)
     return Residue(_p_times_bernoulli(n, p, e + 1) // p, p, e)
 
 

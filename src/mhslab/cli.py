@@ -21,7 +21,14 @@ from .congruences import (
     reports_to_json,
     run_scan,
 )
-from .exactnum import MAX_PRIME, Residue, is_prime, primes_in_range, rational_to_residue
+from .exactnum import (
+    EXPONENTS,
+    MAX_PRIME,
+    check_ring,
+    is_odd_prime,
+    primes_in_range,
+    rational_to_residue,
+)
 from .identities import probe_thm31_random, run_thm21_suite, run_thm31_suite
 from .mhs import mhs_exact, mhs_mod, weighted_sum2, weighted_sum3
 
@@ -54,7 +61,7 @@ def parse_primes(spec: str) -> list[int]:
                 v = int(token)
             except ValueError:
                 raise ValueError(f"bad prime {token!r}") from None
-            if v < 3 or not is_prime(v):
+            if not is_odd_prime(v):
                 raise ValueError(f"{v} is not an odd prime")
             primes.append(v)
     if not primes:
@@ -151,7 +158,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         elif not _exact_bernoulli_is_cheaper(n, p, e):
             print(bernoulli_mod(n, p, e))
         else:
-            Residue(0, p, e)  # validate the ring first
+            check_ring(p, e)
             check_pole(n, p)
             print(rational_to_residue(bernoulli_exact(n), p, e))
     except (ValueError, ArithmeticError) as exc:
@@ -235,7 +242,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     try:
         primes = parse_primes(args.primes)
         w = args.w if args.w is not None else fam.w
-        result = fit_coefficient(fam.lhs, w, primes, t=fam.t, e=fam.e, name=fam.name)
+        result = fit_coefficient(fam.lhs, w, primes, t=fam.t, e=fam.e)
     except (InsufficientPrimes, ValueError) as exc:
         args.parser.error(str(exc))
     if result.coefficient is None:
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--prime", type=int, help="odd prime; evaluates at n = p-1 in Z/p^e"
     )
-    ev.add_argument("--e", type=int, choices=(1, 2, 3), help="with --prime; default 1")
+    ev.add_argument("--e", type=int, choices=EXPONENTS, help="with --prime; default 1")
     ev.set_defaults(func=_cmd_eval, parser=ev)
 
     st = sub.add_parser("stuffle", help="expand a product of two sums")
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bernoulli", help="Bernoulli number, exact or mod p^e")
     be.add_argument("--n", required=True, type=int)
     be.add_argument("--prime", type=int)
-    be.add_argument("--e", type=int, choices=(1, 2, 3), help="with --prime; default 1")
+    be.add_argument("--e", type=int, choices=EXPONENTS, help="with --prime; default 1")
     be.set_defaults(func=_cmd_bernoulli, parser=be)
 
     idn = sub.add_parser("identity", help="verify a polynomial identity suite")

@@ -22,11 +22,13 @@ concurrent.futures load with the first pool, so importing the package, a
 serial scan and every other command never pay for them.  At a prime the
 checks share one PrefixTable per exponent e, and every H(...) member at
 that e goes through one trie walk, so a prefix chain common to several
-checks is built once.
+checks is built once.  Each prime is checked once, by exactnum's
+is_odd_prime in run_scan and run_check, or by the sieve in run_battery.
 
-A fit family is a registry member tagged with the family's name.  A
-refit fits that member's left sides at exactly the primes where the
-scan's units evaluated it, and builds no table of its own.
+A fit family is a registry member tagged with the family's name.  When
+that member fails at three primes or more, a scan refits it from its
+left sides at exactly the primes where the units evaluated it, building
+no table, and notes the constant on the rows where it failed.
 
 The fitter inverts the ansatz  lhs(p) = c * p^t * B_{p-w} (mod p^e)  per
 prime, combines the per-prime values of c by CRT, and applies rational
@@ -50,7 +52,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .bernoulli import PDividesDenominator, bernoulli_mod
-from .exactnum import crt_list, is_prime, mod_inverse_int, rational_reconstruct
+from .exactnum import EXPONENTS, crt_list, is_odd_prime, mod_inverse_int, rational_reconstruct
 from .mhs import PrefixTable
 
 __all__ = [
@@ -68,7 +70,6 @@ __all__ = [
     "registry",
     "get_check",
     "fit_families",
-    "thm23_random_triples",
     "run_check",
     "run_scan",
     "run_battery",
@@ -308,7 +309,6 @@ class FitFamily:
     the Bernoulli offset w, the power t of p split off, and the ring
     exponent e.  The left side is that of a registry member."""
 
-    name: str
     w: int
     t: int
     e: int
@@ -320,42 +320,21 @@ class FitFamily:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    family: str
-    w: int
-    t: int
-    e: int
     primes_used: tuple[int, ...]
     skipped: tuple[tuple[int, str], ...]
     coefficient: Fraction | None
     residuals: Mapping[int, int]
 
 
-THM23_TRIPLES_SEED = 97
-
-
-def thm23_random_triples(
-    count: int = 50, *, smax: int = 5, wmax: int = 15, seed: int = THM23_TRIPLES_SEED
-) -> tuple[tuple[int, int, int], ...]:
-    """Deterministic sample of distinct odd-weight exponent triples."""
-    available = sum(
-        1
-        for t in itertools.product(range(1, smax + 1), repeat=3)
-        if sum(t) % 2 and sum(t) <= wmax
-    )
-    if count > available:
-        raise ValueError(
-            f"only {available} distinct odd-weight triples have parts <= {smax}"
-            f" and weight <= {wmax}, asked for {count}"
-        )
-    rng = random.Random(seed)
-    seen: set[tuple[int, int, int]] = set()
-    out: list[tuple[int, int, int]] = []
-    while len(out) < count:
-        t = (rng.randint(1, smax), rng.randint(1, smax), rng.randint(1, smax))
-        if sum(t) % 2 == 0 or sum(t) > wmax or t in seen:
-            continue
-        seen.add(t)
-        out.append(t)
+def thm23_random_triples() -> tuple[tuple[int, int, int], ...]:
+    """The thm23-general exponent triples: 50 distinct odd-weight triples
+    with parts in 1..5 (so weight <= 15), drawn with seed 97."""
+    rng = random.Random(97)
+    out: dict[tuple[int, int, int], None] = {}  # keeps the first draw's place
+    while len(out) < 50:
+        t = (rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5))
+        if sum(t) % 2:
+            out[t] = None
     return tuple(out)
 
 
@@ -722,7 +701,7 @@ def fit_families() -> Mapping[str, FitFamily]:
         for mem in chk.members:
             if mem.family:
                 ((_, t, ((_, w),)),) = mem.rhs_terms
-                fams[mem.family] = FitFamily(mem.family, w, t, chk.e, mem)
+                fams[mem.family] = FitFamily(w, t, chk.e, mem)
     return MappingProxyType(fams)
 
 
@@ -746,10 +725,11 @@ def _skip(chk: CongruenceCheck, p: int, status: str, note: str) -> CheckReport:
 Unit = tuple[int, tuple[str, ...]]
 
 
-def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, int]]:
-    """Evaluate the unit's checks at its prime.  Returns their reports, in
-    the unit's order, and, by check id, the raw left side of each tagged
-    fit-family member that was evaluated, for a refit.
+def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, tuple[int, bool]]]:
+    """Evaluate the unit's checks at its prime, an odd prime its caller has
+    checked.  Returns their reports, in the unit's order, and, by check id,
+    the raw left side of each tagged fit-family member that was evaluated
+    and whether that member failed, for a refit.
 
     The checks share one PrefixTable per exponent e, and every H(...)
     member of every check at that e goes through one trie walk, so a prefix
@@ -759,10 +739,8 @@ def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, int]]:
     """
     p, check_ids = unit
     checks = [get_check(cid) for cid in check_ids]
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
     reports: list = [None] * len(checks)
-    family_lhs: dict[str, int] = {}
+    family_lhs: dict[str, tuple[int, bool]] = {}
     # e -> (position, check, active members, right sides) of the checks
     # whose left sides are still to be evaluated.
     pending: dict[int, list] = {}
@@ -803,7 +781,9 @@ def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, int]]:
                 _render(rhs_vals, multi),
                 note=("fail: " + "; ".join(bad)) if bad else "",
             )
-            family_lhs.update((chk.check_id, lhs_vals[m.label]) for m in active if m.family)
+            family_lhs.update(
+                (chk.check_id, (lhs_vals[m.label], m.label in bad)) for m in active if m.family
+            )
     return reports, family_lhs
 
 
@@ -811,7 +791,10 @@ def run_check(check_id: str, p: int) -> CheckReport:
     """Evaluate one check at one prime: the one-unit case of a scan.
     Members whose smallest admissible prime exceeds p are left out, a check
     with none left and a Bernoulli pole come back as skipped reports, never
-    exceptions.  A prime above MAX_PRIME raises ValueError."""
+    exceptions.  A p that is not an odd prime, or one above MAX_PRIME,
+    raises ValueError."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     (report,), _ = _run_unit((p, (check_id,)))
     return report
 
@@ -834,29 +817,25 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 
 def _with_refit(
-    chk: CongruenceCheck, reports: list[CheckReport], known: Mapping[int, int]
+    chk: CongruenceCheck, reports: list[CheckReport], known: Mapping[int, tuple[int, bool]]
 ) -> list[CheckReport]:
-    """The check's reports, with the refitted coefficient appended to each
-    fail row's note when the check carries a fit family and at least three
-    primes fail.  `known` maps each prime where the scan evaluated the
-    family's member to its raw left side, and the fit reads those primes
-    alone."""
-    if chk.fit_family is None or sum(r.status == STATUS_FAIL for r in reports) < 3:
+    """The check's reports, with the refitted coefficient of its fit-family
+    member appended to the note of each row where that member failed, when
+    it failed at three primes or more.  `known` maps each prime where the
+    scan evaluated the member to its raw left side and whether it failed
+    there, and the fit reads those primes alone."""
+    failed = {p for p, (_, bad) in known.items() if bad}
+    if len(failed) < 3:
         return reports
     fam = fit_families()[chk.fit_family]
     try:
-        fit = fit_coefficient(known.__getitem__, fam.w, known, t=fam.t, e=fam.e, name=fam.name)
+        fit = fit_coefficient(lambda p: known[p][0], fam.w, known, t=fam.t, e=fam.e)
         suffix = (
             f"fitted={fit.coefficient}" if fit.coefficient is not None else "fitted=unstable"
         )
     except InsufficientPrimes:
         suffix = "fitted=insufficient-primes"
-    return [
-        replace(r, note=f"{r.note}; {suffix}" if r.note else suffix)
-        if r.status == STATUS_FAIL
-        else r
-        for r in reports
-    ]
+    return [replace(r, note=f"{r.note}; {suffix}") if r.p in failed else r for r in reports]
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -887,7 +866,7 @@ def _run_scans(
     # the CPUs.
     workers = min(_resolve_jobs(jobs), len(units), os.cpu_count() or 1)
     reports: list[CheckReport] = []
-    known: dict[str, dict[int, int]] = {}
+    known: dict[str, dict[int, tuple[int, bool]]] = {}
     with contextlib.ExitStack() as stack:
         if workers > 1:
             import multiprocessing
@@ -902,8 +881,8 @@ def _run_scans(
             done = map(_run_unit, units)
         for (p, _), (unit_reports, family_lhs) in zip(units, done):
             reports.extend(unit_reports)
-            for check_id, value in family_lhs.items():
-                known.setdefault(check_id, {})[p] = value
+            for check_id, lhs in family_lhs.items():
+                known.setdefault(check_id, {})[p] = lhs
     reports.sort(key=_report_order)
     out: list[CheckReport] = []
     for check_id, group in itertools.groupby(reports, key=operator.attrgetter("check_id")):
@@ -918,13 +897,14 @@ def run_scan(
     by prime: a battery of one check.  Output is byte-identical for every
     parallelism degree.
 
-    When the check carries a fit family and at least three primes fail,
-    the refitted coefficient is appended to each fail row's note.
+    When the check's fit-family member fails at three primes or more, the
+    refitted coefficient is appended to the note of each row where it
+    failed.
     """
     get_check(check_id)  # an unknown id fails before the primes are read
     plist = sorted(set(primes))
     for p in plist:
-        if p < 3 or not is_prime(p):
+        if not is_odd_prime(p):
             raise ValueError(f"prime list contains {p}, which is not an odd prime")
     if not plist:
         return []
@@ -952,7 +932,8 @@ DEFAULT_BATTERY: tuple[tuple[str, int, int], ...] = (
 
 def run_battery(*, jobs: int | None = None) -> list[CheckReport]:
     """Run the default battery; reports sorted by (check_id, p).  The
-    checks share one pool, and at each prime one table per exponent."""
+    checks share one pool, and at each prime one table per exponent.  The
+    primes come from the sieve, so none is checked again."""
     from .exactnum import primes_in_range
 
     return _run_scans(
@@ -972,7 +953,6 @@ def fit_coefficient(
     *,
     t: int = 0,
     e: int = 1,
-    name: str = "custom",
 ) -> FitResult:
     """Fit c in  family(p) = c * p^t * B_{p-w}  (mod p^e) across primes.
 
@@ -985,7 +965,7 @@ def fit_coefficient(
     residue has no representative within the reconstruction bound; a
     returned one reproduces every per-prime value by construction.
     """
-    if e not in (1, 2, 3) or not 0 <= t < e:
+    if e not in EXPONENTS or not 0 <= t < e:
         raise ValueError(f"need e in {{1,2,3}} and 0 <= t < e, got t={t}, e={e}")
     ring = e - t
     usable: list[int] = []
@@ -1016,10 +996,6 @@ def fit_coefficient(
         )
     x, modulus = crt_list([residuals[p] for p in usable], [p**ring for p in usable])
     return FitResult(
-        family=name,
-        w=w,
-        t=t,
-        e=e,
         primes_used=tuple(usable),
         skipped=tuple(skipped),
         coefficient=rational_reconstruct(x, modulus),

@@ -3,10 +3,11 @@ rational reconstruction.
 
 Rationals are `fractions.Fraction` (always stored reduced, denominator
 positive); their modular images live in Z/p^e for an odd prime p and
-exponent e in {1, 2, 3}.  A Residue is only a value handed across the API
-boundary; arithmetic happens on plain ints.  Inversion is pow(a, -1, m),
-so a non-unit is detected exactly rather than silently mapped through a
-Fermat power.
+exponent e in EXPONENTS.  Which rings the package accepts, and how large
+a prime O(p) work takes, are stated here once: check_ring, check_o_of_p.
+A Residue is only a value handed across the API boundary; arithmetic
+happens on plain ints.  Inversion is pow(a, -1, m), so a non-unit is
+detected exactly rather than silently mapped through a Fermat power.
 """
 
 from __future__ import annotations
@@ -17,17 +18,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "EXPONENTS",
     "MAX_PRIME",
     "NotAUnit",
     "DenominatorDivisibleByP",
     "mod_inverse_int",
     "is_prime",
+    "is_odd_prime",
+    "check_ring",
+    "check_o_of_p",
     "primes_in_range",
     "Residue",
     "rational_to_residue",
     "rational_reconstruct",
     "crt_list",
 ]
+
+EXPONENTS = (1, 2, 3)  # the e of every ring Z/p^e the package computes in
 
 # Largest prime accepted for O(p) work: mod-mode PrefixTable rows and the
 # power sums behind bernoulli_mod hold p ints per row, so time and memory
@@ -88,10 +95,25 @@ def is_prime(n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=1024)
-def _is_odd_prime(n: int) -> bool:
-    """Memoized ring check: bernoulli_mod builds a Residue for every
-    right-side Bernoulli factor, at a handful of primes."""
+def is_odd_prime(n: int) -> bool:
+    """n >= 3 and is_prime(n), memoized: a scan asks about the same few
+    primes for every table, Bernoulli residue and Residue it builds."""
     return n >= 3 and is_prime(n)
+
+
+def check_ring(p: int, e: int) -> None:
+    """Raise ValueError unless Z/p^e is a ring the package computes in:
+    e in EXPONENTS and p an odd prime certified by is_prime."""
+    if e not in EXPONENTS:
+        raise ValueError(f"exponent must be 1, 2 or 3, got {e}")
+    if not is_odd_prime(p):
+        raise ValueError(f"modulus base must be an odd prime, got {p}")
+
+
+def check_o_of_p(p: int) -> None:
+    """Raise ValueError when p is too large for work linear in p."""
+    if p > MAX_PRIME:
+        raise ValueError(f"prime {p} exceeds the limit {MAX_PRIME} for O(p) work")
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -109,10 +131,10 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class Residue:
-    """An element of Z/p^e for an odd prime p and exponent e in {1, 2, 3},
-    as returned by the public evaluators: the value reduced into [0, p^e),
-    validated on construction.  It has no arithmetic; int(r) gives the
-    value to compute with.  Instances are immutable and hashable.
+    """An element of Z/p^e, as returned by the public evaluators: the value
+    reduced into [0, p^e), the ring validated by check_ring on
+    construction.  It has no arithmetic; int(r) gives the value to
+    compute with.  Instances are immutable and hashable.
     """
 
     value: int
@@ -120,10 +142,7 @@ class Residue:
     exponent: int
 
     def __post_init__(self) -> None:
-        if self.exponent not in (1, 2, 3):
-            raise ValueError(f"exponent must be 1, 2 or 3, got {self.exponent}")
-        if not _is_odd_prime(self.prime):
-            raise ValueError(f"modulus base must be an odd prime, got {self.prime}")
+        check_ring(self.prime, self.exponent)
         object.__setattr__(self, "value", self.value % self.prime**self.exponent)
 
     @property

@@ -38,7 +38,9 @@ that list is always the caller's own: a cached row is copied, never lent.
 The table methods return raw ints and are what a caller shares to evaluate
 many sums at one upper index or prime.  The functions mhs_exact, mhs_mod,
 weighted_sum2 and weighted_sum3 build a table for one value and hand it
-across the boundary as a Fraction (exact mode) or a Residue (mod mode).
+across the boundary as a Fraction (exact mode) or a Residue (mod mode),
+the only Residue this module builds.  Which rings Z/p^e a table accepts
+is exactnum's rule (check_ring, check_o_of_p).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from operator import methodcaller, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .compositions import Composition
-from .exactnum import MAX_PRIME, Residue, is_prime
+from .exactnum import Residue, check_o_of_p, check_ring
 
 __all__ = [
     "EXACT_N_CAP",
@@ -292,8 +294,8 @@ class PrefixTable:
     recurrences and dot products read them as they are, and the public row
     methods return a fresh list of Python ints to a caller.
 
-    Exact mode refuses n above EXACT_N_CAP, and mod mode a prime above
-    MAX_PRIME, before any row is built.
+    Exact mode refuses n above EXACT_N_CAP, and mod mode what check_ring
+    or check_o_of_p refuses, before any kernel is chosen or row built.
     """
 
     __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_k", "_ipow", "_hpref")
@@ -307,12 +309,8 @@ class PrefixTable:
             self.modulus = None
             self.scale = math.lcm(*range(1, n + 1))
         else:
-            if prime < 3 or not is_prime(prime):
-                raise ValueError(f"modulus base must be an odd prime, got {prime}")
-            if prime > MAX_PRIME:
-                raise ValueError(f"prime {prime} exceeds the limit {MAX_PRIME} for O(p) work")
-            if exponent not in (1, 2, 3):
-                raise ValueError(f"exponent must be 1, 2 or 3, got {exponent}")
+            check_ring(prime, exponent)
+            check_o_of_p(prime)
             if n != prime - 1:
                 raise ValueError("mod-mode tables are built at upper index p-1")
             self.modulus = prime**exponent

@@ -161,7 +161,7 @@ def test_criterion_08_constant_adjudication():
     verdicts = []
     for name, claimed in published.items():
         fam = fit_families()[name]
-        res = fit_coefficient(fam.lhs, fam.w, primes_in_range(11, 200), name=name)
+        res = fit_coefficient(fam.lhs, fam.w, primes_in_range(11, 200))
         got = res.coefficient
         assert got is not None, f"{name}: no stable coefficient"
         assert len(res.primes_used) >= 10

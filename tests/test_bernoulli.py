@@ -103,7 +103,7 @@ def test_p_times_bernoulli_mod_p_is_von_staudt_clausen():
             assert _p_times_bernoulli(n, p, 1) == _power_sum(n, p, p), (p, n)
 
 
-def test_bernoulli_mod_values_and_poles():
+def test_bernoulli_mod_values_and_poles(monkeypatch):
     assert int(bernoulli_mod(4, 7, 1)) == 3  # -1/30 mod 7
     assert int(bernoulli_mod(0, 7, 3)) == 1
     assert int(bernoulli_mod(3, 11, 2)) == 0
@@ -113,9 +113,16 @@ def test_bernoulli_mod_values_and_poles():
         bernoulli_mod(12, 7, 2)  # (7-1) | 12
     with pytest.raises(ValueError):
         bernoulli_mod(-2, 7, 1)
-    with pytest.raises(ValueError):
+    # Refusals come before any power sum.
+    def refuse(*args):
+        raise AssertionError("power sum started before the input was refused")
+
+    monkeypatch.setattr("mhslab.bernoulli._power_sum", refuse)
+    with pytest.raises(ValueError, match="modulus base must be an odd prime, got 9"):
         bernoulli_mod(4, 9, 1)  # 9 is not prime
-    with pytest.raises(ValueError, match="exceeds the limit 10000000"):
+    with pytest.raises(ValueError, match="exponent must be 1, 2 or 3, got 4"):
+        bernoulli_mod(4, 7, 4)
+    with pytest.raises(ValueError, match="exceeds the limit 10000000 for O"):
         bernoulli_mod(4, 10000019, 1)  # the smallest prime above MAX_PRIME
 
 

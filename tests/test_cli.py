@@ -151,23 +151,40 @@ def test_bernoulli_pole_message_is_the_same_on_both_paths(capsys):
         assert f"p = {p} divides the denominator of B_{n}" in err
 
 
-# 10000019 is the smallest prime above the limit.
+# 10000019 is the smallest prime above the limit.  Bad rings are refused
+# with the same messages: `bernoulli --n 4` reduces the exact value, and
+# `--n 3002` takes the power sums.
+LIMIT = "prime 10000019 exceeds the limit 10000000 for O(p) work"
+RING = "modulus base must be an odd prime, got 9"
+EXPONENT = "argument --e: invalid choice: 4"
+REFUSALS = [
+    (["eval", "--mhs", "1", "--prime", "10000019"], LIMIT),
+    (["eval", "--wsum3", "2,2,2,3", "--prime", "10000019", "--e", "3"], LIMIT),
+    (["scan", "--check", "homog-vanishing-modp2", "--primes", "10000019"], LIMIT),
+    (["scan", "--check", "cor-sun-modp", "--primes", "10000019", "--jobs", "1"], LIMIT),
+    (["fit", "--family", "sun-s1", "--primes", "10000019"], LIMIT),
+    (["bernoulli", "--n", "3002", "--prime", "10000019"], LIMIT),
+    (["eval", "--mhs", "1", "--prime", "9"], RING),
+    (["eval", "--wsum2", "1,1,1", "--prime", "7", "--e", "4"], EXPONENT),
+    (["bernoulli", "--n", "4", "--prime", "9"], RING),
+    (["bernoulli", "--n", "3002", "--prime", "9"], RING),
+    (["bernoulli", "--n", "4", "--prime", "7", "--e", "4"], EXPONENT),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["eval", "--mhs", "1", "--prime", "10000019"],
-        ["eval", "--wsum3", "2,2,2,3", "--prime", "10000019", "--e", "3"],
-        ["scan", "--check", "homog-vanishing-modp2", "--primes", "10000019"],
-        ["scan", "--check", "cor-sun-modp", "--primes", "10000019", "--jobs", "1"],
-        ["fit", "--family", "sun-s1", "--primes", "10000019"],
-        ["bernoulli", "--n", "3002", "--prime", "10000019"],
-    ],
+    "argv, message", REFUSALS, ids=[f"argv{i}" for i in range(len(REFUSALS))]
 )
-def test_o_of_p_work_past_the_prime_limit_is_a_usage_error(argv, capsys):
+def test_o_of_p_work_past_the_prime_limit_is_a_usage_error(argv, message, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before the input was refused")
+
+    monkeypatch.setattr("mhslab.mhs._kernel", refuse)
+    monkeypatch.setattr("mhslab.bernoulli._power_sum", refuse)
     assert MAX_PRIME == 10**7
     code, err = run_cli_error(argv, capsys)
     assert code == 2
-    assert "prime 10000019 exceeds the limit 10000000" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(

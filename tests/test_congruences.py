@@ -7,6 +7,7 @@ code touches prefix tables only.  Two tests enforce that independence by
 sabotaging the other side's entry points.
 """
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -41,7 +42,7 @@ from mhslab.congruences import (
     run_scan,
     thm23_random_triples,
 )
-from mhslab.exactnum import primes_in_range, rational_to_residue
+from mhslab.exactnum import is_prime, primes_in_range, rational_to_residue
 from mhslab.mhs import PrefixTable, mhs_mod
 
 ALL_CHECK_IDS = [
@@ -236,7 +237,9 @@ def test_closed_form_checks_pass_below_400():
 def test_weighted_sum_closed_form():
     # every odd-weight triple the sampler can draw, registered or not
     tables = {p: PrefixTable.for_prime(p, 1) for p in (11, 13)}
-    for tr in thm23_random_triples(63):
+    every = [t for t in itertools.product(range(1, 6), repeat=3) if sum(t) % 2]
+    assert len(every) == 63
+    for tr in every:
         min_prime, terms = congruences._thm23(*tr)
         for p, t in tables.items():
             if p >= min_prime:
@@ -383,7 +386,7 @@ class _Bomb:
 
 def _first_admissible_prime(min_prime):
     p = max(min_prime, 3)
-    while not congruences.is_prime(p):
+    while not is_prime(p):
         p += 1
     return p
 
@@ -564,6 +567,37 @@ def test_refit_builds_no_table_of_its_own(monkeypatch, table_builds):
     assert set(table_builds) == _evaluated(reports)
 
 
+def _bump_cor_sun(monkeypatch, bumped):
+    """Bump the right side of each cor-sun-modp member where
+    bumped(label, p) holds, so that the member fails there."""
+    rhs = CheckMember.rhs
+    monkeypatch.setattr(CheckMember, "rhs", lambda m, p, e: rhs(m, p, e) + bumped(m.label, p))
+    return run_scan("cor-sun-modp", primes_in_range(3, 60), jobs=1)
+
+
+def test_no_refit_when_only_an_untagged_member_fails(monkeypatch):
+    # s=3 fails at every prime from 13 on, but the family sun-s1 is s=1,
+    # which passes everywhere: no row may carry s=1's constant.
+    reports = _bump_cor_sun(monkeypatch, lambda label, p: label == "s=3")
+    fails = [r for r in reports if r.status == STATUS_FAIL]
+    assert [r.p for r in fails] == primes_in_range(13, 60)
+    assert {r.note for r in fails} == {"fail: s=3"}
+
+
+def test_refit_notes_only_the_rows_where_the_tagged_member_failed(monkeypatch):
+    # s=3 fails at every prime from 13 on, s=1 only at p = 1 (mod 4).
+    reports = _bump_cor_sun(
+        monkeypatch, lambda label, p: label == "s=3" or (label == "s=1" and p % 4 == 1)
+    )
+    s1_fails = [p for p in primes_in_range(7, 60) if p % 4 == 1]
+    assert [r.p for r in reports if "fitted=" in r.note] == s1_fails
+    for r in reports:
+        if r.p in s1_fails:
+            assert r.note == "fail: s=1; s=3; fitted=1"
+        elif r.status == STATUS_FAIL:
+            assert r.note == "fail: s=3"
+
+
 def test_battery_units_cross_a_spawn_pool(monkeypatch):
     # Spawned workers import mhslab afresh, so every unit and the function
     # that runs it must pickle.
@@ -622,17 +656,6 @@ def test_random_triples_are_deterministic():
     assert a == b
     assert len(a) == 50 == len(set(a))
     assert all(sum(t) % 2 == 1 and sum(t) <= 15 for t in a)
-    assert thm23_random_triples(10, seed=1) != thm23_random_triples(10, seed=2)
-
-
-def test_random_triples_refuse_more_than_exist():
-    # [1,5]^3 holds 63 odd-weight triples, all of weight <= 15
-    every = thm23_random_triples(63)
-    assert len(set(every)) == 63
-    with pytest.raises(ValueError, match="only 63"):
-        thm23_random_triples(64)
-    with pytest.raises(ValueError):
-        thm23_random_triples(2, smax=1, wmax=3)  # (1,1,1) is the only one
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +665,8 @@ def test_random_triples_refuse_more_than_exist():
 
 def test_fit_recovers_unit_coefficient():
     fam = fit_families()["sun-s1"]
-    res = fit_coefficient(fam.lhs, fam.w, primes_in_range(7, 50), name=fam.name)
+    res = fit_coefficient(fam.lhs, fam.w, primes_in_range(7, 50))
     assert res.coefficient == 1
-    assert res.family == "sun-s1"
     assert len(res.primes_used) >= 10
 
 
@@ -690,7 +712,7 @@ def test_fit_families_are_registry_members():
 def test_fit_zero_family_skips_irregular_prime():
     # B_32 == 0 (mod 37), so p = 37 cannot normalize and must be skipped
     fam = fit_families()["zero"]
-    res = fit_coefficient(fam.lhs, fam.w, primes_in_range(11, 80), name=fam.name)
+    res = fit_coefficient(fam.lhs, fam.w, primes_in_range(11, 80))
     assert res.coefficient == 0
     assert (37, "bernoulli-zero") in res.skipped
     assert 37 not in res.primes_used
@@ -705,7 +727,7 @@ def test_fit_divided_family():
 
 def test_fit_published_constant_disagreement():
     fam = fit_families()["cor34-1"]
-    res = fit_coefficient(fam.lhs, 9, primes_in_range(11, 100), name=fam.name)
+    res = fit_coefficient(fam.lhs, 9, primes_in_range(11, 100))
     assert res.coefficient == Fraction(-11, 3)
     assert res.coefficient != Fraction(-13)
 

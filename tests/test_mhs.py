@@ -4,6 +4,7 @@ validation)."""
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mhslab.mhs as mhs
 from mhslab.compositions import Composition, stuffle
+from mhslab.congruences import run_check
 from mhslab.exactnum import Residue, mod_inverse_int, primes_in_range, rational_to_residue
 from mhslab.identities import (
     check_thm21_form1,
@@ -206,7 +209,11 @@ def test_cached_rows_are_handed_out_as_copies():
     assert PrefixTable.for_prime(101).weighted_sum2(1, 1, 1) == 76
 
 
-def test_table_validation():
+def _refuse(*args):
+    raise AssertionError("work started before the input was refused")
+
+
+def test_table_validation(monkeypatch):
     with pytest.raises(ValueError):
         PrefixTable(-1)
     with pytest.raises(ValueError):
@@ -220,6 +227,25 @@ def test_table_validation():
     assert PrefixTable.for_prime(9999991).n == 9999990  # the largest below; no rows yet
     with pytest.raises(ValueError):
         PrefixTable.for_exact(3).inv_powers(0)
+    # exactnum's ring and O(p) rules refuse bad input at every mod-p^e entry
+    # point, with one message each, before a kernel or a power sum runs.
+    monkeypatch.setattr(mhs, "_kernel", _refuse)
+    monkeypatch.setattr("mhslab.bernoulli._power_sum", _refuse)
+    ring = "modulus base must be an odd prime, got 9"
+    exponent = "exponent must be 1, 2 or 3, got 4"
+    limit = "prime 10000019 exceeds the limit 10000000 for O(p) work"
+    for refused, message in (
+        (lambda: Residue(0, 9, 1), ring),
+        (lambda: Residue(0, 7, 4), exponent),
+        (lambda: PrefixTable.for_prime(9), ring),
+        (lambda: PrefixTable.for_prime(7, 4), exponent),
+        (lambda: PrefixTable.for_prime(10000019), limit),
+        (lambda: run_check("cor-sun-modp", 9), "p must be an odd prime, got 9"),
+        (lambda: run_check("cor-sun-modp", 10000019), limit),  # at bernoulli_mod
+        (lambda: run_check("h5h4-over-j3", 10000019), limit),  # at its table
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            refused()
 
 
 def test_wrapper_table_validation():
