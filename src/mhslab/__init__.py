@@ -46,9 +46,6 @@ from .exactnum import (
 from .identities import (
     IdentityInstance,
     SuiteReport,
-    check_thm21_form1,
-    check_thm21_form2,
-    check_thm31,
     eval_formal_sum,
     probe_thm31_random,
     run_thm21_suite,
@@ -102,9 +99,6 @@ __all__ = [
     "rational_to_residue",
     "IdentityInstance",
     "SuiteReport",
-    "check_thm21_form1",
-    "check_thm21_form2",
-    "check_thm31",
     "eval_formal_sum",
     "probe_thm31_random",
     "run_thm21_suite",

@@ -241,8 +241,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
     try:
         primes = parse_primes(args.primes)
-        w = args.w if args.w is not None else fam.w
-        result = fit_coefficient(fam.lhs, w, primes, t=fam.t, e=fam.e)
+        result = fit_coefficient(fam.lhs, fam.w, primes, t=fam.t, e=fam.e)
     except (InsufficientPrimes, ValueError) as exc:
         args.parser.error(str(exc))
     if result.coefficient is None:
@@ -306,12 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--check", required=True, metavar="CHECK_ID")
     sc.add_argument("--primes", required=True, metavar="A..B|P1,P2,...")
     sc.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    sc.add_argument("--jobs", type=int, help="worker processes (default: MHSLAB_THREADS or CPU count)")
+    sc.add_argument("--jobs", type=int, help="worker processes (default: CPU count)")
     sc.set_defaults(func=_cmd_scan, parser=sc)
 
     ft = sub.add_parser("fit", help="fit c in lhs = c p^t B_{p-w} across primes")
     ft.add_argument("--family", required=True)
-    ft.add_argument("--w", type=int, help="override the family's Bernoulli offset")
     ft.add_argument("--primes", required=True, metavar="A..B|P1,P2,...")
     ft.set_defaults(func=_cmd_fit, parser=ft)
     return parser

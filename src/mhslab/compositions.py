@@ -41,9 +41,6 @@ class Composition(tuple):
         """Number of parts."""
         return len(self)
 
-    def reverse(self) -> "Composition":
-        return Composition(self[::-1])
-
     def __repr__(self) -> str:
         return f"Composition({tuple(self)!r})"
 

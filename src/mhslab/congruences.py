@@ -323,7 +323,6 @@ class FitResult:
     primes_used: tuple[int, ...]
     skipped: tuple[tuple[int, str], ...]
     coefficient: Fraction | None
-    residuals: Mapping[int, int]
 
 
 def thm23_random_triples() -> tuple[tuple[int, int, int], ...]:
@@ -799,23 +798,6 @@ def run_check(check_id: str, p: int) -> CheckReport:
     return report
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        return jobs
-    env = os.environ.get("MHSLAB_THREADS")
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ValueError(f"MHSLAB_THREADS must be an integer, got {env!r}")
-        if val < 1:
-            raise ValueError(f"MHSLAB_THREADS must be >= 1, got {val}")
-        return val
-    return os.cpu_count() or 1
-
-
 def _with_refit(
     chk: CongruenceCheck, reports: list[CheckReport], known: Mapping[int, tuple[int, bool]]
 ) -> list[CheckReport]:
@@ -853,7 +835,10 @@ def _run_scans(
     """Run (check id, primes) scans prime-major: one unit per prime, holding
     every check scanned at it, and every unit through one pool, or in
     process when one worker suffices.  Reports are sorted by
-    (check_id, p), with refit notes appended per check."""
+    (check_id, p), with refit notes appended per check.  jobs=None means
+    one worker per CPU."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     at_prime: dict[int, list[str]] = {}
     for check_id, primes in scans:
         for p in primes:
@@ -864,7 +849,8 @@ def _run_scans(
     units = [(p, tuple(ids)) for p, ids in sorted(at_prime.items(), reverse=True)]
     # The pool starts every worker at once: never more than the units or
     # the CPUs.
-    workers = min(_resolve_jobs(jobs), len(units), os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(jobs or cpus, len(units), cpus)
     reports: list[CheckReport] = []
     known: dict[str, dict[int, tuple[int, bool]]] = {}
     with contextlib.ExitStack() as stack:
@@ -970,7 +956,7 @@ def fit_coefficient(
     ring = e - t
     usable: list[int] = []
     skipped: list[tuple[int, str]] = []
-    residuals: dict[int, int] = {}
+    coefficients: list[int] = []
     for p in sorted(set(primes)):
         if p <= w:
             skipped.append((p, "hypothesis"))
@@ -988,18 +974,17 @@ def fit_coefficient(
             skipped.append((p, "p-power"))
             continue
         m = p**ring
-        residuals[p] = (value // p**t) % m * mod_inverse_int(b, m) % m
+        coefficients.append((value // p**t) % m * mod_inverse_int(b, m) % m)
         usable.append(p)
     if len(usable) < 3:
         raise InsufficientPrimes(
             f"only {len(usable)} usable primes (need >= 3); skipped: {skipped}"
         )
-    x, modulus = crt_list([residuals[p] for p in usable], [p**ring for p in usable])
+    x, modulus = crt_list(coefficients, [p**ring for p in usable])
     return FitResult(
         primes_used=tuple(usable),
         skipped=tuple(skipped),
         coefficient=rational_reconstruct(x, modulus),
-        residuals=residuals,
     )
 
 

@@ -4,12 +4,12 @@ weighted sums to plain multiple harmonic sums.
 Everything here compares exact values for equality; no modular shortcut
 is taken.  The two three-factor-free forms (form1 with the product term,
 form2 fully expanded through the quasi-shuffle) and the four-exponent
-relation are each exposed as single-point checks plus grid suites.  Every
-check and suite builds one exact PrefixTable for its largest upper index,
-refused above EXACT_N_CAP before any row is built, and a suite reuses whole
-prefix rows across its grid.  Every term of an identity has the same
-weight, so both sides are compared as raw-int numerators over one
-denominator; only reported instances carry Fractions.
+relation are each verified by a grid suite.  Every suite builds one
+exact PrefixTable for its largest upper index, refused above EXACT_N_CAP
+before any row is built, and reuses whole prefix rows across its grid.
+Every term of an identity has the same weight, so both sides are compared
+as raw-int numerators over one denominator; only reported instances carry
+Fractions.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .mhs import PrefixTable, _value
 __all__ = [
     "IdentityInstance",
     "SuiteReport",
-    "check_thm21_form1",
-    "check_thm21_form2",
-    "check_thm31",
     "eval_formal_sum",
     "run_thm21_suite",
     "run_thm31_suite",
@@ -39,15 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class IdentityInstance:
-    """One identity evaluated at one point: exponents, upper index, both
-    sides, and whether they agree exactly."""
+    """One identity evaluated at one point: exponents, upper index and both
+    sides.  A suite reports only the points where the sides differ."""
 
     identity: str
     exponents: tuple[int, ...]
     n: int
     lhs: Fraction
     rhs: Fraction
-    verdict: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,14 +62,16 @@ def _instance(
 ) -> IdentityInstance:
     """Both sides as Fractions, from numerators over t.scale**sum(exps)."""
     w = sum(exps)
-    return IdentityInstance(
-        identity, exps, n, t.to_fraction(lhs, w), t.to_fraction(rhs, w), lhs == rhs
-    )
+    return IdentityInstance(identity, exps, n, t.to_fraction(lhs, w), t.to_fraction(rhs, w))
 
 
 def _thm21_rows(t: PrefixTable, s1: int, s2: int, s3: int, form: int) -> tuple[list, list]:
     """(lhs, rhs) rows over every upper index 0..t.n for one exponent triple,
-    as numerators over t.scale**(s1+s2+s3)."""
+    as numerators over t.scale**(s1+s2+s3).  The left side is
+    sum_j H^(s1)H^(s3)/j^(s2); form 1's right side is -H(s1,s2,s3) +
+    H(s3,s1+s2) + H(s1+s2+s3) + H(s3)H(s1,s2), and form 2's is the six-term
+    expansion H(s1,s3,s2) + H(s3,s1,s2) + H(s3,s1+s2) + H(s1+s3,s2) +
+    H(s1,s2+s3) + H(s1+s2+s3)."""
     lhs = t.weighted_sum2_all(s1, s2, s3)
     if form == 1:
         a = t.mhs_all((s1, s2, s3))
@@ -96,7 +94,9 @@ def _thm21_rows(t: PrefixTable, s1: int, s2: int, s3: int, form: int) -> tuple[l
 
 
 def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int) -> tuple[list, list]:
-    """As _thm21_rows, over t.scale**(s1+s2+s3+s4)."""
+    """As _thm21_rows, over t.scale**(s1+s2+s3+s4): the left side is
+    -sum_j H^(s1)H^(s3)H^(s4)/j^(s2), the right the six length-four sums
+    minus H^(s4) times the two-factor weighted sum."""
     lhs = [-v for v in t.weighted_sum3_all(s1, s2, s3, s4)]
     rows = [
         t.mhs_all((s1, s3, s2, s4)),
@@ -112,31 +112,6 @@ def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int) -> tuple[lis
     # alone overshoots by exactly H^(s4)_n times the two-factor sum.
     rhs = [sum(r[j] for r in rows) - h4[j] * w2[j] for j in range(t.n + 1)]
     return lhs, rhs
-
-
-def check_thm21_form1(s1: int, s2: int, s3: int, n: int) -> IdentityInstance:
-    """Compare sum_j H^(s1)H^(s3)/j^(s2) (up to n) against
-    -H(s1,s2,s3) + H(s3,s1+s2) + H(s1+s2+s3) + H(s3)H(s1,s2)."""
-    t = PrefixTable.for_exact(n)
-    lhs, rhs = _thm21_rows(t, s1, s2, s3, form=1)
-    return _instance("thm21-form1", (s1, s2, s3), n, t, lhs[n], rhs[n])
-
-
-def check_thm21_form2(s1: int, s2: int, s3: int, n: int) -> IdentityInstance:
-    """Compare the same weighted sum against its fully expanded six-term
-    form H(s1,s3,s2) + H(s3,s1,s2) + H(s3,s1+s2) + H(s1+s3,s2) +
-    H(s1,s2+s3) + H(s1+s2+s3)."""
-    t = PrefixTable.for_exact(n)
-    lhs, rhs = _thm21_rows(t, s1, s2, s3, form=2)
-    return _instance("thm21-form2", (s1, s2, s3), n, t, lhs[n], rhs[n])
-
-
-def check_thm31(s1: int, s2: int, s3: int, s4: int, n: int) -> IdentityInstance:
-    """Compare -sum_j H^(s1)H^(s3)H^(s4)/j^(s2) against the six length-four
-    sums minus H^(s4)_n times the two-factor weighted sum."""
-    t = PrefixTable.for_exact(n)
-    lhs, rhs = _thm31_rows(t, s1, s2, s3, s4)
-    return _instance("thm31", (s1, s2, s3, s4), n, t, lhs[n], rhs[n])
 
 
 def eval_formal_sum(F: FormalSum, n: int | None = None, *, p: int | None = None, e: int = 1):

@@ -166,8 +166,12 @@ def test_criterion_08_constant_adjudication():
         assert got is not None, f"{name}: no stable coefficient"
         assert len(res.primes_used) >= 10
         assert max(abs(got.numerator), got.denominator) < 100
+        # Re-check the ansatz c * B_{p-9} == lhs(p) (mod p) at every used
+        # prime from the Bernoulli numbers, not from the fitter's own values.
+        assert (fam.w, fam.t, fam.e) == (9, 0, 1)
         for p in res.primes_used:
-            assert int(rational_to_residue(got, p, 1)) == res.residuals[p]
+            c = int(rational_to_residue(got, p, 1))
+            assert c * int(bernoulli_mod(p - 9, p, 1)) % p == fam.lhs(p) % p
         verdicts.append(
             f"{name}: fitted {got}, "
             + ("agrees with" if got == claimed else "DISAGREES with")

@@ -420,17 +420,15 @@ def test_fit_known_family(capsys):
     )
 
 
-def test_fit_family_with_override(capsys):
-    code, out = run_cli(
-        ["fit", "--family", "cor34-1", "--primes", "11..100"], capsys
-    )
-    assert (code, out) == (0, "-11/3\n")
-
-
-def test_fit_cor34_fourth_refits_the_published_constant(capsys):
-    # published 3; no ordering of the exponents (2,1,2,2) gives it
-    code, out = run_cli(["fit", "--family", "cor34-4", "--primes", "11..120"], capsys)
-    assert (code, out) == (0, "31/8\n")
+@pytest.mark.parametrize(
+    "family, primes, constant",
+    [("cor34-1", "11..100", "-11/3"), ("cor34-4", "11..120", "31/8")],
+    ids=["cor34-1", "cor34-4"],
+)
+def test_fit_cor34_fourth_refits_the_published_constant(family, primes, constant, capsys):
+    # cor34-4 is published with 3; no ordering of the exponents (2,1,2,2) gives it
+    code, out = run_cli(["fit", "--family", family, "--primes", primes], capsys)
+    assert (code, out) == (0, constant + "\n")
 
 
 def test_fit_unknown_family_lists_choices(capsys):
@@ -442,15 +440,6 @@ def test_fit_unknown_family_lists_choices(capsys):
 def test_fit_insufficient_primes(capsys):
     code, _ = run_cli_error(["fit", "--family", "sun-s1", "--primes", "5,7"], capsys)
     assert code == 2
-
-
-def test_fit_at_a_vanishing_bernoulli_number_names_the_zero(capsys):
-    # B_p has an odd index, so it is 0 mod p at every prime: no pole.
-    code, err = run_cli_error(
-        ["fit", "--family", "sun-s1", "--w", "0", "--primes", "7..50"], capsys
-    )
-    assert code == 2
-    assert "(7, 'bernoulli-zero')" in err and "bernoulli-pole" not in err
 
 
 # --- plumbing --------------------------------------------------------------

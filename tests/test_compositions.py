@@ -16,8 +16,6 @@ def test_composition_is_a_tuple():
     assert c[0] == 2 and c[-1] == 1
     assert c.weight == 6
     assert c.depth == 3
-    assert c.reverse() == (1, 3, 2)
-    assert isinstance(c.reverse(), Composition)
     assert str(c) == "(2,3,1)"
     assert repr(c) == "Composition((2, 3, 1))"
 

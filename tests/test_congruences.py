@@ -456,19 +456,6 @@ def test_scan_input_validation():
         run_scan("made-up", [7])
 
 
-def test_scan_worker_count_env(monkeypatch):
-    monkeypatch.setenv("MHSLAB_THREADS", "1")
-    assert run_scan("cor-sun-modp", [7, 11]) == run_scan(
-        "cor-sun-modp", [7, 11], jobs=2
-    )
-    monkeypatch.setenv("MHSLAB_THREADS", "abc")
-    with pytest.raises(ValueError):
-        run_scan("cor-sun-modp", [7, 11])
-    monkeypatch.setenv("MHSLAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        run_scan("cor-sun-modp", [7, 11])
-
-
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Replace the process pool by an in-process fake; the list it returns
@@ -504,9 +491,16 @@ def test_scan_pool_is_clamped_to_the_cpus(monkeypatch, in_process_pool):
     parallel = reports_to_csv(run_scan("cor-sun-modp2", primes, jobs=5000))
     assert in_process_pool == [3]
     assert parallel == reports_to_csv(run_scan("cor-sun-modp2", primes, jobs=1))
-    monkeypatch.setenv("MHSLAB_THREADS", "5000")
-    run_scan("cor-sun-modp2", primes_in_range(3, 100))
-    assert in_process_pool == [3, 3]
+
+
+def test_default_jobs_is_the_cpu_count_whatever_the_environment(monkeypatch, in_process_pool):
+    # The worker count has one source, jobs=; no environment variable
+    # sets its default.
+    monkeypatch.setenv("MHSLAB_THREADS", "1")
+    monkeypatch.setattr(congruences.os, "cpu_count", lambda: 2)
+    reports = run_scan("cor-sun-modp", [7, 11])
+    assert in_process_pool == [2]
+    assert reports == run_scan("cor-sun-modp", [7, 11], jobs=1)
 
 
 def test_battery_starts_one_pool(monkeypatch, in_process_pool):

@@ -9,9 +9,6 @@ from mhslab.exactnum import rational_to_residue
 from mhslab.identities import (
     IdentityInstance,
     SuiteReport,
-    check_thm21_form1,
-    check_thm21_form2,
-    check_thm31,
     eval_formal_sum,
     probe_thm31_random,
     run_thm21_suite,
@@ -21,27 +18,21 @@ from mhslab.mhs import PrefixTable, mhs_exact, weighted_sum2, weighted_sum3
 
 
 def test_single_instances_hold():
-    for s in [(1, 1, 1), (2, 3, 1), (4, 1, 2)]:
-        for n in (0, 1, 6, 17):
-            inst1 = check_thm21_form1(*s, n)
-            inst2 = check_thm21_form2(*s, n)
-            assert inst1.verdict and inst1.lhs == inst1.rhs
-            assert inst2.verdict and inst2.lhs == inst2.rhs
-            assert inst1.lhs == inst2.lhs  # both expand the same sum
-    inst = check_thm31(2, 1, 1, 3, 9)
-    assert inst.verdict
-    assert inst.identity == "thm31"
-    assert inst.exponents == (2, 1, 1, 3)
+    # Covers the points (1,1,1), (2,3,1), (4,1,2) at n = 0, 1, 6, 17 for
+    # both forms, and (2,1,1,3) at n = 9.
+    rep21 = run_thm21_suite(4, 17)
+    assert rep21.ok and rep21.points == 2 * 4**3 * 18
+    rep31 = run_thm31_suite(3, (9,))
+    assert rep31.ok and rep31.points == 3**4
 
 
 def test_instance_lhs_is_the_weighted_sum():
-    inst = check_thm21_form1(1, 1, 1, 5)
-    assert inst.lhs == weighted_sum2(1, 1, 1, 5) == Fraction(1160603, 216000)
+    assert weighted_sum2(1, 1, 1, 5) == Fraction(1160603, 216000)
 
 
 def test_instance_detects_disagreement():
-    bad = IdentityInstance("x", (1,), 3, Fraction(1), Fraction(2), False)
-    assert not bad.verdict
+    bad = IdentityInstance("x", (1,), 3, Fraction(1), Fraction(2))
+    assert bad.lhs != bad.rhs
     rep = SuiteReport("x", 10, (bad,))
     assert not rep.ok
     assert SuiteReport("x", 10, ()).ok
@@ -129,7 +120,7 @@ def test_failures_report_both_sides_as_fractions(monkeypatch):
         assert type(inst.lhs) is Fraction and type(inst.rhs) is Fraction
         assert inst.lhs == wsum2_6 + Fraction(1, 60**3)
         assert inst.rhs == wsum2_6
-        assert not inst.verdict
+        assert inst.lhs != inst.rhs
     monkeypatch.undo()
 
     # thm31's left side is minus the three-factor sum
@@ -142,4 +133,4 @@ def test_failures_report_both_sides_as_fractions(monkeypatch):
         assert type(inst.lhs) is Fraction and type(inst.rhs) is Fraction
         assert inst.lhs == lhs31[inst.n] - Fraction(1, scale**4)
         assert inst.rhs == lhs31[inst.n]
-        assert not inst.verdict
+        assert inst.lhs != inst.rhs

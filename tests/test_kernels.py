@@ -196,7 +196,6 @@ NO_NUMPY = 'import sys\nsys.modules["numpy"] = None\n'
 def run_python(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    env.pop("MHSLAB_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
     )

@@ -17,9 +17,6 @@ from mhslab.compositions import Composition, stuffle
 from mhslab.congruences import run_check
 from mhslab.exactnum import Residue, mod_inverse_int, primes_in_range, rational_to_residue
 from mhslab.identities import (
-    check_thm21_form1,
-    check_thm21_form2,
-    check_thm31,
     eval_formal_sum,
     probe_thm31_random,
     run_thm21_suite,
@@ -272,9 +269,6 @@ def test_exact_cap_enforced(monkeypatch):
         lambda: weighted_sum2(1, 1, 1, big),
         lambda: weighted_sum3(1, 1, 1, 1, big),
         lambda: eval_formal_sum(stuffle((1,), (2,)), big),
-        lambda: check_thm21_form1(1, 1, 1, big),
-        lambda: check_thm21_form2(1, 1, 1, big),
-        lambda: check_thm31(1, 1, 1, 1, big),
         lambda: run_thm21_suite(1, big),
         lambda: run_thm31_suite(1, (4, big)),
         lambda: probe_thm31_random(1, smax=1, nmax=big),
