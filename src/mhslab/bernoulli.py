@@ -21,10 +21,11 @@ prime power sum S_n(p) = sum_{a=1}^{p-1} a^n reads
 and every p*B_m is p-integral (von Staudt-Clausen), so the j-th term has
 p-adic valuation at least j - v_p(j+1).  Mod p^(e+1) only the first few
 terms survive, each needing p*B_{n-j} to lower precision; B_n mod p^e is
-then p*B_n divided by p.  That costs O(e*p) per (index, prime), with no
-index cap.  von Staudt-Clausen pins down exactly when B_n has no residue,
-(p-1) | n for even n > 0, and gives p*B_n mod p without a power sum: -1
-in that case, 0 otherwise.
+then p*B_n divided by p.  Each power sum pairs a with p - a, so it runs
+over a <= (p-1)/2 only and holds (p+1)/2 powers.  That costs O(e*p) per
+(index, prime), with no index cap.  von Staudt-Clausen pins down exactly
+when B_n has no residue, (p-1) | n for even n > 0, and gives p*B_n mod p
+without a power sum: -1 in that case, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 from .exactnum import DenominatorDivisibleByP, Residue, check_o_of_p, check_ring, is_prime
 
@@ -110,26 +112,52 @@ def bernoulli_exact(n: int) -> Fraction:
 
 
 def _power_sum(n: int, p: int, m: int) -> int:
-    """sum_{a=1}^{p-1} a^n mod m, with a^n = q^n * b^n for a = q*b.
+    """sum_{a=1}^{p-1} a^n mod m, for m a power p^k of the odd prime p,
+    from the terms a <= (p-1)/2 alone.
 
-    A linear sieve reaches every composite a < p once from its least
-    prime factor q, so only primes pay for a modular power.
+    The terms pair off as a and p - a, and by the binomial theorem
+    (p-a)^n = (-1)^n sum_i C(n,i) (-p)^i a^(n-i), where only i <= d
+    survive mod m: d is the largest i <= n with p^i != 0 mod m, so d < k.
+    Hence
+
+        S_n = sum_{a <= (p-1)/2} a^(n-d) sum_{i<=d} c_i C(n,i) (-p)^i a^(d-i)
+
+    with c_0 = 1 + (-1)^n and c_i = (-1)^n for i >= 1.  A linear sieve
+    makes a^(n-d) for every a <= (p-1)/2, reaching every composite from
+    its least prime factor q as q^(n-d) * b^(n-d), so only primes pay for
+    a modular power; the d + 1 sums over a then run in C.
     """
-    powers = [0] * p
+    sign = -1 if n % 2 else 1
+    weights = []  # weights[i] = c_i C(n,i) (-p)^i mod m, i = 0..d
+    for i in range(n + 1):
+        if p**i % m == 0:
+            break
+        weights.append(((i == 0) + sign) * math.comb(n, i) * (-p) ** i % m)
+    d = len(weights) - 1
+    half = (p - 1) // 2
+    powers = [0] * (half + 1)  # powers[a] = a^(n-d) mod m
     powers[1] = 1 % m
     primes: list[int] = []
-    for a in range(2, p):
+    for a in range(2, half + 1):
         x = powers[a]
-        if x == 0:  # a is prime: a^n is a unit mod m, so never 0
-            x = powers[a] = pow(a, n, m)
+        if x == 0:  # a is prime: a^(n-d) is a unit mod m, so never 0
+            x = powers[a] = pow(a, n - d, m)
             primes.append(a)
         for q in primes:
-            if q * a >= p:
+            if q * a > half:
                 break
             powers[q * a] = powers[q] * x % m
             if a % q == 0:
                 break
-    return sum(powers) % m
+    # weights[d - t] multiplies sum_a a^(n-d) a^t, t = 0..d; each sum
+    # streams its products, so no second list of (p+1)/2 cells is made.
+    total = 0
+    for t, w in enumerate(reversed(weights)):
+        cells = powers
+        for _ in range(t):
+            cells = map(mul, cells, range(half + 1))
+        total += w * sum(cells)
+    return total % m
 
 
 @functools.lru_cache(maxsize=4096)

@@ -20,10 +20,11 @@ sends all its units through one process pool, or runs them in process
 with one worker, and run_check is the one-unit case.  multiprocessing and
 concurrent.futures load with the first pool, so importing the package, a
 serial scan and every other command never pay for them.  At a prime the
-checks share one PrefixTable per exponent e, and every H(...) member at
-that e goes through one trie walk, so a prefix chain common to several
-checks is built once.  Each prime is checked once, by exactnum's
-is_odd_prime in run_scan and run_check, or by the sieve in run_battery.
+checks share one PrefixTable per exponent e, and every member at that e
+goes through one single-value pass, so a prefix chain, an inverse power
+or a harmonic factor common to several checks is computed once.  Each
+prime is checked once, by exactnum's is_odd_prime in run_scan and
+run_check, or by the sieve in run_battery.
 
 A fit family is a registry member tagged with the family's name.  When
 that member fails at three primes or more, a scan refits it from its
@@ -105,9 +106,10 @@ Terms = tuple[Monomial, ...]
 
 # H(1,4; p-1) mod p^2, p >= 11: 2 B_{p-5} - (5/6) B_{2p-6}
 # - (1/9) p B_{p-3}^2 + (1/15) p B_{p-5}.  The widely quoted one-term
-# value B_{p-5} holds mod p only.  The coefficients were recovered by
-# CRT/lattice reduction across 25 primes and confirmed at every prime
-# 11 <= p < 400; at p = 7 even this form fails.  H(4,1) = -H(1,4).
+# value B_{p-5} holds mod p only.  The coefficients were found offline;
+# nothing in this package derives them.  The tests confirm the form at
+# every prime 11 <= p < 400; at p = 7 even this form fails.
+# H(4,1) = -H(1,4).
 _H14_MODP2: Terms = (
     (Fraction(2), 0, ((1, 5),)),
     (Fraction(-5, 6), 0, ((2, 6),)),
@@ -250,12 +252,6 @@ class CheckMember:
     def lhs(self, table: PrefixTable) -> int:
         method, args = self.lhs_spec
         return getattr(table, method)(*args)
-
-    @property
-    def composition(self) -> tuple[int, ...] | None:
-        """The composition of an H(s_1..s_k; p-1) left side, else None."""
-        method, args = self.lhs_spec
-        return tuple(args[0]) if method == "mhs" else None
 
     def rhs(self, p: int, e: int) -> int:
         return _evaluate(self.rhs_terms, p, e)
@@ -730,11 +726,12 @@ def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, tuple[int, bool]
     the raw left side of each tagged fit-family member that was evaluated
     and whether that member failed, for a refit.
 
-    The checks share one PrefixTable per exponent e, and every H(...)
-    member of every check at that e goes through one trie walk, so a prefix
-    chain common to several checks is built once.  Members whose smallest
-    admissible prime exceeds p are left out; a check with none left and a
-    Bernoulli pole come back as skipped reports, never exceptions.
+    The checks share one PrefixTable per exponent e, and every member of
+    every check at that e goes through one single_values pass, so a prefix
+    chain, an inverse power or a harmonic factor common to several
+    members is computed once per block.  Members whose smallest admissible
+    prime exceeds p are left out; a check with none left and a Bernoulli
+    pole come back as skipped reports, never exceptions.
     """
     p, check_ids = unit
     checks = [get_check(cid) for cid in check_ids]
@@ -760,15 +757,11 @@ def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, tuple[int, bool]
         else:
             pending.setdefault(chk.e, []).append((i, chk, active, rhs_vals))
     for e, group in pending.items():
-        t = PrefixTable.for_prime(p, e)
-        sums = t.mhs_many(
-            c for _, _, active, _ in group for m in active if (c := m.composition) is not None
+        values = PrefixTable.for_prime(p, e).single_values(
+            m.lhs_spec for _, _, active, _ in group for m in active
         )
         for i, chk, active, rhs_vals in group:
-            lhs_vals = {
-                m.label: m.lhs(t) if m.composition is None else sums[m.composition]
-                for m in active
-            }
+            lhs_vals = {m.label: values[m.lhs_spec] for m in active}
             bad = [lab for lab in lhs_vals if lhs_vals[lab] != rhs_vals[lab]]
             multi = len(chk.members) > 1
             reports[i] = CheckReport(

@@ -118,7 +118,7 @@ def eval_formal_sum(F: FormalSum, n: int | None = None, *, p: int | None = None,
     """Evaluate sum coeff * H(c; n) over the terms of F.
 
     Exact mode (give n) returns a Fraction; mod mode (give p, e) evaluates
-    at n = p-1 and returns a Residue.  Every term goes through one trie walk.
+    at n = p-1 and returns a Residue.  All terms share one mhs_many pass.
     """
     # Bring every term to the largest weight's denominator (mod mode has
     # scale 1, so there the factor is 1).

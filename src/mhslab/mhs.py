@@ -7,33 +7,47 @@ Everything is driven by one recurrence,
     H(s_1,...,s_k; m) = H(s_1,...,s_k; m-1) + m^(-s_k) H(s_1,...,s_{k-1}; m-1),
 
 so a length-k sum over upper index n costs O(k n) ring operations rather
-than a k-fold nested enumeration.  A PrefixTable caches the inverse powers
-1/j^s (and their prefix sums) for one upper index as raw ints in both
-modes: residues mod p^e, or in exact mode numerators over scale**w with
+than a k-fold nested enumeration.  Values are raw ints in both modes:
+residues mod p^e, or in exact mode numerators over scale**w with
 scale = lcm(1..n) and w the weight of the value.  Fraction and Residue
 objects appear only at the public boundary.
 
-Rows are built by one of two kernels, picked once per table.  The Python
-kernel streams products and running sums through itertools.accumulate and
-map(operator.mul, ...), reduced mod p^e cell by cell as they are stored
-(exact mode stores them as they are); its modular inverse row comes from
-the recurrence 1/j = -(m // j) / (m mod j) mod m, one product per cell.
-A mod-mode table with m = p^e < 2^40 and n >= _NUMPY_MIN_N uses
-the numpy kernel instead when numpy can be imported: int64 arrays, every
-product reduced before the next operation (with 20-bit split factors
-above 2^31), so its cells are the same residues; see _kernel for the
-bounds.  numpy is imported the
-first time a table picks that kernel, never at package import.  A single
-value, H(s_1..s_k; n) or a weighted sum at n, never builds its last row:
-that level is one dot product and one reduction.  mhs_many() evaluates a
-batch of compositions over their prefix trie, so a prefix shared by
-several sums is built once.
+A PrefixTable answers two kinds of question at its upper index n.
+
+Single values (single_values, and mhs, mhs_many, weighted_sum2 and
+weighted_sum3, which call it) are evaluated together in one pass over j
+in blocks of _BLOCK indices.  Each node of the compositions' prefix
+trie, and each harmonic factor of a weighted sum, keeps only a carry:
+its value at the start of the block.  A block computes each inverse
+power j^(-s) and each H_j^(s) once, for every value that uses it, and
+drops its rows before the next block starts.  A pass thus holds one
+block row per exponent, per harmonic factor and per trie node with
+children still to be built, plus, in mod mode, the one whole row a
+table keeps for it: the inverses 1/j mod p^e.  Exact mode computes
+(scale // j)^s block by block and keeps no row.
+
+Whole rows (inv_powers, harmonic_prefix, mhs_all, weighted_sum2_all,
+weighted_sum3_all) are for callers that read every index, such as the
+identity suites; the table caches the inverse-power and harmonic-prefix
+rows they are built from.
+
+Rows and blocks are built by one of two kernels, picked once per table.
+The Python kernel streams products and running sums through
+itertools.accumulate and map(operator.mul, ...), reduced mod p^e cell by
+cell as they are stored (exact mode stores them as they are); its
+modular inverse row comes from the recurrence
+1/j = -(m // j) / (m mod j) mod m, one product per cell.  A mod-mode
+table with m = p^e < 2^40 and n >= _NUMPY_MIN_N uses the numpy kernel
+instead when numpy can be imported: int64 arrays, every product reduced
+before the next operation (with 20-bit split factors above 2^31), so its
+cells are the same residues; see _kernel for the bounds.  numpy is
+imported the first time a table picks that kernel, never at package
+import.
 
 Inside a table the rows stay in the kernel's form (int64 arrays on the
-numpy kernel) from build to the last dot product.  A row becomes a list of
-Python ints only when a public row method (inv_powers, harmonic_prefix,
-mhs_all, weighted_sum2_all, weighted_sum3_all) hands it to a caller, and
-that list is always the caller's own: a cached row is copied, never lent.
+numpy kernel).  A row becomes a list of Python ints only when a public
+row method hands it to a caller, and that list is always the caller's
+own: a cached row is copied, never lent.
 
 The table methods return raw ints and are what a caller shares to evaluate
 many sums at one upper index or prime.  The functions mhs_exact, mhs_mod,
@@ -48,7 +62,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
 from operator import methodcaller, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -83,6 +97,15 @@ EXACT_N_CAP = 10_000
 # of this size pays more for the import than it saves.
 _NUMPY_MIN_N = 4000
 
+# Indices per block of a single-value pass (PrefixTable.single_values), and
+# per chunk of the numpy inverse row's build.  One int64 block is 64 KiB.
+# The benchmark's bigprime workload (four checks at six primes up to 99991)
+# peaked at 34.0, 34.2, 35.0 and 37.0 MiB of RSS with blocks of 2^12, 2^13,
+# 2^14 and 2^15 indices (2 CPUs, Python 3.11, numpy 2.4), against 40.2 MiB
+# with whole rows; below 2^13 the saving is small and every block adds
+# Python work per trie node.
+_BLOCK = 1 << 13
+
 
 class _PythonKernel:
     """Rows as lists of Python ints, modulo m (exact mode: m is None).
@@ -92,6 +115,12 @@ class _PythonKernel:
     stored.  This kernel serves every exact table, every small table and
     every machine without numpy, and it is the reference the numpy kernel
     is tested against.
+
+    A run of indices j = lo..hi-1 (a block, or the whole row 1..n) is
+    worked on as the cells of its terms, one per index, and the carried
+    rows of its prefixes: the carried row of P holds H(P; lo-1), the
+    carry, and then H(P; j) for every j of the run, so a whole row is the
+    carried row of the run 1..n with carry H(P; 0).
     """
 
     __slots__ = ("m",)
@@ -117,25 +146,22 @@ class _PythonKernel:
     def power(self, row: list[int], s: int) -> list[int]:
         return list(map(pow, row, repeat(s), repeat(self.m)))
 
-    def terms(self, row: list[int], prev: Sequence | None) -> Iterator[int]:
-        """j -> row[j] * prev[j-1] for j = 1..n (prev None: all ones)."""
-        head = islice(row, 1, None)
-        return head if prev is None else map(mul, head, prev)
+    def terms(self, ip: list[int], prev: Sequence | None) -> Iterable[int]:
+        """j -> j^(-s) H(P; j-1) over a run, from the run's cells ip of
+        j^(-s) and the carried row prev of P (None: the empty prefix)."""
+        return ip if prev is None else map(mul, ip, prev)
 
-    def times(self, terms: Iterable[int], row: list[int]) -> Iterator[int]:
-        """j -> terms[j] * row[j], cell by cell."""
-        return map(mul, terms, row)
+    def times(self, terms: Iterable[int], cells: list[int]) -> Iterator[int]:
+        """j -> terms[j] * cells[j], cell by cell."""
+        return map(mul, terms, cells)
 
-    def prefix(self, terms: Iterator[int]) -> list[int]:
-        """The row of running sums over j = 0..n of terms over j = 1..n."""
-        return [0, *self._reduced(accumulate(terms))]
+    def prefix(self, terms: Iterable[int], carry: int = 0) -> list[int]:
+        """The carried row of running sums of terms, starting from carry."""
+        return list(self._reduced(accumulate(terms, initial=carry)))
 
-    def running(self, terms: Iterator[int]) -> list[int]:
-        """The row of running sums of terms over j = 0..n."""
-        return list(self._reduced(accumulate(terms)))
-
-    def total(self, terms: Iterable[int]) -> int:
-        total = sum(terms)
+    def total(self, terms: Iterable[int], carry: int = 0) -> int:
+        """carry plus the sum of terms, reduced."""
+        total = carry + sum(terms)
         return total if self.m is None else total % self.m
 
     def tolist(self, row: list[int]) -> list[int]:
@@ -150,8 +176,10 @@ class _NumpyKernel:
     Every cell is reduced before the next operation, so the arithmetic is
     exact: for m < 2^31 a product of two residues is below 2^62; above, the
     second factor is split into 20-bit halves (see _mul).  A running sum of
-    n reduced cells stays below n * m.  The rows hold the same residues as
-    the Python kernel's, which the tests check cell for cell.
+    n reduced cells, after a reduced carry, stays below p * m.  The rows
+    hold the same residues as the Python kernel's, which the tests check
+    cell for cell.  Runs, terms and carried rows are as for the Python
+    kernel.
     """
 
     __slots__ = ("np", "m")
@@ -171,27 +199,44 @@ class _NumpyKernel:
         return ((high << 20) + a * (b & 0xFFFFF)) % m
 
     def inverses(self, p: int, e: int):
-        """1/j mod p^e for j = 1..p-1 (index 0 holds a zero).
+        """1/j mod p^e for j = 1..p-1 (index 0 holds a zero), built with
+        about one block of memory besides the row itself.
 
-        The powers g^k of a primitive root g list every unit mod p once, and
-        the inverse of g^k is g^(p-1-k).  They are laid out as a square
-        grid of products g^(side*i) * g^c with side about sqrt(p), so only
-        O(sqrt p) steps run in Python.  Newton's step x -> x(2 - jx)
-        doubles the precision of the inverses, from mod p to mod p^2
-        (e = 2) and once more to mod p^4 (e = 3).
+        The powers g^k of a primitive root g list every unit mod p once,
+        and the inverse of g^k is h^k for h = 1/g.  Both are laid out as a
+        grid k = side*i + c, side about sqrt(p), and filled a few grid
+        rows (about _BLOCK cells) at a time as products g^(side*i) * g^c,
+        so only O(sqrt p) steps run in Python.  The grid runs past
+        k = p-2, where the powers repeat with their inverses.  Newton's
+        step x -> x(2 - jx) then doubles the precision of the inverses in
+        place, block by block, from mod p to mod p^2 (e = 2) and once more
+        to mod p^4 (e = 3).
         """
         np = self.np
-        n = p - 1
         g = _primitive_root(p)
-        side = math.isqrt(n) + 1
-        rows = np.array([pow(g, side * i, p) for i in range(side)], dtype=np.int64)
-        cols = np.array([pow(g, c, p) for c in range(side)], dtype=np.int64)
-        powers = (rows[:, None] * cols % p).ravel()[:n]  # powers[k] = g^k
+        h = pow(g, -1, p)
+        side = math.isqrt(p - 1) + 1
+
+        def grid(r: int, cols, rows: range):
+            """r^(side*i + c) mod p for i in rows and every c < side, flat,
+            from cols[c] = r^c."""
+            heads = np.array([pow(r, side * i, p) for i in rows], dtype=np.int64)
+            return (heads[:, None] * cols % p).ravel()
+
+        g_cols, h_cols = (
+            np.array([pow(r, c, p) for c in range(side)], dtype=np.int64) for r in (g, h)
+        )
         inv = np.zeros(p, dtype=np.int64)
-        inv[powers] = np.roll(powers[::-1], 1)  # g^k -> g^(-k mod p-1)
-        for _ in range((e - 1).bit_length()):
-            jx = self._mul(np.arange(p, dtype=np.int64), inv)
-            inv = self._mul(inv, (2 - jx) % self.m)
+        step = max(1, _BLOCK // side)
+        for i0 in range(0, side, step):
+            rows = range(i0, min(i0 + step, side))
+            inv[grid(g, g_cols, rows)] = grid(h, h_cols, rows)
+        lifts = (e - 1).bit_length()
+        for lo in range(0, p if lifts else 0, _BLOCK):
+            x = inv[lo : lo + _BLOCK]
+            j = np.arange(lo, lo + len(x), dtype=np.int64)
+            for _ in range(lifts):
+                x[:] = self._mul(x, (2 - self._mul(j, x)) % self.m)
         return inv
 
     def power(self, row, s: int):
@@ -205,26 +250,23 @@ class _NumpyKernel:
                 return result
             row = self._mul(row, row)
 
-    def terms(self, row, prev):
-        head = row[1:]
-        return head if prev is None else self._mul(head, prev[:-1])
+    def terms(self, ip, prev):
+        return ip if prev is None else self._mul(ip, prev[:-1])
 
-    def times(self, terms, row):
-        return self._mul(terms, row)
+    def times(self, terms, cells):
+        return self._mul(terms, cells)
 
-    def prefix(self, terms):
-        out = self.np.zeros(len(terms) + 1, dtype=self.np.int64)
-        self.np.cumsum(terms, out=out[1:])
+    def prefix(self, terms, carry: int = 0):
+        np = self.np
+        out = np.empty(len(terms) + 1, dtype=np.int64)
+        out[0] = carry
+        out[1:] = terms
+        np.cumsum(out, out=out)
         out %= self.m
         return out
 
-    def running(self, terms):
-        out = self.np.cumsum(terms)
-        out %= self.m
-        return out
-
-    def total(self, terms) -> int:
-        return int(terms.sum()) % self.m
+    def total(self, terms, carry: int = 0) -> int:
+        return (carry + int(terms.sum())) % self.m
 
     def tolist(self, row) -> list[int]:
         """The row as a fresh list of Python ints, never numpy.int64."""
@@ -276,8 +318,33 @@ def _kernel(n: int, m: int | None):
     return _PythonKernel(m)
 
 
+# The weighted sums a single-value spec may name, with their arities.
+_WSUM_ARITY = {"weighted_sum2": 3, "weighted_sum3": 4}
+
+
+class _Node:
+    """A node of a single-value pass's trie: the composition of its parent
+    extended by s, its carry (its value at the last index done), its
+    children by last part, and whether a weighted sum reads its rows as
+    the harmonic factor H_j^(s) (only depth-1 nodes are factors)."""
+
+    __slots__ = ("s", "carry", "children", "factor")
+
+    def __init__(self, s: int) -> None:
+        self.s = s
+        self.carry = 0
+        self.children: dict[int, _Node] = {}
+        self.factor = False
+
+    def child(self, s: int) -> "_Node":
+        node = self.children.get(s)
+        if node is None:
+            node = self.children[s] = _Node(s)
+        return node
+
+
 class PrefixTable:
-    """Inverse-power and harmonic-prefix caches for upper indices 0..n.
+    """Single values and whole rows for upper indices 0..n.
 
     Every row holds raw ints indexed by j = 0..n.  Mod mode stores
     residues in [0, p^e) with n fixed to p-1, where every j <= n is a unit.
@@ -291,8 +358,9 @@ class PrefixTable:
 
     The table picks its row kernel once, in the constructor (see _kernel).
     The cached rows are that kernel's own and never leave the table: the
-    recurrences and dot products read them as they are, and the public row
-    methods return a fresh list of Python ints to a caller.
+    recurrences read them as they are, and the public row methods return a
+    fresh list of Python ints to a caller.  Single values keep no row but
+    the inverse row of a mod-mode table (see single_values).
 
     Exact mode refuses n above EXACT_N_CAP, and mod mode what check_ring
     or check_o_of_p refuses, before any kernel is chosen or row built.
@@ -345,25 +413,18 @@ class PrefixTable:
         row = cache.get(s)
         return build(s, _raw=True) if row is None else row
 
-    def _terms(self, prev, s: int):
-        """j -> j^(-s) H(P; j-1) for j = 1..n, where prev is the row of the
-        prefix P over 0..n (None for the empty prefix, whose row is all 1)."""
-        return self._k.terms(self._row(self._ipow, self.inv_powers, s), prev)
-
     def _extend(self, prev, s: int):
-        """The row m -> H(P, s; m), m = 0..n, from the row of P."""
-        return self._k.prefix(self._terms(prev, s))
+        """The row m -> H(P, s; m), m = 0..n, from the row of the prefix P
+        (None for the empty prefix)."""
+        ip = self._row(self._ipow, self.inv_powers, s)
+        return self._k.prefix(self._k.terms(ip[1:], prev))
 
-    def _dot(self, prev, s: int) -> int:
-        """H(P, s; n) alone: the last level as one sum, no row built."""
-        return self._k.total(self._terms(prev, s))
-
-    def _wsum_terms(self, s2: int, factors: tuple[int, ...]):
-        """j -> j^(-s2) prod_s H_j^(s) over the factors, j = 0..n."""
-        terms = self._row(self._ipow, self.inv_powers, s2)
+    def _wsum_row(self, s2: int, factors: tuple[int, ...]) -> list[int]:
+        """The row m -> sum_{j<=m} j^(-s2) prod_s H_j^(s) over the factors."""
+        terms = self._row(self._ipow, self.inv_powers, s2)[1:]
         for s in factors:
-            terms = self._k.times(terms, self._row(self._hpref, self.harmonic_prefix, s))
-        return terms
+            terms = self._k.times(terms, self._row(self._hpref, self.harmonic_prefix, s)[1:])
+        return self._k.tolist(self._k.prefix(terms))
 
     # -- rows ----------------------------------------------------------------
 
@@ -401,63 +462,120 @@ class PrefixTable:
 
     def weighted_sum2_all(self, s1: int, s2: int, s3: int) -> list[int]:
         """sum_{j<=m} H_j^(s1) H_j^(s3) / j^(s2) for every m = 0..n."""
-        return self._k.tolist(self._k.running(self._wsum_terms(s2, (s1, s3))))
+        return self._wsum_row(s2, (s1, s3))
 
     def weighted_sum3_all(self, s1: int, s2: int, s3: int, s4: int) -> list[int]:
         """As weighted_sum2_all with a third harmonic factor H_j^(s4)."""
-        return self._k.tolist(self._k.running(self._wsum_terms(s2, (s1, s3, s4))))
+        return self._wsum_row(s2, (s1, s3, s4))
 
     # -- single values -------------------------------------------------------
 
+    def _block_powers(self, lo: int, hi: int, exponents: Iterable[int]) -> dict:
+        """s -> the cells j^(-s), j = lo..hi-1, for each exponent s: powers
+        of the kept inverse row (mod mode) or (scale // j)^s (exact mode)."""
+        if self.modulus is None:
+            base = [self.scale // j for j in range(lo, hi)]
+        else:
+            base = self._row(self._ipow, self.inv_powers, 1)[lo:hi]
+        return {s: base if s == 1 else self._k.power(base, s) for s in exponents}
+
+    def single_values(self, specs: Iterable[tuple[str, tuple]]) -> dict[tuple[str, tuple], int]:
+        """The value at n of every spec, as a raw int keyed by the spec.
+
+        A spec names a single-value method and its arguments, as a
+        CheckMember's left side does: ("mhs", (parts,)),
+        ("weighted_sum2", (s1, s2, s3)) or ("weighted_sum3", (s1, s2, s3, s4)).
+        The empty composition gives 1.
+
+        All of them are evaluated in one pass over j = 1..n in blocks of
+        _BLOCK indices.  The compositions form a trie of prefixes, and
+        each trie node keeps only its carry.  In a block each inverse
+        power j^(-s) is computed once.  A node with children, or one that
+        a weighted sum reads as its harmonic factor H_j^(s), builds the
+        block's carried row, which its children and the weighted sums
+        read; a leaf adds one dot product to its carry.  The trie is
+        walked depth first and a node's row is dropped as its last child
+        is taken, so a chain of prefixes holds two rows at once.
+        """
+        specs = list(dict.fromkeys(specs))
+        root = _Node(0)
+        root.carry = 1  # H(; j) = 1: the empty composition's value
+        nodes: dict[tuple[str, tuple], _Node] = {}
+        # spec -> (s2, the exponents of its harmonic factors)
+        wsums: dict[tuple[str, tuple], tuple[int, tuple[int, ...]]] = {}
+        exponents: set[int] = set()
+        for spec in specs:
+            method, args = spec
+            if method == "mhs":
+                (parts,) = args
+                node = root
+                for s in Composition(parts):
+                    node = node.child(s)
+                    exponents.add(s)
+                nodes[spec] = node
+            elif len(args) == _WSUM_ARITY.get(method):
+                if min(args) < 1:
+                    raise ValueError(f"exponent must be >= 1, got {min(args)}")
+                s1, s2, *rest = args
+                for s in (s1, *rest):
+                    root.child(s).factor = True
+                exponents.update(args)
+                wsums[spec] = (s2, (s1, *rest))
+            else:
+                raise ValueError(f"unknown single value {spec!r}")
+        k = self._k
+        totals = dict.fromkeys(wsums, 0)
+        for lo in range(1, self.n + 1, _BLOCK):
+            ip = self._block_powers(lo, min(lo + _BLOCK, self.n + 1), exponents)
+            factors = {}
+            # Each entry: the carried row of a prefix (None for the empty
+            # one) and its children not yet taken.
+            stack = [(None, list(root.children.values()))] if root.children else []
+            while stack:
+                prev, todo = stack[-1]
+                node = todo.pop()
+                if not todo:
+                    stack.pop()
+                terms = k.terms(ip[node.s], prev)
+                if not (node.children or node.factor):
+                    node.carry = k.total(terms, node.carry)
+                    continue
+                row = k.prefix(terms, node.carry)
+                node.carry = int(row[-1])
+                if node.factor:
+                    factors[node.s] = row[1:]  # H_j^(s) for the block's j
+                if node.children:
+                    stack.append((row, list(node.children.values())))
+            for spec, (s2, harmonic) in wsums.items():
+                terms = ip[s2]
+                for s in harmonic:
+                    terms = k.times(terms, factors[s])
+                totals[spec] = k.total(terms, totals[spec])
+        values = {spec: node.carry for spec, node in nodes.items()} | totals
+        return {spec: values[spec] for spec in specs}
+
     def mhs_many(self, compositions: Iterable[Iterable[int]]) -> dict[Composition, int]:
         """H(c; n) as a raw int for every composition c, keyed by c as a
-        tuple; the empty composition gives 1.
-
-        The compositions are walked depth first as a trie of prefixes.  The
-        row of a prefix is built once and feeds every extension of it, and
-        it is dropped as soon as its last child has been built; a leaf is
-        one dot product and builds no row.  A chain of prefixes thus never
-        holds more than two rows at once.
-        """
-        wanted = dict.fromkeys(map(Composition, compositions))
-        trie: dict = {}
-        for comp in wanted:
-            node = trie
-            for s in comp:
-                node = node.setdefault(s, {})
-        out: dict[Composition, int] = {Composition(): 1} if () in wanted else {}
-        # Each entry: a prefix, its row (None for the empty prefix) and the
-        # children not yet built.  The entry leaves the stack as its last
-        # child is taken, so that child's row replaces it.
-        stack = [(Composition(), None, list(trie.items()))] if trie else []
-        while stack:
-            prefix, row, children = stack[-1]
-            s, grandchildren = children.pop()
-            if not children:
-                stack.pop()
-            comp = Composition((*prefix, s))
-            if not grandchildren:
-                out[comp] = self._dot(row, s)
-                continue
-            child = self._extend(row, s)
-            if comp in wanted:
-                out[comp] = int(child[-1])
-            stack.append((comp, child, list(grandchildren.items())))
-        return out
+        tuple, from one single_values pass."""
+        comps = dict.fromkeys(map(Composition, compositions))
+        values = self.single_values(("mhs", (c,)) for c in comps)
+        return {c: values["mhs", (c,)] for c in comps}
 
     def mhs(self, parts: Iterable[int]) -> int:
         """H(parts; n) as a raw int: the numerator over scale**weight in
         exact mode, the residue in mod mode."""
-        parts = Composition(parts)
-        return self.mhs_many((parts,))[parts]
+        spec = ("mhs", (Composition(parts),))
+        return self.single_values((spec,))[spec]
 
     def weighted_sum2(self, s1: int, s2: int, s3: int) -> int:
         """sum_{j<=n} H_j^(s1) H_j^(s3) / j^(s2) as a raw int."""
-        return self._k.total(self._wsum_terms(s2, (s1, s3)))
+        spec = ("weighted_sum2", (s1, s2, s3))
+        return self.single_values((spec,))[spec]
 
     def weighted_sum3(self, s1: int, s2: int, s3: int, s4: int) -> int:
         """As weighted_sum2 with a third harmonic factor H_j^(s4)."""
-        return self._k.total(self._wsum_terms(s2, (s1, s3, s4)))
+        spec = ("weighted_sum3", (s1, s2, s3, s4))
+        return self.single_values((spec,))[spec]
 
 
 def _value(

@@ -20,16 +20,18 @@ def test_tracer_installs_runs_and_uninstalls(monkeypatch):
     tracer = tracing.Tracer().install()
     try:
         assert tracing.count_wrappers() > 0
-        # One check whose members go through the trie, one weighted sum.
+        # A check of H(...) sums and one of weighted sums, each member
+        # through one single-value pass, then a weighted sum by its name.
         mhs_report = congruences.run_check("homog-vanishing-modp", 101)
         wsum_report = congruences.run_check("cor-sun-modp", 101)
+        wsum = PrefixTable.for_prime(101).weighted_sum2(1, 1, 1)
     finally:
         tracer.uninstall()
     assert tracing.count_wrappers() == 0
     assert dict(vars(PrefixTable)) == originals
-    assert mhs_report.status == wsum_report.status == "pass"
+    assert mhs_report.status == wsum_report.status == "pass" and wsum == 76
     assert tracer.counts["congruences.run_check_calls"] == 2
-    assert tracer.counts["mhs.tables_mod"] == 2
+    assert tracer.counts["mhs.tables_mod"] == 3
     assert tracer.counts["mhs.inv_powers_calls"] > 0
     inclusive, _ = tracer.times()
     assert inclusive["congruences.run_check"] > 0 and inclusive["mhs.wsum2"] > 0

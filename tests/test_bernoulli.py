@@ -96,6 +96,19 @@ def test_power_sum_oracle_mod_p_squared():
             assert s == p * int(bernoulli_mod(m, p, 1)) % p**2, (p, m)
 
 
+def test_power_sum_pairs_match_the_naive_sum():
+    # _power_sum sums a <= (p-1)/2 only, pairing a with p - a; the plain
+    # sum over every a < p is the oracle, for odd and even n, for n below
+    # and above k, and around multiples of p - 1.
+    for p in primes_in_range(3, 200):
+        for k in (1, 2, 3, 4):
+            m = p**k
+            indices = range(3 * p) if p < 14 else (*range(8), p - 1, p, 2 * p - 2, 3 * p + 1)
+            for n in indices:
+                naive = sum(pow(a, n, m) for a in range(1, p)) % m
+                assert _power_sum(n, p, m) == naive, (p, k, n)
+
+
 def test_p_times_bernoulli_mod_p_is_von_staudt_clausen():
     # The mod-p shortcut against the power sum it replaces.
     for p in primes_in_range(3, 200):

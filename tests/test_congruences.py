@@ -85,6 +85,13 @@ def _member(check_id, label):
     return mem
 
 
+def _composition(mem):
+    """The composition of a member whose left side is H(s_1..s_k; p-1)."""
+    method, (parts,) = mem.lhs_spec
+    assert method == "mhs"
+    return tuple(parts)
+
+
 def _assert_members_match(check_id, primes):
     """Every member of a check agrees with mhs_mod at its admissible primes."""
     chk = get_check(check_id)
@@ -93,7 +100,7 @@ def _assert_members_match(check_id, primes):
         t = PrefixTable.for_prime(p, chk.e)
         for mem in chk.members:
             if p >= mem.min_prime:
-                want = t.mhs(mem.composition)
+                want = t.mhs(_composition(mem))
                 assert mem.rhs(p, chk.e) == want, (mem.label, p)
                 checked += 1
     return checked
@@ -133,8 +140,8 @@ def test_homogeneous_validation():
 def test_depth2_mod_p_full_grid():
     chk = get_check("depth2-modp")
     grid = [(s1, s2) for s1 in range(1, 5) for s2 in range(1, 5)]
-    assert [m.composition for m in chk.members] == grid
-    assert all(m.min_prime == sum(m.composition) + 1 for m in chk.members)
+    assert [_composition(m) for m in chk.members] == grid
+    assert all(m.min_prime == sum(_composition(m)) + 1 for m in chk.members)
     assert _assert_members_match("depth2-modp", (7, 11, 13)) == 13 + 16 + 16
 
 
@@ -165,10 +172,10 @@ def test_depth2_mod_p2_even_weight():
 
 
 def test_depth2_mod_p2_odd_weight_four_term_form():
-    # the refined closed form for H(1,4) and its negated reversal,
-    # exact mod p^2 for every prime from 11 up
+    # the refined closed form for H(1,4) and its negated reversal, exact
+    # mod p^2 at every prime 11 <= p < 400, the range its comment claims
     h14, h41 = _member("depth2-modp2", "H(1,4)"), _member("depth2-modp2", "H(4,1)")
-    for p in primes_in_range(11, 60):
+    for p in primes_in_range(11, 399):
         t = PrefixTable.for_prime(p, 2)
         assert h14.rhs(p, 2) == t.mhs((1, 4))
         assert h41.rhs(p, 2) == t.mhs((4, 1))
@@ -192,7 +199,7 @@ def test_depth2_mod_p2_odd_weight_rejections():
 def test_depth3_odd_weight_closed_form():
     chk = get_check("depth3-oddweight-modp")
     triples = [(1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 3, 1), (3, 1, 1), (2, 2, 3)]
-    assert [m.composition for m in chk.members] == triples
+    assert [_composition(m) for m in chk.members] == triples
     assert _assert_members_match("depth3-oddweight-modp", (11, 13)) == 12
     assert _member("depth3-oddweight-modp", "H(1,1,1)").rhs(11, 1) == 0  # odd middle
     with pytest.raises(ValueError):
@@ -339,38 +346,37 @@ def test_run_check_detects_mismatch(monkeypatch):
     assert rep.note == "fail: m0"
 
 
-def test_run_check_sends_its_sums_through_one_trie_walk(monkeypatch):
+def _spy_on_single_values(monkeypatch):
+    """The spec lists of every single_values call, in order."""
     calls = []
-    original = PrefixTable.mhs_many
+    original = PrefixTable.single_values
 
-    def spy(self, compositions):
-        comps = list(compositions)
-        calls.append(comps)
-        return original(self, comps)
+    def spy(self, specs):
+        specs = list(specs)
+        calls.append(specs)
+        return original(self, specs)
 
-    monkeypatch.setattr(PrefixTable, "mhs_many", spy)
+    monkeypatch.setattr(PrefixTable, "single_values", spy)
+    return calls
+
+
+def test_run_check_sends_its_sums_through_one_trie_walk(monkeypatch):
+    calls = _spy_on_single_values(monkeypatch)
     chk = get_check("homog-vanishing-modp")
     rep = run_check(chk.check_id, 101)
-    assert calls == [[m.composition for m in chk.members]]
+    assert calls == [[m.lhs_spec for m in chk.members]]
     t = PrefixTable.for_prime(101, chk.e)
     assert rep.lhs == ";".join(f"{m.label}={t.mhs(*m.lhs_spec[1])}" for m in chk.members)
 
 
 def test_checks_at_one_prime_share_one_trie_walk(monkeypatch):
-    # tauraso-lemma and homog-vanishing-modp both need H(2,2,...) chains.
-    calls = []
-    original = PrefixTable.mhs_many
-
-    def spy(self, compositions):
-        comps = list(compositions)
-        calls.append(comps)
-        return original(self, comps)
-
-    monkeypatch.setattr(PrefixTable, "mhs_many", spy)
-    ids = ("tauraso-lemma", "homog-vanishing-modp")
+    # tauraso-lemma and homog-vanishing-modp both need H(2,2,...) chains,
+    # and cor-sun-modp's weighted sums read their harmonic factors.
+    calls = _spy_on_single_values(monkeypatch)
+    ids = ("cor-sun-modp", "tauraso-lemma", "homog-vanishing-modp")
     monkeypatch.setattr(congruences, "DEFAULT_BATTERY", tuple((cid, 101, 101) for cid in ids))
     reports = run_battery(jobs=1)
-    assert [m.composition for cid in ids for m in get_check(cid).members] == calls[0]
+    assert [m.lhs_spec for cid in ids for m in get_check(cid).members] == calls[0]
     assert len(calls) == 1
     monkeypatch.undo()
     assert reports == [run_check(cid, 101) for cid in sorted(ids)]

@@ -1,16 +1,18 @@
 """The numpy row kernel of PrefixTable against the Python kernel, which
 stays the reference: cell for cell at every prime below 200, the split
 multiply on random pairs, full tables at p = 65537, the rule that picks a
-kernel, the rows each kernel caches, and byte-identical scans with and
-without numpy.  A table picks its kernel in the constructor, so tests reach
-the numpy kernel at small primes by lowering the size threshold while the
-table is built."""
+kernel, the rows each kernel caches, single values across block
+boundaries, the memory a unit of large-prime checks takes, and
+byte-identical scans with and without numpy.  A table picks its kernel in
+the constructor, so tests reach the numpy kernel at small primes by
+lowering the size threshold while the table is built."""
 
 import itertools
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -186,6 +188,52 @@ def test_numpy_rows_reach_callers_as_fresh_lists_of_ints():
         row[1] += 1
         assert get(t) == get(ref), name
     assert type(t.weighted_sum2(2, 1, 3)) is int and type(t.mhs((2, 1))) is int
+
+
+NUMPY_SPECS = (
+    [("mhs", (c,)) for c in WEIGHT6 if sum(c) <= 5]
+    + [("weighted_sum2", tr) for tr in TRIPLES]
+    + [("weighted_sum3", q) for q in QUADS]
+)
+
+
+@pytest.mark.parametrize("block", [64, 999])
+@pytest.mark.parametrize("p", [4001, 20011])
+def test_numpy_single_values_across_block_boundaries(monkeypatch, p, block):
+    # Neither block size divides p - 1, so the last block is a short one;
+    # the inverse row's grid and its Newton lift are built in chunks of the
+    # same size (one grid row per chunk for 64).
+    pytest.importorskip("numpy")
+    assert (p - 1) % block
+    monkeypatch.setattr(mhs, "_BLOCK", block)
+    for e in (1, 2, 3):
+        t, ref = build(p, e, 0), python_table(p, e)
+        if not isinstance(t._k, mhs._NumpyKernel):
+            continue  # 20011^3 >= 2^40: both tables are the Python kernel's
+        assert t.inv_powers(1) == ref.inv_powers(1)
+        got = t.single_values(NUMPY_SPECS)
+        assert got == ref.single_values(NUMPY_SPECS) and ints(got.values())
+        for method, args in NUMPY_SPECS:
+            assert got[method, args] == getattr(t, f"{method}_all")(*args)[p - 1], (e, args)
+
+
+def test_bigprime_checks_stay_within_a_few_blocks_of_memory():
+    # A unit of the four Bernoulli-free checks at p = 20011 keeps one whole
+    # row, the inverses mod p^e, and otherwise blocks of _BLOCK cells.  With
+    # whole rows for every prefix and factor it peaked at about 11 rows.
+    pytest.importorskip("numpy")
+    p = 20011
+    checks = ("homog-vanishing-modp", "homog-vanishing-modp2", "h5h4-over-j3")
+    unit = (p, (*checks, "cor-sun-modp-even-zero"))
+    congruences._run_unit(unit)  # numpy and the registry load outside the trace
+    tracemalloc.start()
+    try:
+        reports, _ = congruences._run_unit(unit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in reports] == ["pass"] * 4
+    assert peak < 8 * (2 * p + 32 * mhs._BLOCK)
 
 
 # --- in fresh interpreters -----------------------------------------------------

@@ -392,3 +392,48 @@ def test_weighted_sum_single_values_equal_the_rows(p):
         assert wsum3 == cell(exact.weighted_sum3_all(1, 2, 1, 2), 6)
         h = small.to_fraction(small.mhs((2, 1, 1)), 4)
         assert h == cell(exact.mhs_all((2, 1, 1)), 4)
+
+
+# --- block boundaries of the single-value pass ------------------------------
+
+BLOCK_SPECS = (
+    [("mhs", (c,)) for c in compositions_upto(4)]
+    + [("weighted_sum2", tr) for tr in itertools.product((1, 2), repeat=3)]
+    + [("weighted_sum3", q) for q in ((1, 1, 1, 1), (2, 1, 2, 1), (1, 3, 1, 2))]
+)
+
+
+def assert_single_values_are_the_last_cells(t, specs=BLOCK_SPECS):
+    """Every single value of one pass equals the cell at n of its row."""
+    got = t.single_values(specs)
+    assert list(got) == list(specs)
+    for method, args in specs:
+        row = getattr(t, f"{method}_all")(*args)
+        assert got[method, args] == row[t.n], (t.n, t.modulus, method, args)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_single_values_across_block_boundaries(monkeypatch, block):
+    # With blocks this small every prime below 200 and every n up to 40
+    # splits into several blocks (or one cell each), so each carry crosses
+    # many boundaries, several of them inside a composition's chain.
+    monkeypatch.setattr(mhs, "_BLOCK", block)
+    for p in PRIMES_BELOW_200:
+        for e in (1, 2, 3):
+            assert_single_values_are_the_last_cells(PrefixTable.for_prime(p, e))
+    for n in range(41):
+        assert_single_values_are_the_last_cells(PrefixTable.for_exact(n))
+
+
+def test_single_values_take_duplicates_and_refuse_unknown_specs():
+    t = PrefixTable.for_prime(31, 2)
+    specs = [("weighted_sum2", (1, 1, 1)), ("mhs", ((),)), ("weighted_sum2", (1, 1, 1))]
+    assert t.single_values(specs) == {specs[0]: t.weighted_sum2(1, 1, 1), specs[1]: 1}
+    assert t.single_values([]) == {}
+    for bad in (("mhs_all", ((1,),)), ("weighted_sum2", (1, 1)), ("weighted_sum3", (1, 1, 1))):
+        with pytest.raises(ValueError, match="unknown single value"):
+            t.single_values([bad])
+    with pytest.raises(ValueError, match="exponent must be >= 1, got 0"):
+        t.weighted_sum2(1, 0, 1)
+    with pytest.raises(ValueError):
+        t.mhs((1, 0))
