@@ -46,7 +46,6 @@ from .exactnum import (
 from .identities import (
     IdentityInstance,
     SuiteReport,
-    eval_formal_sum,
     probe_thm31_random,
     run_thm21_suite,
     run_thm31_suite,
@@ -54,6 +53,7 @@ from .identities import (
 from .mhs import (
     EXACT_N_CAP,
     PrefixTable,
+    eval_formal_sum,
     mhs_exact,
     mhs_mod,
     weighted_sum2,
@@ -99,12 +99,12 @@ __all__ = [
     "rational_to_residue",
     "IdentityInstance",
     "SuiteReport",
-    "eval_formal_sum",
     "probe_thm31_random",
     "run_thm21_suite",
     "run_thm31_suite",
     "EXACT_N_CAP",
     "PrefixTable",
+    "eval_formal_sum",
     "mhs_exact",
     "mhs_mod",
     "weighted_sum2",

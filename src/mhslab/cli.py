@@ -69,9 +69,15 @@ def parse_primes(spec: str) -> list[int]:
     return sorted(set(primes))
 
 
+def _given(args: argparse.Namespace, *dests: str) -> dict:
+    """The named options the user gave, as keyword arguments, so that each
+    one left out takes the library function's own default."""
+    return {d: getattr(args, d) for d in dests if getattr(args, d) is not None}
+
+
 def _reject_ignored(args: argparse.Namespace, why: str, *dests: str) -> None:
     """Exit 2 naming each given option that the chosen mode would ignore."""
-    given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
+    given = [f"--{d.replace('_', '-')}" for d in _given(args, *dests)]
     if given:
         args.parser.error(f"{', '.join(given)}: no effect {why}")
 
@@ -174,22 +180,17 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     reports = []
     try:
         if args.thm == "2.1":
-            smax = args.smax if args.smax is not None else 4
-            nmax = args.nmax if args.nmax is not None else 40
-            reports.append(run_thm21_suite(smax=smax, nmax=nmax))
+            reports.append(run_thm21_suite(**_given(args, "smax", "nmax")))
         else:
+            # The probes share the grid's smax; their own library default is 4.
             smax = args.smax if args.smax is not None else 3
+            grid = {}
             if args.at_primes:
-                nvalues = tuple(p - 1 for p in parse_primes(args.at_primes))
-            else:
-                nvalues = (4, 6, 10, 12)
-            reports.append(run_thm31_suite(smax=smax, nvalues=nvalues))
+                grid["nvalues"] = tuple(p - 1 for p in parse_primes(args.at_primes))
+            reports.append(run_thm31_suite(smax=smax, **grid))
             if args.probes:
-                nmax = args.nmax if args.nmax is not None else 40
-                seed = args.seed if args.seed is not None else 1729
-                reports.append(
-                    probe_thm31_random(args.probes, smax=smax, nmax=nmax, seed=seed)
-                )
+                probe = _given(args, "nmax", "seed")
+                reports.append(probe_thm31_random(args.probes, smax=smax, **probe))
     except ValueError as exc:
         args.parser.error(str(exc))
     total_failures = 0

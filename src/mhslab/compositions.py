@@ -25,6 +25,8 @@ class Composition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
+        if type(parts) is cls:
+            return parts  # already checked, and immutable
         parts = tuple(parts)
         for x in parts:
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:

@@ -6,10 +6,11 @@ is taken.  The two three-factor-free forms (form1 with the product term,
 form2 fully expanded through the quasi-shuffle) and the four-exponent
 relation are each verified by a grid suite.  Every suite builds one
 exact PrefixTable for its largest upper index, refused above EXACT_N_CAP
-before any row is built, and reuses whole prefix rows across its grid.
-Every term of an identity has the same weight, so both sides are compared
-as raw-int numerators over one denominator; only reported instances carry
-Fractions.
+before any row is built.  The table caches only its inverse-power and
+harmonic-prefix rows; the mhs_all and weighted-sum rows are built anew
+for each exponent tuple, once for both forms of Theorem 2.1.  Every term
+of an identity has the same weight, so both sides are compared as raw-int
+numerators over one denominator; only reported instances carry Fractions.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .compositions import FormalSum
 from .exactnum import is_prime
-from .mhs import PrefixTable, _value
+from .mhs import PrefixTable, eval_formal_sum
 
 __all__ = [
     "IdentityInstance",
@@ -57,40 +57,37 @@ class SuiteReport:
         return not self.failures
 
 
-def _instance(
-    identity: str, exps: tuple[int, ...], n: int, t: PrefixTable, lhs: int, rhs: int
-) -> IdentityInstance:
-    """Both sides as Fractions, from numerators over t.scale**sum(exps)."""
-    w = sum(exps)
-    return IdentityInstance(identity, exps, n, t.to_fraction(lhs, w), t.to_fraction(rhs, w))
+def _compare(t: PrefixTable, exps: tuple, lhs: list, sides: dict, ns: Sequence, out: list) -> int:
+    """Compare the lhs row with each named right-side row at every n in ns,
+    appending to out, in (identity, n) order, an IdentityInstance with both
+    sides as Fractions wherever they differ.  Rows are numerators over
+    t.scale**sum(exps).  Returns the number of points compared."""
+    w, frac = sum(exps), t.to_fraction
+    for identity, rhs in sides.items():
+        for n in ns:
+            if lhs[n] != rhs[n]:
+                out.append(IdentityInstance(identity, exps, n, frac(lhs[n], w), frac(rhs[n], w)))
+    return len(sides) * len(ns)
 
 
-def _thm21_rows(t: PrefixTable, s1: int, s2: int, s3: int, form: int) -> tuple[list, list]:
-    """(lhs, rhs) rows over every upper index 0..t.n for one exponent triple,
-    as numerators over t.scale**(s1+s2+s3).  The left side is
-    sum_j H^(s1)H^(s3)/j^(s2); form 1's right side is -H(s1,s2,s3) +
-    H(s3,s1+s2) + H(s1+s2+s3) + H(s3)H(s1,s2), and form 2's is the six-term
-    expansion H(s1,s3,s2) + H(s3,s1,s2) + H(s3,s1+s2) + H(s1+s3,s2) +
-    H(s1,s2+s3) + H(s1+s2+s3)."""
+def _thm21_rows(t: PrefixTable, s1: int, s2: int, s3: int) -> tuple[list, dict]:
+    """The left row and both forms' right rows over every upper index
+    0..t.n for one exponent triple, as numerators over
+    t.scale**(s1+s2+s3).  The left side is sum_j H^(s1)H^(s3)/j^(s2);
+    form 1's right side is -H(s1,s2,s3) + H(s3,s1+s2) + H(s1+s2+s3) +
+    H(s3)H(s1,s2), and form 2's is the six-term expansion H(s1,s3,s2) +
+    H(s3,s1,s2) + H(s3,s1+s2) + H(s1+s3,s2) + H(s1,s2+s3) + H(s1+s2+s3).
+    The two terms the forms share are built once."""
     lhs = t.weighted_sum2_all(s1, s2, s3)
-    if form == 1:
-        a = t.mhs_all((s1, s2, s3))
-        b = t.mhs_all((s3, s1 + s2))
-        c = t.harmonic_prefix(s1 + s2 + s3)
-        d = t.harmonic_prefix(s3)
-        e = t.mhs_all((s1, s2))
-        rhs = [-a[j] + b[j] + c[j] + d[j] * e[j] for j in range(t.n + 1)]
-    else:
-        rows = [
-            t.mhs_all((s1, s3, s2)),
-            t.mhs_all((s3, s1, s2)),
-            t.mhs_all((s3, s1 + s2)),
-            t.mhs_all((s1 + s3, s2)),
-            t.mhs_all((s1, s2 + s3)),
-            t.harmonic_prefix(s1 + s2 + s3),
-        ]
-        rhs = [sum(r[j] for r in rows) for j in range(t.n + 1)]
-    return lhs, rhs
+    b, c = t.mhs_all((s3, s1 + s2)), t.harmonic_prefix(s1 + s2 + s3)
+    a, d, e = t.mhs_all((s1, s2, s3)), t.harmonic_prefix(s3), t.mhs_all((s1, s2))
+    rest = [t.mhs_all(u) for u in ((s1, s3, s2), (s3, s1, s2), (s1 + s3, s2), (s1, s2 + s3))]
+    cells = range(t.n + 1)
+    shared = [b[j] + c[j] for j in cells]
+    return lhs, {
+        "thm21-form1": [shared[j] - a[j] + d[j] * e[j] for j in cells],
+        "thm21-form2": [shared[j] + sum(r[j] for r in rest) for j in cells],
+    }
 
 
 def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int) -> tuple[list, list]:
@@ -114,23 +111,6 @@ def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int) -> tuple[lis
     return lhs, rhs
 
 
-def eval_formal_sum(F: FormalSum, n: int | None = None, *, p: int | None = None, e: int = 1):
-    """Evaluate sum coeff * H(c; n) over the terms of F.
-
-    Exact mode (give n) returns a Fraction; mod mode (give p, e) evaluates
-    at n = p-1 and returns a Residue.  All terms share one mhs_many pass.
-    """
-    # Bring every term to the largest weight's denominator (mod mode has
-    # scale 1, so there the factor is 1).
-    top = max((comp.weight for comp, _ in F), default=0)
-
-    def evaluate(t: PrefixTable) -> int:
-        sums = t.mhs_many(comp for comp, _ in F)
-        return sum(c * sums[comp] * t.scale ** (top - comp.weight) for comp, c in F)
-
-    return _value(evaluate, top, n, p, e)
-
-
 def run_thm21_suite(smax: int = 4, nmax: int = 40) -> SuiteReport:
     """Verify both expanded forms on the whole grid [1,smax]^3 x [0,nmax]."""
     if smax < 1 or nmax < 0:
@@ -138,15 +118,8 @@ def run_thm21_suite(smax: int = 4, nmax: int = 40) -> SuiteReport:
     t = PrefixTable.for_exact(nmax)
     failures: list[IdentityInstance] = []
     points = 0
-    for s1, s2, s3 in product(range(1, smax + 1), repeat=3):
-        for form in (1, 2):
-            lhs, rhs = _thm21_rows(t, s1, s2, s3, form)
-            for n in range(nmax + 1):
-                points += 1
-                if lhs[n] != rhs[n]:
-                    failures.append(
-                        _instance(f"thm21-form{form}", (s1, s2, s3), n, t, lhs[n], rhs[n])
-                    )
+    for s in product(range(1, smax + 1), repeat=3):
+        points += _compare(t, s, *_thm21_rows(t, *s), range(nmax + 1), failures)
     return SuiteReport("thm21", points, tuple(failures))
 
 
@@ -159,10 +132,7 @@ def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> S
     points = 0
     for s in product(range(1, smax + 1), repeat=4):
         lhs, rhs = _thm31_rows(t, *s)
-        for n in nvalues:
-            points += 1
-            if lhs[n] != rhs[n]:
-                failures.append(_instance("thm31", s, n, t, lhs[n], rhs[n]))
+        points += _compare(t, s, lhs, {"thm31": rhs}, nvalues, failures)
     return SuiteReport("thm31", points, tuple(failures))
 
 
@@ -183,6 +153,5 @@ def probe_thm31_random(
         s = tuple(rng.randint(1, smax) for _ in range(4))
         n = rng.choice(composite_n)
         lhs, rhs = _thm31_rows(t, *s)
-        if lhs[n] != rhs[n]:
-            failures.append(_instance("thm31-general-n", s, n, t, lhs[n], rhs[n]))
+        _compare(t, s, lhs, {"thm31-general-n": rhs}, (n,), failures)
     return SuiteReport("thm31-general-n", count, tuple(failures))

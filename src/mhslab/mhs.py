@@ -51,7 +51,8 @@ own: a cached row is copied, never lent.
 
 The table methods return raw ints and are what a caller shares to evaluate
 many sums at one upper index or prime.  The functions mhs_exact, mhs_mod,
-weighted_sum2 and weighted_sum3 build a table for one value and hand it
+weighted_sum2, weighted_sum3 and eval_formal_sum (every term of a
+FormalSum in one mhs_many pass) build a table for one value and hand it
 across the boundary as a Fraction (exact mode) or a Residue (mod mode),
 the only Residue this module builds.  Which rings Z/p^e a table accepts
 is exactnum's rule (check_ring, check_o_of_p).
@@ -66,12 +67,13 @@ from itertools import accumulate, count, repeat
 from operator import methodcaller, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .compositions import Composition
+from .compositions import Composition, FormalSum
 from .exactnum import Residue, check_o_of_p, check_ring
 
 __all__ = [
     "EXACT_N_CAP",
     "PrefixTable",
+    "eval_formal_sum",
     "mhs_exact",
     "mhs_mod",
     "weighted_sum2",
@@ -591,6 +593,23 @@ def _value(
         t = PrefixTable.for_exact(n)
         return t.to_fraction(evaluate(t), weight)
     return Residue(evaluate(PrefixTable.for_prime(p, e)), p, e)
+
+
+def eval_formal_sum(F: FormalSum, n: int | None = None, *, p: int | None = None, e: int = 1):
+    """Evaluate sum coeff * H(c; n) over the terms of F.
+
+    Exact mode (give n) returns a Fraction; mod mode (give p, e) evaluates
+    at n = p-1 and returns a Residue.  All terms share one mhs_many pass.
+    """
+    # Bring every term to the largest weight's denominator (mod mode has
+    # scale 1, so there the factor is 1).
+    top = max((comp.weight for comp, _ in F), default=0)
+
+    def evaluate(t: PrefixTable) -> int:
+        sums = t.mhs_many(comp for comp, _ in F)
+        return sum(c * sums[comp] * t.scale ** (top - comp.weight) for comp, c in F)
+
+    return _value(evaluate, top, n, p, e)
 
 
 def mhs_exact(parts: Iterable[int], n: int) -> Fraction:

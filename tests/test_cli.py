@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, output text, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import mhslab.cli as cli
 from mhslab.bernoulli import DEFAULT_CAP, BernoulliCache, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
 from mhslab.exactnum import MAX_PRIME
+from mhslab.identities import probe_thm31_random, run_thm31_suite
 from mhslab.mhs import mhs_exact
 
 
@@ -336,13 +338,25 @@ def test_identity_probe_seed_defaults_to_1729(monkeypatch, capsys):
     probe = cli.probe_thm31_random
 
     def spy(count, **kwargs):
-        seeds.append(kwargs["seed"])
+        seeds.append(kwargs.get("seed"))
         return probe(count, **kwargs)
 
     monkeypatch.setattr(cli, "probe_thm31_random", spy)
     base = ["identity", "--thm", "3.1", "--smax", "1", "--probes", "2"]
     assert run_cli(base, capsys)[0] == run_cli([*base, "--seed", "5"], capsys)[0] == 0
-    assert seeds == [1729, 5]
+    # Without --seed the CLI passes none, so the library default applies.
+    assert seeds == [None, 5]
+    assert inspect.signature(probe).parameters["seed"].default == 1729
+
+
+def test_identity_defaults_are_the_librarys(capsys):
+    # Only --smax has a CLI default for 3.1 (3, which the probes share).
+    reports = [run_thm31_suite(), probe_thm31_random(3, smax=3)]
+    code, out = run_cli(["identity", "--thm", "3.1", "--probes", "3"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        f"{r.identity}: {r.points} instances, {len(r.failures)} failures" for r in reports
+    ]
 
 
 def test_identity_bad_smax(capsys):

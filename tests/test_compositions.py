@@ -32,6 +32,13 @@ def test_composition_rejects_bad_parts(parts):
         Composition(parts)
 
 
+def test_composition_of_a_composition_is_itself():
+    # Its parts were checked when c was built; test_composition_rejects_bad_parts
+    # keeps checking everything else.
+    c = Composition((2, 3, 1))
+    assert Composition(c) is c
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [

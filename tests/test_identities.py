@@ -1,5 +1,6 @@
 """Polynomial identity suites for the two- and three-factor weighted sums."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,20 @@ def test_probe_is_deterministic():
     assert a.identity == "thm31-general-n"
     assert a.points == b.points == 10
     assert a.ok and b.ok
+
+
+def test_thm21_builds_each_row_once(monkeypatch):
+    # Per triple: one left row, and seven H rows, as the forms share H(s3, s1+s2).
+    calls = Counter()
+    for method in ("weighted_sum2_all", "mhs_all"):
+
+        def spy(self, *args, _original=getattr(PrefixTable, method), _method=method):
+            calls[_method] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(PrefixTable, method, spy)
+    assert run_thm21_suite(4, 10).ok
+    assert calls == {"weighted_sum2_all": 4**3, "mhs_all": 7 * 4**3}
 
 
 def test_eval_formal_sum_exact_and_mod():
