@@ -2,6 +2,9 @@
 
 Exit codes: 0 when everything evaluated/passed, 1 when a scan or identity
 suite reported failures (or a fit came back unstable), 2 for usage errors.
+A usage error is one line on stderr, never a traceback.  argparse reports
+its own; main is the one place where a library ValueError or
+ArithmeticError, the library's way of refusing an input, becomes one.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from .compositions import parse_composition, stuffle
 from .congruences import (
     STATUS_FAIL,
     STATUS_PASS,
-    InsufficientPrimes,
     fit_coefficient,
     fit_families,
     reports_to_csv,
@@ -83,33 +85,22 @@ def _reject_ignored(args: argparse.Namespace, why: str, *dests: str) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    chosen = [
-        (kind, text)
-        for kind, text in (("mhs", args.mhs), ("wsum2", args.wsum2), ("wsum3", args.wsum3))
-        if text is not None
-    ]
-    if len(chosen) != 1:
-        args.parser.error("give exactly one of --mhs, --wsum2, --wsum3")
-    if (args.n is None) == (args.prime is None):
-        args.parser.error("give exactly one of --n or --prime")
     if args.prime is None:
         _reject_ignored(args, "without --prime", "e")
     n, p, e = args.n, args.prime, args.e or 1
-    kind, text = chosen[0]
-    try:
-        parts = parse_composition(text)
-        if kind == "mhs":
-            out = mhs_mod(parts, p, e) if n is None else mhs_exact(parts, n)
-        elif kind == "wsum2":
-            if len(parts) != 3:
-                raise ValueError("--wsum2 needs exactly three exponents")
-            out = weighted_sum2(*parts, n, p=p, e=e)
-        else:
-            if len(parts) != 4:
-                raise ValueError("--wsum3 needs exactly four exponents")
-            out = weighted_sum3(*parts, n, p=p, e=e)
-    except (ValueError, ArithmeticError) as exc:
-        args.parser.error(str(exc))
+    if args.mhs is not None:
+        parts = parse_composition(args.mhs)
+        out = mhs_mod(parts, p, e) if n is None else mhs_exact(parts, n)
+    elif args.wsum2 is not None:
+        parts = parse_composition(args.wsum2)
+        if len(parts) != 3:
+            raise ValueError("--wsum2 needs exactly three exponents")
+        out = weighted_sum2(*parts, n, p=p, e=e)
+    else:
+        parts = parse_composition(args.wsum3)
+        if len(parts) != 4:
+            raise ValueError("--wsum3 needs exactly four exponents")
+        out = weighted_sum3(*parts, n, p=p, e=e)
     _print_unlimited(out)
     return 0
 
@@ -131,12 +122,7 @@ def _print_unlimited(value) -> None:
 
 
 def _cmd_stuffle(args: argparse.Namespace) -> int:
-    try:
-        a = parse_composition(args.a)
-        b = parse_composition(args.b)
-    except ValueError as exc:
-        args.parser.error(str(exc))
-    print(stuffle(a, b))
+    print(stuffle(parse_composition(args.a), parse_composition(args.b)))
     return 0
 
 
@@ -158,17 +144,14 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     if args.prime is None:
         _reject_ignored(args, "without --prime", "e")
     n, p, e = args.n, args.prime, args.e or 1
-    try:
-        if p is None:
-            print(bernoulli_exact(n))
-        elif not _exact_bernoulli_is_cheaper(n, p, e):
-            print(bernoulli_mod(n, p, e))
-        else:
-            check_ring(p, e)
-            check_pole(n, p)
-            print(rational_to_residue(bernoulli_exact(n), p, e))
-    except (ValueError, ArithmeticError) as exc:
-        args.parser.error(str(exc))
+    if p is None:
+        print(bernoulli_exact(n))
+    elif not _exact_bernoulli_is_cheaper(n, p, e):
+        print(bernoulli_mod(n, p, e))
+    else:
+        check_ring(p, e)
+        check_pole(n, p)
+        print(rational_to_residue(bernoulli_exact(n), p, e))
     return 0
 
 
@@ -177,22 +160,18 @@ def _cmd_identity(args: argparse.Namespace) -> int:
         _reject_ignored(args, "with --thm 2.1", "at_primes", "probes", "seed")
     elif not args.probes:
         _reject_ignored(args, "without --probes", "nmax", "seed")
-    reports = []
-    try:
-        if args.thm == "2.1":
-            reports.append(run_thm21_suite(**_given(args, "smax", "nmax")))
-        else:
-            # The probes share the grid's smax; their own library default is 4.
-            smax = args.smax if args.smax is not None else 3
-            grid = {}
-            if args.at_primes:
-                grid["nvalues"] = tuple(p - 1 for p in parse_primes(args.at_primes))
-            reports.append(run_thm31_suite(smax=smax, **grid))
-            if args.probes:
-                probe = _given(args, "nmax", "seed")
-                reports.append(probe_thm31_random(args.probes, smax=smax, **probe))
-    except ValueError as exc:
-        args.parser.error(str(exc))
+    if args.thm == "2.1":
+        reports = [run_thm21_suite(**_given(args, "smax", "nmax"))]
+    else:
+        # The probes share the grid's smax; their own library default is 4.
+        smax = args.smax if args.smax is not None else 3
+        grid = {}
+        if args.at_primes:
+            grid["nvalues"] = tuple(p - 1 for p in parse_primes(args.at_primes))
+        reports = [run_thm31_suite(smax=smax, **grid)]
+        if args.probes:
+            probe = _given(args, "nmax", "seed")
+            reports.append(probe_thm31_random(args.probes, smax=smax, **probe))
     total_failures = 0
     for rep in reports:
         total_failures += len(rep.failures)
@@ -206,11 +185,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    try:
-        primes = parse_primes(args.primes)
-        reports = run_scan(args.check, primes, jobs=args.jobs)
-    except ValueError as exc:
-        args.parser.error(str(exc))
+    reports = run_scan(args.check, parse_primes(args.primes), jobs=args.jobs)
     if args.format == "csv":
         sys.stdout.write(reports_to_csv(reports))
     elif args.format == "json":
@@ -237,14 +212,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     families = fit_families()
     fam = families.get(args.family)
     if fam is None:
-        args.parser.error(
-            f"unknown family {args.family!r}; known: {', '.join(sorted(families))}"
-        )
-    try:
-        primes = parse_primes(args.primes)
-        result = fit_coefficient(fam.lhs, fam.w, primes, t=fam.t, e=fam.e)
-    except (InsufficientPrimes, ValueError) as exc:
-        args.parser.error(str(exc))
+        raise ValueError(f"unknown family {args.family!r}; known: {', '.join(sorted(families))}")
+    result = fit_coefficient(fam.lhs, fam.w, parse_primes(args.primes), t=fam.t, e=fam.e)
     if result.coefficient is None:
         print("unstable")
         return 1
@@ -263,17 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     ev = sub.add_parser("eval", help="evaluate a sum exactly or in Z/p^e")
-    ev.add_argument("--mhs", metavar="PARTS", help='composition, e.g. "(1,2)"')
-    ev.add_argument(
-        "--wsum2", metavar="S1,S2,S3", help="sum of H^(s1) H^(s3) / j^s2"
-    )
-    ev.add_argument(
+    kind = ev.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--mhs", metavar="PARTS", help='composition, e.g. "(1,2)"')
+    kind.add_argument("--wsum2", metavar="S1,S2,S3", help="sum of H^(s1) H^(s3) / j^s2")
+    kind.add_argument(
         "--wsum3", metavar="S1,S2,S3,S4", help="sum of H^(s1) H^(s3) H^(s4) / j^s2"
     )
-    ev.add_argument("--n", type=int, help="upper limit; exact rational output")
-    ev.add_argument(
-        "--prime", type=int, help="odd prime; evaluates at n = p-1 in Z/p^e"
-    )
+    at = ev.add_mutually_exclusive_group(required=True)
+    at.add_argument("--n", type=int, help="upper limit; exact rational output")
+    at.add_argument("--prime", type=int, help="odd prime; evaluates at n = p-1 in Z/p^e")
     ev.add_argument("--e", type=int, choices=EXPONENTS, help="with --prime; default 1")
     ev.set_defaults(func=_cmd_eval, parser=ev)
 
@@ -317,9 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError) as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

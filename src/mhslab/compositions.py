@@ -11,8 +11,15 @@ __all__ = [
     "Composition",
     "parse_composition",
     "FormalSum",
+    "STUFFLE_MAX_PARTS",
     "stuffle",
 ]
+
+# Most parts, len(a) + len(b), that stuffle accepts.  The recursion goes
+# one call deeper per part and two frames per call, so the interpreter's
+# default limit of 1000 frames is reached near 500 parts; 200 leaves room
+# for a caller's own stack, such as a test runner's.
+STUFFLE_MAX_PARTS = 200
 
 
 class Composition(tuple):
@@ -182,7 +189,13 @@ def stuffle(a: Iterable[int], b: Iterable[int]) -> FormalSum:
         a * b = (a * b')y + (a' * b)x + (a' * b')(x+y).
 
     The product is the multiplication rule for nested harmonic sums taken
-    at a common upper limit.
+    at a common upper limit.  Refuses more than STUFFLE_MAX_PARTS parts
+    in all.
     """
-    raw = _stuffle_tuples(tuple(Composition(a)), tuple(Composition(b)))
+    a, b = tuple(Composition(a)), tuple(Composition(b))
+    if len(a) + len(b) > STUFFLE_MAX_PARTS:
+        raise ValueError(
+            f"stuffle of {len(a)} + {len(b)} parts exceeds the limit of {STUFFLE_MAX_PARTS} parts"
+        )
+    raw = _stuffle_tuples(a, b)
     return FormalSum((Composition(comp), c) for comp, c in raw)

@@ -8,9 +8,11 @@ relation are each verified by a grid suite.  Every suite builds one
 exact PrefixTable for its largest upper index, refused above EXACT_N_CAP
 before any row is built.  The table caches only its inverse-power and
 harmonic-prefix rows; the mhs_all and weighted-sum rows are built anew
-for each exponent tuple, once for both forms of Theorem 2.1.  Every term
-of an identity has the same weight, so both sides are compared as raw-int
-numerators over one denominator; only reported instances carry Fractions.
+for each exponent tuple, once for both forms of Theorem 2.1, and the
+Theorem 3.1 grid builds each two-factor weighted-sum row once for all
+the s4 that share its (s1, s2, s3).  Every term of an identity has the
+same weight, so both sides are compared as raw-int numerators over one
+denominator; only reported instances carry Fractions.
 """
 
 from __future__ import annotations
@@ -90,10 +92,11 @@ def _thm21_rows(t: PrefixTable, s1: int, s2: int, s3: int) -> tuple[list, dict]:
     }
 
 
-def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int) -> tuple[list, list]:
+def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int, w2: list) -> tuple[list, list]:
     """As _thm21_rows, over t.scale**(s1+s2+s3+s4): the left side is
     -sum_j H^(s1)H^(s3)H^(s4)/j^(s2), the right the six length-four sums
-    minus H^(s4) times the two-factor weighted sum."""
+    minus H^(s4) times the two-factor weighted sum, whose row
+    t.weighted_sum2_all(s1, s2, s3) the caller passes as w2."""
     lhs = [-v for v in t.weighted_sum3_all(s1, s2, s3, s4)]
     rows = [
         t.mhs_all((s1, s3, s2, s4)),
@@ -104,7 +107,6 @@ def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int) -> tuple[lis
         t.mhs_all((s1 + s2 + s3, s4)),
     ]
     h4 = t.harmonic_prefix(s4)
-    w2 = t.weighted_sum2_all(s1, s2, s3)
     # The product term carries a minus sign; summing the six nested sums
     # alone overshoots by exactly H^(s4)_n times the two-factor sum.
     rhs = [sum(r[j] for r in rows) - h4[j] * w2[j] for j in range(t.n + 1)]
@@ -130,9 +132,15 @@ def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> S
     t = PrefixTable.for_exact(max(nvalues))
     failures: list[IdentityInstance] = []
     points = 0
-    for s in product(range(1, smax + 1), repeat=4):
-        lhs, rhs = _thm31_rows(t, *s)
-        points += _compare(t, s, lhs, {"thm31": rhs}, nvalues, failures)
+    exps = range(1, smax + 1)
+    # The grid in product(exps, repeat=4) order, s4 fastest: the s4 that
+    # share an (s1, s2, s3) share its two-factor row.
+    for s123 in product(exps, repeat=3):
+        w2 = t.weighted_sum2_all(*s123)
+        for s4 in exps:
+            s = (*s123, s4)
+            lhs, rhs = _thm31_rows(t, *s, w2)
+            points += _compare(t, s, lhs, {"thm31": rhs}, nvalues, failures)
     return SuiteReport("thm31", points, tuple(failures))
 
 
@@ -152,6 +160,6 @@ def probe_thm31_random(
     for _ in range(count):
         s = tuple(rng.randint(1, smax) for _ in range(4))
         n = rng.choice(composite_n)
-        lhs, rhs = _thm31_rows(t, *s)
+        lhs, rhs = _thm31_rows(t, *s, t.weighted_sum2_all(*s[:3]))
         _compare(t, s, lhs, {"thm31-general-n": rhs}, (n,), failures)
     return SuiteReport("thm31-general-n", count, tuple(failures))

@@ -71,6 +71,7 @@ from .compositions import Composition, FormalSum
 from .exactnum import Residue, check_o_of_p, check_ring
 
 __all__ = [
+    "EXACT_BITS_CAP",
     "EXACT_N_CAP",
     "PrefixTable",
     "eval_formal_sum",
@@ -82,6 +83,14 @@ __all__ = [
 
 # Exact-mode upper-index cap: rational bit-length grows superlinearly in n.
 EXACT_N_CAP = 10_000
+
+# Exact-mode cap on the bits of the denominator scale**w of a weight-w
+# row or value, counted as w times the bit length of scale = lcm(1..n):
+# without it nothing bounds the weight, and H((1000000,); 3), at
+# 3,000,000 bits, took 37 s.  The largest values in use stay below it:
+# weight 6 at n = EXACT_N_CAP (a 14,447-bit scale) needs 86,682 bits, and
+# H((10000,); 3) 30,000.
+EXACT_BITS_CAP = 100_000
 
 # Smallest upper index n = p-1 at which a mod-mode table takes the numpy
 # kernel.  Importing numpy costs about 0.14 s and 13 MiB of RSS once per
@@ -366,6 +375,8 @@ class PrefixTable:
 
     Exact mode refuses n above EXACT_N_CAP, and mod mode what check_ring
     or check_o_of_p refuses, before any kernel is chosen or row built.
+    Exact mode also refuses any row or value of a weight whose denominator
+    would pass EXACT_BITS_CAP bits, before it takes a power (_check_weight).
     """
 
     __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_k", "_ipow", "_hpref")
@@ -402,7 +413,17 @@ class PrefixTable:
 
     def to_fraction(self, num: int, w: int) -> Fraction:
         """The exact value of one weight-w cell: num / scale**w."""
+        self._check_weight(w)
         return Fraction(num, self.scale**w)
+
+    def _check_weight(self, w: int) -> None:
+        """Refuse weight w if scale**w could pass EXACT_BITS_CAP bits.  A
+        scale of 1 (mod mode, or exact n <= 1) never does."""
+        if self.scale > 1 and w * self.scale.bit_length() > EXACT_BITS_CAP:
+            raise ValueError(
+                f"exact weight {w} at upper index {self.n} needs a denominator of up to"
+                f" {w * self.scale.bit_length()} bits, which exceeds cap {EXACT_BITS_CAP}"
+            )
 
     # -- cached rows in the kernel's own form --------------------------------
 
@@ -423,6 +444,7 @@ class PrefixTable:
 
     def _wsum_row(self, s2: int, factors: tuple[int, ...]) -> list[int]:
         """The row m -> sum_{j<=m} j^(-s2) prod_s H_j^(s) over the factors."""
+        self._check_weight(s2 + sum(factors))
         terms = self._row(self._ipow, self.inv_powers, s2)[1:]
         for s in factors:
             terms = self._k.times(terms, self._row(self._hpref, self.harmonic_prefix, s)[1:])
@@ -435,6 +457,7 @@ class PrefixTable:
         list (_raw, for the table's own use: the cached kernel row)."""
         if s < 1:
             raise ValueError(f"exponent must be >= 1, got {s}")
+        self._check_weight(s)
         row = self._ipow.get(s)
         if row is None:
             if self.modulus is None:
@@ -450,6 +473,7 @@ class PrefixTable:
     def harmonic_prefix(self, s: int, *, _raw: bool = False) -> list[int]:
         """The row j -> H_j^(s), j = 0..n, as a fresh list (_raw: as for
         inv_powers)."""
+        self._check_weight(s)
         row = self._hpref.get(s)
         if row is None:
             row = self._hpref[s] = self._extend(None, s)
@@ -457,8 +481,10 @@ class PrefixTable:
 
     def mhs_all(self, parts: Iterable[int]) -> list[int]:
         """H(parts; m) for every m = 0..n, by the recurrence."""
+        parts = Composition(parts)
+        self._check_weight(parts.weight)
         row = None
-        for s in Composition(parts):
+        for s in parts:
             row = self._extend(row, s)
         return [1] * (self.n + 1) if row is None else self._k.tolist(row)
 
@@ -510,14 +536,17 @@ class PrefixTable:
             method, args = spec
             if method == "mhs":
                 (parts,) = args
+                parts = Composition(parts)
+                self._check_weight(parts.weight)
                 node = root
-                for s in Composition(parts):
+                for s in parts:
                     node = node.child(s)
                     exponents.add(s)
                 nodes[spec] = node
             elif len(args) == _WSUM_ARITY.get(method):
                 if min(args) < 1:
                     raise ValueError(f"exponent must be >= 1, got {min(args)}")
+                self._check_weight(sum(args))
                 s1, s2, *rest = args
                 for s in (s1, *rest):
                     root.child(s).factor = True

@@ -13,9 +13,10 @@ import mhslab
 import mhslab.cli as cli
 from mhslab.bernoulli import DEFAULT_CAP, BernoulliCache, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
+from mhslab.compositions import STUFFLE_MAX_PARTS
 from mhslab.exactnum import MAX_PRIME
 from mhslab.identities import probe_thm31_random, run_thm31_suite
-from mhslab.mhs import mhs_exact
+from mhslab.mhs import EXACT_BITS_CAP, mhs_exact
 
 
 def run_cli(argv, capsys):
@@ -49,6 +50,20 @@ def test_eval_weighted_sums(capsys):
     code, out = run_cli(["eval", "--wsum3", "2,2,2,3", "--n", "5"], capsys)
     assert code == 0
     assert out == "19444115078101727/10077696000000000\n"
+
+
+def test_eval_exact_weight_past_the_bits_cap_is_a_usage_error(capsys):
+    # A 3-bit scale at n = 3: weight 33333 is 99,999 bits, 33334 is past the cap.
+    code, out = run_cli(["eval", "--mhs", str(EXACT_BITS_CAP // 3), "--n", "3"], capsys)
+    assert code == 0 and out.endswith("\n") and "/" in out
+    for argv in (
+        ["eval", "--mhs", str(EXACT_BITS_CAP // 3 + 1), "--n", "3"],
+        ["eval", "--mhs", "10000000", "--n", "3"],
+        ["eval", "--wsum2", "1,10000000,1", "--n", "2"],
+    ):
+        code, err = run_cli_error(argv, capsys)
+        assert code == 2
+        assert err.splitlines()[-1].endswith(f"bits, which exceeds cap {EXACT_BITS_CAP}")
 
 
 @pytest.mark.skipif(
@@ -117,6 +132,23 @@ def test_stuffle_output(capsys):
 def test_stuffle_bad_input(capsys):
     code, _ = run_cli_error(["stuffle", "--a", "0", "--b", "1"], capsys)
     assert code == 2
+
+
+def test_stuffle_part_limit(capsys):
+    ones = ",".join(["1"] * (STUFFLE_MAX_PARTS - 1))
+    code, out = run_cli(["stuffle", "--a", ones, "--b", "1"], capsys)
+    # (1^199) * (1) = 200 (1^200) + the 199 ways to merge the 1 into a 2.
+    assert code == 0
+    assert out.startswith(f"{STUFFLE_MAX_PARTS}*({ones},1) + ")
+    assert out.count(" + ") == STUFFLE_MAX_PARTS - 1
+    for a in (f"{ones},1", ",".join(["1"] * 1200)):
+        code, err = run_cli_error(["stuffle", "--a", a, "--b", "1"], capsys)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            f"mhslab stuffle: error: stuffle of {a.count(',') + 1} + 1 parts"
+            f" exceeds the limit of {STUFFLE_MAX_PARTS} parts"
+        )
+        assert "Traceback" not in err
 
 
 def test_bernoulli_exact(capsys):
@@ -454,6 +486,33 @@ def test_fit_unknown_family_lists_choices(capsys):
 def test_fit_insufficient_primes(capsys):
     code, _ = run_cli_error(["fit", "--family", "sun-s1", "--primes", "5,7"], capsys)
     assert code == 2
+
+
+# --- the usage-error boundary ----------------------------------------------
+
+
+@pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+@pytest.mark.parametrize(
+    "function, argv",
+    [
+        ("mhs_exact", ["eval", "--mhs", "1", "--n", "3"]),
+        ("stuffle", ["stuffle", "--a", "1", "--b", "2"]),
+        ("bernoulli_exact", ["bernoulli", "--n", "4"]),
+        ("run_thm21_suite", ["identity", "--thm", "2.1"]),
+        ("run_scan", ["scan", "--check", "cor-sun-modp", "--primes", "5"]),
+        ("fit_coefficient", ["fit", "--family", "sun-s1", "--primes", "5..50"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_library_errors_are_usage_errors(function, argv, error, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, function, boom)
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == f"mhslab {argv[0]}: error: boom"
+    assert "Traceback" not in err
 
 
 # --- plumbing --------------------------------------------------------------

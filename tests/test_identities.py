@@ -72,18 +72,32 @@ def test_probe_is_deterministic():
     assert a.ok and b.ok
 
 
-def test_thm21_builds_each_row_once(monkeypatch):
-    # Per triple: one left row, and seven H rows, as the forms share H(s3, s1+s2).
+def _count_row_builds(monkeypatch, *methods) -> Counter:
+    """Count the calls of each named PrefixTable row method from now on."""
     calls = Counter()
-    for method in ("weighted_sum2_all", "mhs_all"):
+    for method in methods:
 
         def spy(self, *args, _original=getattr(PrefixTable, method), _method=method):
             calls[_method] += 1
             return _original(self, *args)
 
         monkeypatch.setattr(PrefixTable, method, spy)
+    return calls
+
+
+def test_thm21_builds_each_row_once(monkeypatch):
+    # Per triple: one left row, and seven H rows, as the forms share H(s3, s1+s2).
+    calls = _count_row_builds(monkeypatch, "weighted_sum2_all", "mhs_all")
     assert run_thm21_suite(4, 10).ok
     assert calls == {"weighted_sum2_all": 4**3, "mhs_all": 7 * 4**3}
+
+
+def test_thm31_builds_each_two_factor_row_once(monkeypatch):
+    # One two-factor row per (s1, s2, s3), shared by its three s4; one
+    # three-factor row per point of the grid.
+    calls = _count_row_builds(monkeypatch, "weighted_sum2_all", "weighted_sum3_all")
+    assert run_thm31_suite(3, (4, 6, 10, 12)).ok
+    assert calls == {"weighted_sum2_all": 3**3, "weighted_sum3_all": 3**4}
 
 
 def test_eval_formal_sum_exact_and_mod():

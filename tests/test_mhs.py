@@ -23,6 +23,7 @@ from mhslab.identities import (
     run_thm31_suite,
 )
 from mhslab.mhs import (
+    EXACT_BITS_CAP,
     EXACT_N_CAP,
     PrefixTable,
     mhs_exact,
@@ -277,6 +278,42 @@ def test_exact_cap_enforced(monkeypatch):
         with pytest.raises(ValueError, match="exceeds cap 10000"):
             call()
     assert EXACT_N_CAP >= 10_000
+
+
+def test_exact_bits_cap_enforced(monkeypatch):
+    # At n = 3 (scale 6, a 3-bit scale) weight 33334 passes the cap by two
+    # bits.  Every exact entry point refuses it before it takes a power or
+    # builds a row; the weights at or below the cap are still served.
+    def bomb(*args):
+        raise AssertionError("a power was taken before the cap was checked")
+
+    t = PrefixTable.for_exact(3)
+    w = EXACT_BITS_CAP // 3 + 1
+    monkeypatch.setattr(PrefixTable, "_block_powers", bomb)
+    monkeypatch.setattr(PrefixTable, "_row", bomb)
+    calls = [
+        lambda: mhs_exact((w,), 3),
+        lambda: mhs_exact((1,) * w, 3),
+        lambda: weighted_sum2(1, w - 2, 1, 3),
+        lambda: weighted_sum3(1, w - 3, 1, 1, 3),
+        lambda: eval_formal_sum(stuffle((1,), (w - 1,)), 3),
+        lambda: t.inv_powers(w),
+        lambda: t.harmonic_prefix(w),
+        lambda: t.mhs_all((2, w - 2)),
+        lambda: t.weighted_sum2_all(1, 1, w - 2),
+        lambda: t.weighted_sum3_all(1, 1, 1, w - 3),
+        lambda: t.to_fraction(1, w),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"up to {3 * w} bits, which exceeds cap 100000"):
+            call()
+    monkeypatch.undo()
+    assert mhs_exact((w - 1,), 3) == 1 + Fraction(1, 2 ** (w - 1)) + Fraction(1, 3 ** (w - 1))
+    # Mod mode has scale 1, and so has exact mode at n <= 1.
+    assert mhs_mod((w,), 5) == Residue(sum(pow(j, -w, 5) for j in range(1, 5)), 5, 1)
+    assert mhs_exact((w,), 1) == 1
+    # The largest exact values in use: weight 6 at the upper-index cap.
+    assert 6 * math.lcm(*range(1, EXACT_N_CAP + 1)).bit_length() <= EXACT_BITS_CAP
 
 
 def test_mhs_all_prefix_is_consistent():
