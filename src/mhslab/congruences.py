@@ -20,9 +20,10 @@ sends all its units through one process pool, or runs them in process
 with one worker, and run_check is the one-unit case.  multiprocessing and
 concurrent.futures load with the first pool, so importing the package, a
 serial scan and every other command never pay for them.  At a prime the
-checks share one PrefixTable per exponent e, and every member at that e
-goes through one single-value pass, so a prefix chain, an inverse power
-or a harmonic factor common to several checks is computed once.  Each
+checks share one PrefixTable, mod p^e for their largest e, and every
+member goes through one single-value pass, so a prefix chain, an inverse
+power or a harmonic factor common to several checks is computed once; a
+check at a smaller e reduces its values mod its own p^e.  Each
 prime is checked once, by exactnum's is_odd_prime in run_scan and
 run_check, or by the sieve in run_battery.
 
@@ -250,8 +251,7 @@ class CheckMember:
     family: str | None = None
 
     def lhs(self, table: PrefixTable) -> int:
-        method, args = self.lhs_spec
-        return getattr(table, method)(*args)
+        return table.single_values((self.lhs_spec,))[self.lhs_spec]
 
     def rhs(self, p: int, e: int) -> int:
         return _evaluate(self.rhs_terms, p, e)
@@ -726,20 +726,25 @@ def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, tuple[int, bool]
     the raw left side of each tagged fit-family member that was evaluated
     and whether that member failed, for a refit.
 
-    The checks share one PrefixTable per exponent e, and every member of
-    every check at that e goes through one single_values pass, so a prefix
-    chain, an inverse power or a harmonic factor common to several
-    members is computed once per block.  Members whose smallest admissible
-    prime exceeds p are left out; a check with none left and a Bernoulli
-    pole come back as skipped reports, never exceptions.
+    The checks share one PrefixTable mod p^top, top the largest e among
+    the checks still to evaluate, and every member goes through one
+    single_values pass, so a prefix chain, an inverse power or a harmonic
+    factor common to several members is computed once per block.  A check
+    at e reduces its values mod p^e, which is exact because every j < p is
+    a unit.  The table's kernel serves the whole unit: one that mixes an
+    e = 3 check with others runs them all on the Python kernel above p of
+    about 10,321 (p^3 >= 2^40); no scan forms such a unit yet.  Members
+    whose smallest admissible prime exceeds p are left out; a check with
+    none left and a Bernoulli pole come back as skipped reports, never
+    exceptions.
     """
     p, check_ids = unit
     checks = [get_check(cid) for cid in check_ids]
     reports: list = [None] * len(checks)
     family_lhs: dict[str, tuple[int, bool]] = {}
-    # e -> (position, check, active members, right sides) of the checks
-    # whose left sides are still to be evaluated.
-    pending: dict[int, list] = {}
+    # (position, check, active members, right sides) of the checks whose
+    # left sides are still to be evaluated.
+    pending = []
     for i, chk in enumerate(checks):
         active = [m for m in chk.members if p >= m.min_prime]
         if not active:
@@ -755,27 +760,30 @@ def _run_unit(unit: Unit) -> tuple[list[CheckReport], dict[str, tuple[int, bool]
                 reports[i] = _skip(chk, p, STATUS_SKIP_POLE, note)
                 break
         else:
-            pending.setdefault(chk.e, []).append((i, chk, active, rhs_vals))
-    for e, group in pending.items():
-        values = PrefixTable.for_prime(p, e).single_values(
-            m.lhs_spec for _, _, active, _ in group for m in active
+            pending.append((i, chk, active, rhs_vals))
+    if not pending:
+        return reports, family_lhs
+    top = max(chk.e for _, chk, _, _ in pending)
+    values = PrefixTable.for_prime(p, top).single_values(
+        m.lhs_spec for _, _, active, _ in pending for m in active
+    )
+    for i, chk, active, rhs_vals in pending:
+        ring = p**chk.e
+        lhs_vals = {m.label: values[m.lhs_spec] % ring for m in active}
+        bad = [lab for lab in lhs_vals if lhs_vals[lab] != rhs_vals[lab]]
+        multi = len(chk.members) > 1
+        reports[i] = CheckReport(
+            chk.check_id,
+            p,
+            chk.e,
+            STATUS_FAIL if bad else STATUS_PASS,
+            _render(lhs_vals, multi),
+            _render(rhs_vals, multi),
+            note=("fail: " + "; ".join(bad)) if bad else "",
         )
-        for i, chk, active, rhs_vals in group:
-            lhs_vals = {m.label: values[m.lhs_spec] for m in active}
-            bad = [lab for lab in lhs_vals if lhs_vals[lab] != rhs_vals[lab]]
-            multi = len(chk.members) > 1
-            reports[i] = CheckReport(
-                chk.check_id,
-                p,
-                e,
-                STATUS_FAIL if bad else STATUS_PASS,
-                _render(lhs_vals, multi),
-                _render(rhs_vals, multi),
-                note=("fail: " + "; ".join(bad)) if bad else "",
-            )
-            family_lhs.update(
-                (chk.check_id, (lhs_vals[m.label], m.label in bad)) for m in active if m.family
-            )
+        family_lhs.update(
+            (chk.check_id, (lhs_vals[m.label], m.label in bad)) for m in active if m.family
+        )
     return reports, family_lhs
 
 
@@ -911,7 +919,7 @@ DEFAULT_BATTERY: tuple[tuple[str, int, int], ...] = (
 
 def run_battery(*, jobs: int | None = None) -> list[CheckReport]:
     """Run the default battery; reports sorted by (check_id, p).  The
-    checks share one pool, and at each prime one table per exponent.  The
+    checks share one pool, and at each prime one table.  The
     primes come from the sieve, so none is checked again."""
     from .exactnum import primes_in_range
 

@@ -16,12 +16,13 @@ A PrefixTable answers two kinds of question at its upper index n.
 
 Single values (single_values, and mhs, mhs_many, weighted_sum2 and
 weighted_sum3, which call it) are evaluated together in one pass over j
-in blocks of _BLOCK indices.  Each node of the compositions' prefix
-trie, and each harmonic factor of a weighted sum, keeps only a carry:
-its value at the start of the block.  A block computes each inverse
-power j^(-s) and each H_j^(s) once, for every value that uses it, and
-drops its rows before the next block starts.  A pass thus holds one
-block row per exponent, per harmonic factor and per trie node with
+in blocks of _BLOCK indices.  The prefixes of the compositions and the
+harmonic factors (s,) of the weighted sums form one sorted list of
+tuples, the prefix trie in depth-first order, and each keeps only a
+carry: its value at the start of the block.  A block computes each
+inverse power j^(-s) and each H_j^(s) once, for every value that uses
+it, and drops its rows before the next block starts.  A pass thus holds
+one block row per exponent, per harmonic factor and per prefix with
 children still to be built, plus, in mod mode, the one whole row a
 table keeps for it: the inverses 1/j mod p^e.  Exact mode computes
 (scale // j)^s block by block and keeps no row.
@@ -114,7 +115,7 @@ _NUMPY_MIN_N = 4000
 # peaked at 34.0, 34.2, 35.0 and 37.0 MiB of RSS with blocks of 2^12, 2^13,
 # 2^14 and 2^15 indices (2 CPUs, Python 3.11, numpy 2.4), against 40.2 MiB
 # with whole rows; below 2^13 the saving is small and every block adds
-# Python work per trie node.
+# Python work per prefix.
 _BLOCK = 1 << 13
 
 
@@ -333,27 +334,6 @@ def _kernel(n: int, m: int | None):
 _WSUM_ARITY = {"weighted_sum2": 3, "weighted_sum3": 4}
 
 
-class _Node:
-    """A node of a single-value pass's trie: the composition of its parent
-    extended by s, its carry (its value at the last index done), its
-    children by last part, and whether a weighted sum reads its rows as
-    the harmonic factor H_j^(s) (only depth-1 nodes are factors)."""
-
-    __slots__ = ("s", "carry", "children", "factor")
-
-    def __init__(self, s: int) -> None:
-        self.s = s
-        self.carry = 0
-        self.children: dict[int, _Node] = {}
-        self.factor = False
-
-    def child(self, s: int) -> "_Node":
-        node = self.children.get(s)
-        if node is None:
-            node = self.children[s] = _Node(s)
-        return node
-
-
 class PrefixTable:
     """Single values and whole rows for upper indices 0..n.
 
@@ -516,74 +496,71 @@ class PrefixTable:
         The empty composition gives 1.
 
         All of them are evaluated in one pass over j = 1..n in blocks of
-        _BLOCK indices.  The compositions form a trie of prefixes, and
-        each trie node keeps only its carry.  In a block each inverse
-        power j^(-s) is computed once.  A node with children, or one that
-        a weighted sum reads as its harmonic factor H_j^(s), builds the
-        block's carried row, which its children and the weighted sums
-        read; a leaf adds one dot product to its carry.  The trie is
-        walked depth first and a node's row is dropped as its last child
-        is taken, so a chain of prefixes holds two rows at once.
+        _BLOCK indices.  The nonempty prefixes of the compositions and the
+        harmonic factors (s,) of the weighted sums form one sorted list:
+        the prefix trie in depth-first order.  Each keeps only its carry.
+        In a block each inverse power j^(-s) is computed once.  A prefix
+        with children, or one that a weighted sum reads as H_j^(s), builds
+        the block's carried row; a leaf adds one dot product to its carry.
+        A parent's row waits on a stack until its last child takes it off,
+        so a chain of prefixes holds two rows at once.
         """
         specs = list(dict.fromkeys(specs))
-        root = _Node(0)
-        root.carry = 1  # H(; j) = 1: the empty composition's value
-        nodes: dict[tuple[str, tuple], _Node] = {}
+        leaves: dict[tuple[str, tuple], tuple[int, ...]] = {}
         # spec -> (s2, the exponents of its harmonic factors)
         wsums: dict[tuple[str, tuple], tuple[int, tuple[int, ...]]] = {}
-        exponents: set[int] = set()
+        prefixes: set[tuple[int, ...]] = set()
         for spec in specs:
             method, args = spec
             if method == "mhs":
                 (parts,) = args
                 parts = Composition(parts)
                 self._check_weight(parts.weight)
-                node = root
-                for s in parts:
-                    node = node.child(s)
-                    exponents.add(s)
-                nodes[spec] = node
+                prefixes.update(parts[:i] for i in range(1, len(parts) + 1))
+                leaves[spec] = tuple(parts)
             elif len(args) == _WSUM_ARITY.get(method):
                 if min(args) < 1:
                     raise ValueError(f"exponent must be >= 1, got {min(args)}")
                 self._check_weight(sum(args))
                 s1, s2, *rest = args
-                for s in (s1, *rest):
-                    root.child(s).factor = True
-                exponents.update(args)
                 wsums[spec] = (s2, (s1, *rest))
             else:
                 raise ValueError(f"unknown single value {spec!r}")
+        factors = {(s,) for _, harmonic in wsums.values() for s in harmonic}
+        order = sorted(prefixes | factors)
+        exponents = {c[-1] for c in order} | {s2 for s2, _ in wsums.values()}
+        last_child = {c[:-1]: c for c in order}
+        # Per prefix: its last part, whether it is its parent's last child,
+        # whether it has children, and whether it is a harmonic factor.
+        walk = [
+            (c, c[-1], last_child[c[:-1]] is c, c in last_child, c in factors) for c in order
+        ]
         k = self._k
+        carries = dict.fromkeys(order, 0)
+        carries[()] = 1  # H(; j) = 1: the empty composition's value
         totals = dict.fromkeys(wsums, 0)
         for lo in range(1, self.n + 1, _BLOCK):
             ip = self._block_powers(lo, min(lo + _BLOCK, self.n + 1), exponents)
-            factors = {}
-            # Each entry: the carried row of a prefix (None for the empty
-            # one) and its children not yet taken.
-            stack = [(None, list(root.children.values()))] if root.children else []
-            while stack:
-                prev, todo = stack[-1]
-                node = todo.pop()
-                if not todo:
-                    stack.pop()
-                terms = k.terms(ip[node.s], prev)
-                if not (node.children or node.factor):
-                    node.carry = k.total(terms, node.carry)
+            rows = {}  # s -> H_j^(s) for the block's j
+            stack = [None]  # the empty prefix's row
+            for prefix, s, last, parent, factor in walk:
+                prev = stack.pop() if last else stack[-1]
+                terms = k.terms(ip[s], prev)
+                if not (parent or factor):
+                    carries[prefix] = k.total(terms, carries[prefix])
                     continue
-                row = k.prefix(terms, node.carry)
-                node.carry = int(row[-1])
-                if node.factor:
-                    factors[node.s] = row[1:]  # H_j^(s) for the block's j
-                if node.children:
-                    stack.append((row, list(node.children.values())))
+                row = k.prefix(terms, carries[prefix])
+                carries[prefix] = int(row[-1])
+                if factor:
+                    rows[s] = row[1:]
+                if parent:
+                    stack.append(row)
             for spec, (s2, harmonic) in wsums.items():
                 terms = ip[s2]
                 for s in harmonic:
-                    terms = k.times(terms, factors[s])
+                    terms = k.times(terms, rows[s])
                 totals[spec] = k.total(terms, totals[spec])
-        values = {spec: node.carry for spec, node in nodes.items()} | totals
-        return {spec: values[spec] for spec in specs}
+        return {spec: totals[spec] if spec in totals else carries[leaves[spec]] for spec in specs}
 
     def mhs_many(self, compositions: Iterable[Iterable[int]]) -> dict[Composition, int]:
         """H(c; n) as a raw int for every composition c, keyed by c as a

@@ -13,7 +13,7 @@ import mhslab
 import mhslab.cli as cli
 from mhslab.bernoulli import DEFAULT_CAP, BernoulliCache, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
-from mhslab.compositions import STUFFLE_MAX_PARTS
+from mhslab.compositions import STUFFLE_MAX_PARTS, STUFFLE_MAX_TERMS
 from mhslab.exactnum import MAX_PRIME
 from mhslab.identities import probe_thm31_random, run_thm31_suite
 from mhslab.mhs import EXACT_BITS_CAP, mhs_exact
@@ -137,7 +137,8 @@ def test_stuffle_bad_input(capsys):
 def test_stuffle_part_limit(capsys):
     ones = ",".join(["1"] * (STUFFLE_MAX_PARTS - 1))
     code, out = run_cli(["stuffle", "--a", ones, "--b", "1"], capsys)
-    # (1^199) * (1) = 200 (1^200) + the 199 ways to merge the 1 into a 2.
+    # (1^(N-1)) * (1) = N (1^N) + the N-1 ways to merge the 1 into a 2,
+    # for N = STUFFLE_MAX_PARTS.
     assert code == 0
     assert out.startswith(f"{STUFFLE_MAX_PARTS}*({ones},1) + ")
     assert out.count(" + ") == STUFFLE_MAX_PARTS - 1
@@ -149,6 +150,19 @@ def test_stuffle_part_limit(capsys):
             f" exceeds the limit of {STUFFLE_MAX_PARTS} parts"
         )
         assert "Traceback" not in err
+
+
+def test_stuffle_term_limit(capsys):
+    # 9 + 9 parts make D(9, 9) = 1,462,563 terms; the refusal comes before
+    # any of them is built.
+    nine = ",".join("121212121")
+    code, err = run_cli_error(["stuffle", "--a", nine, "--b", nine], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        f"mhslab stuffle: error: stuffle of 9 + 9 parts exceeds the limit of"
+        f" {STUFFLE_MAX_TERMS} terms"
+    )
+    assert "Traceback" not in err
 
 
 def test_bernoulli_exact(capsys):

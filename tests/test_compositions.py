@@ -1,6 +1,10 @@
 """Compositions, formal integer sums of compositions, and the quasi-shuffle
 product."""
 
+import gc
+import math
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,7 +130,27 @@ def test_stuffle_associates(a, b, c):
 @given(compositions, compositions)
 def test_stuffle_terms_preserve_weight(a, b):
     w = a.weight + b.weight
-    for comp, k in stuffle(a, b):
+    f = stuffle(a, b)
+    for comp, k in f:
         assert comp.weight == w
         assert max(a.depth, b.depth) <= comp.depth <= a.depth + b.depth
         assert k > 0
+    # Counted with multiplicity, the terms are the Delannoy number that
+    # STUFFLE_MAX_TERMS bounds.
+    m, n = a.depth, b.depth
+    delannoy = sum(math.comb(m, i) * math.comb(n, i) * 2**i for i in range(n + 1))
+    assert sum(k for _, k in f) == delannoy
+
+
+def test_stuffle_keeps_nothing_after_a_call():
+    stuffle((1,), (2,))  # anything loaded on first use loads outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stuffle((1, 2, 3) * 2, (2, 3) * 3)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 4096

@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 import mhslab.congruences as congruences
+import mhslab.mhs as mhs
 from mhslab.bernoulli import bernoulli_mod
 from mhslab.congruences import (
     DEFAULT_BATTERY,
@@ -535,12 +536,57 @@ def _evaluated(reports):
     return {(r.p, r.e) for r in reports if r.status in (STATUS_PASS, STATUS_FAIL)}
 
 
-def test_battery_builds_one_table_per_prime_and_exponent(table_builds):
+def test_battery_builds_one_table_per_prime(table_builds):
     reports = run_battery(jobs=1)
     assert set(table_builds.values()) == {1}
-    # A table is built exactly where some check evaluated its left sides.
-    assert set(table_builds) == _evaluated(reports)
-    assert len(table_builds) <= 303
+    # A table is built exactly where some check evaluated its left sides,
+    # mod p^e for the largest e evaluated there.
+    top: dict[int, int] = {}
+    for p, e in _evaluated(reports):
+        top[p] = max(e, top.get(p, 0))
+    assert set(table_builds) == set(top.items())
+    assert len(table_builds) == 167
+
+
+# Checks at e = 1, 2 and 3, with Bernoulli-free, fit-family and
+# several-member checks among them.
+MIXED_UNIT = (
+    "cor-sun-modp",
+    "homog-vanishing-modp2",
+    "h-ones-modp3",
+    "tauraso-lemma",
+    "lemma-modp2-triples",
+    "cor34-first",
+)
+
+
+def _assert_unit_is_run_check(p, table_builds):
+    """The unit's reports and refit left sides are those of its checks run
+    one by one, and the unit built one table, mod p^e for the largest e it
+    evaluated."""
+    reports, family_lhs = congruences._run_unit((p, MIXED_UNIT))
+    assert table_builds == {(p, max(e for _, e in _evaluated(reports))): 1}
+    assert reports == [run_check(cid, p) for cid in MIXED_UNIT]
+    alone = {}
+    for cid in MIXED_UNIT:
+        alone.update(congruences._run_unit((p, (cid,)))[1])
+    assert family_lhs == alone
+    table_builds.clear()
+
+
+def test_a_unit_of_mixed_exponents_is_run_check_by_check(table_builds):
+    for p in primes_in_range(3, 199):
+        _assert_unit_is_run_check(p, table_builds)
+
+
+@pytest.mark.parametrize("p", [4001, 20011])
+def test_a_unit_of_mixed_exponents_on_the_numpy_kernel(monkeypatch, table_builds, p):
+    # At 4001 the unit's table mod p^3 takes the numpy kernel; at 20011,
+    # p^3 >= 2^40, it takes the Python kernel while the one-check units
+    # at e = 1 and 2 take numpy.
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(mhs, "_NUMPY_MIN_N", 0)
+    _assert_unit_is_run_check(p, table_builds)
 
 
 def test_refit_reads_the_scans_left_sides(table_builds):

@@ -439,11 +439,21 @@ BLOCK_SPECS = (
     + [("weighted_sum3", q) for q in ((1, 1, 1, 1), (2, 1, 2, 1), (1, 3, 1, 2))]
 )
 
+# (1,) is at once a weighted-sum factor, an mhs leaf and a parent, beside
+# the empty composition and a repeated spec.
+SHARED_SPECS = [
+    ("weighted_sum2", (1, 2, 1)),
+    ("mhs", ((1,),)),
+    ("mhs", ((),)),
+    ("mhs", ((1, 2),)),
+    ("weighted_sum2", (1, 2, 1)),
+]
+
 
 def assert_single_values_are_the_last_cells(t, specs=BLOCK_SPECS):
     """Every single value of one pass equals the cell at n of its row."""
     got = t.single_values(specs)
-    assert list(got) == list(specs)
+    assert list(got) == list(dict.fromkeys(specs))
     for method, args in specs:
         row = getattr(t, f"{method}_all")(*args)
         assert got[method, args] == row[t.n], (t.n, t.modulus, method, args)
@@ -455,11 +465,12 @@ def test_single_values_across_block_boundaries(monkeypatch, block):
     # splits into several blocks (or one cell each), so each carry crosses
     # many boundaries, several of them inside a composition's chain.
     monkeypatch.setattr(mhs, "_BLOCK", block)
-    for p in PRIMES_BELOW_200:
-        for e in (1, 2, 3):
-            assert_single_values_are_the_last_cells(PrefixTable.for_prime(p, e))
-    for n in range(41):
-        assert_single_values_are_the_last_cells(PrefixTable.for_exact(n))
+    for specs in (BLOCK_SPECS, SHARED_SPECS):
+        for p in PRIMES_BELOW_200:
+            for e in (1, 2, 3):
+                assert_single_values_are_the_last_cells(PrefixTable.for_prime(p, e), specs)
+        for n in range(41):
+            assert_single_values_are_the_last_cells(PrefixTable.for_exact(n), specs)
 
 
 def test_single_values_take_duplicates_and_refuse_unknown_specs():
