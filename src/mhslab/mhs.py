@@ -41,7 +41,9 @@ modular inverse row comes from the recurrence
 table with m = p^e < 2^40 and n >= _NUMPY_MIN_N uses the numpy kernel
 instead when numpy can be imported: int64 arrays, every product reduced
 before the next operation (with 20-bit split factors above 2^31), so its
-cells are the same residues; see _kernel for the bounds.  numpy is
+cells are the same residues; see _kernel for the bounds.  It reduces in
+place by floor division (_reduce), and a block's powers j^(-s) share
+their squares j^(-2^i) across every exponent s (powers).  numpy is
 imported the first time a table picks that kernel, never at package
 import.
 
@@ -94,19 +96,21 @@ EXACT_N_CAP = 10_000
 EXACT_BITS_CAP = 100_000
 
 # Smallest upper index n = p-1 at which a mod-mode table takes the numpy
-# kernel.  Importing numpy costs about 0.14 s and 13 MiB of RSS once per
+# kernel.  Importing numpy costs about 0.1 s and 11 MiB of RSS once per
 # process, and only tables this large earn it back.  Measured per table
 # (constructor, the seven H({s}^l) sums of homog-vanishing-modp, which build
-# the inverse row, and weighted_sum2(2,2,2); medians of 15; 2 CPUs, Python
-# 3.11, numpy 2.4, numpy already imported), Python -> numpy kernel, e = 1
-# and 2:
-#     n = 1000: 2.2-2.7 -> 0.5 ms     n = 8000:  17-20 -> 2.0-2.1 ms
-#     n = 2000: 4.6-4.9 -> 0.7 ms     n = 16000: 39-43 -> 3.5-3.8 ms
-#     n = 4000: 8.2-10 -> 1.0-1.2 ms
-# From n = 4000 on a table saves at least 7 ms, so some 20 tables (one
+# the inverse row, and weighted_sum2(2,2,2); medians of 15, ranges over five
+# runs on a host whose speed drifts; 2 CPUs, Python 3.11, numpy 2.4, numpy
+# already imported), Python -> numpy kernel, e = 1 and 2:
+#     n = 1000: 1.4-2.5 -> 0.3-0.5 ms    n = 8000:  12-19 -> 0.8-1.3 ms
+#     n = 2000: 2.7-4.6 -> 0.4-0.6 ms    n = 16000: 22-39 -> 1.4-2.3 ms
+#     n = 4000: 5.5-9.6 -> 0.5-0.8 ms
+# From n = 4000 on a table saves about 5 ms or more, so some 20 tables (one
 # check over 20 primes, or a few checks at a handful of primes) repay the
-# import; at n = 1000 it would take 80.  A run that builds a single table
-# of this size pays more for the import than it saves.
+# import; at n = 1000 it would take 50 to 90.  A run that builds a single
+# table of this size pays more for the import than it saves.  The default
+# battery stops at p = 1000, where the import's 11 MiB alone would raise
+# its peak RSS (about 26 MiB) by some 40 %.
 _NUMPY_MIN_N = 4000
 
 # Indices per block of a single-value pass (PrefixTable.single_values), and
@@ -155,8 +159,11 @@ class _PythonKernel:
             push((m - m // j) * inv[m % j] % m)
         return inv
 
-    def power(self, row: list[int], s: int) -> list[int]:
-        return list(map(pow, row, repeat(s), repeat(self.m)))
+    def powers(self, row: list[int], exponents: Iterable[int]) -> dict[int, list[int]]:
+        """s -> the cells of row to the power s, for each exponent s, each
+        cell by its own pow (row itself for s = 1)."""
+        m = self.m
+        return {s: row if s == 1 else list(map(pow, row, repeat(s), repeat(m))) for s in exponents}
 
     def terms(self, ip: list[int], prev: Sequence | None) -> Iterable[int]:
         """j -> j^(-s) H(P; j-1) over a run, from the run's cells ip of
@@ -188,10 +195,11 @@ class _NumpyKernel:
     Every cell is reduced before the next operation, so the arithmetic is
     exact: for m < 2^31 a product of two residues is below 2^62; above, the
     second factor is split into 20-bit halves (see _mul).  A running sum of
-    n reduced cells, after a reduced carry, stays below p * m.  The rows
-    hold the same residues as the Python kernel's, which the tests check
-    cell for cell.  Runs, terms and carried rows are as for the Python
-    kernel.
+    n reduced cells, after a reduced carry, stays below p * m.  Cells are
+    reduced in place as x - (x // m) * m (_reduce), never with %, which
+    numpy runs several times slower on int64.  The rows hold the same
+    residues as the Python kernel's, which the tests check cell for cell.
+    Runs, terms and carried rows are as for the Python kernel.
     """
 
     __slots__ = ("np", "m")
@@ -201,14 +209,16 @@ class _NumpyKernel:
         self.m = m
 
     def _mul(self, a, b):
-        """a * b mod m, cell by cell, for residues a and b."""
+        """a * b mod m, cell by cell, for residues a and b, as a new array."""
         m = self.m
         if m < 1 << 31:
-            return a * b % m  # a * b < 2^62
+            return _reduce(a * b, m)  # a * b < 2^62
         # a * b_hi < 2^60, (a * b_hi mod m) << 20 < 2^60 and a * b_lo < 2^60,
         # so the sum stays below 2^61.
-        high = a * (b >> 20) % m
-        return ((high << 20) + a * (b & 0xFFFFF)) % m
+        high = _reduce(a * (b >> 20), m)
+        high <<= 20
+        high += a * (b & 0xFFFFF)
+        return _reduce(high, m)
 
     def inverses(self, p: int, e: int):
         """1/j mod p^e for j = 1..p-1 (index 0 holds a zero), built with
@@ -218,26 +228,32 @@ class _NumpyKernel:
         and the inverse of g^k is h^k for h = 1/g.  Both are laid out as a
         grid k = side*i + c, side about sqrt(p), and filled a few grid
         rows (about _BLOCK cells) at a time as products g^(side*i) * g^c,
-        so only O(sqrt p) steps run in Python.  The grid runs past
-        k = p-2, where the powers repeat with their inverses.  Newton's
-        step x -> x(2 - jx) then doubles the precision of the inverses in
-        place, block by block, from mod p to mod p^2 (e = 2) and once more
-        to mod p^4 (e = 3).
+        so only O(sqrt p) steps run in Python: the heads g^(side*i) and the
+        columns g^c are running products, with one pow per chunk.  The grid
+        runs past k = p-2, where the powers repeat with their inverses.
+        Newton's step x -> x(2 - jx) then doubles the precision of the
+        inverses in place, block by block, from mod p to mod p^2 (e = 2)
+        and once more to mod p^4 (e = 3).
         """
         np = self.np
         g = _primitive_root(p)
         h = pow(g, -1, p)
         side = math.isqrt(p - 1) + 1
 
+        def geometric(first: int, ratio: int, length: int):
+            """first * ratio^i mod p for i < length, as running products."""
+            cells = [first] * length
+            for i in range(1, length):
+                cells[i] = cells[i - 1] * ratio % p
+            return np.array(cells, dtype=np.int64)
+
         def grid(r: int, cols, rows: range):
             """r^(side*i + c) mod p for i in rows and every c < side, flat,
             from cols[c] = r^c."""
-            heads = np.array([pow(r, side * i, p) for i in rows], dtype=np.int64)
-            return (heads[:, None] * cols % p).ravel()
+            heads = geometric(pow(r, side * rows.start, p), pow(r, side, p), len(rows))
+            return _reduce(heads[:, None] * cols, p).ravel()
 
-        g_cols, h_cols = (
-            np.array([pow(r, c, p) for c in range(side)], dtype=np.int64) for r in (g, h)
-        )
+        g_cols, h_cols = geometric(1, g, side), geometric(1, h, side)
         inv = np.zeros(p, dtype=np.int64)
         step = max(1, _BLOCK // side)
         for i0 in range(0, side, step):
@@ -248,19 +264,25 @@ class _NumpyKernel:
             x = inv[lo : lo + _BLOCK]
             j = np.arange(lo, lo + len(x), dtype=np.int64)
             for _ in range(lifts):
-                x[:] = self._mul(x, (2 - self._mul(j, x)) % self.m)
+                x[:] = self._mul(x, _reduce(2 - self._mul(j, x), self.m))
         return inv
 
-    def power(self, row, s: int):
-        """The cells of row to the power s, by square and multiply."""
-        result = None
+    def powers(self, row, exponents: Iterable[int]) -> dict:
+        """s -> the cells of row to the power s, for each exponent s, by
+        square and multiply with shared squares: row^(2^i) is built once,
+        multiplied into every power whose bit i is set, and dropped.  With
+        t + 1 bits in the largest s that is t squarings in all, plus one
+        product for each set bit of each s but its lowest."""
+        results = dict.fromkeys(set(exponents))
+        square, bit = row, 1
         while True:
-            if s & 1:
-                result = row if result is None else self._mul(result, row)
-            s >>= 1
-            if not s:
-                return result
-            row = self._mul(row, row)
+            for s, power in results.items():
+                if s & bit:
+                    results[s] = square if power is None else self._mul(power, square)
+            bit <<= 1
+            if not any(s >= bit for s in results):
+                return results
+            square = self._mul(square, square)
 
     def terms(self, ip, prev):
         return ip if prev is None else self._mul(ip, prev[:-1])
@@ -274,8 +296,7 @@ class _NumpyKernel:
         out[0] = carry
         out[1:] = terms
         np.cumsum(out, out=out)
-        out %= self.m
-        return out
+        return _reduce(out, self.m)
 
     def total(self, terms, carry: int = 0) -> int:
         return (carry + int(terms.sum())) % self.m
@@ -283,6 +304,18 @@ class _NumpyKernel:
     def tolist(self, row) -> list[int]:
         """The row as a fresh list of Python ints, never numpy.int64."""
         return row.tolist()
+
+
+def _reduce(x, m: int):
+    """x mod m in [0, m), in place, for an int64 array x and 0 < m < 2^63;
+    returns x.  Floor division by a scalar is several times faster in numpy
+    than %, and floors, so x - (x // m) * m is the residue % gives for
+    every int64 x, negative ones included (any wrap of the product is
+    undone by the subtraction).  It holds one temporary array, q."""
+    q = x // m
+    q *= m
+    x -= q
+    return x
 
 
 def _primitive_root(p: int) -> int:
@@ -446,7 +479,7 @@ class PrefixTable:
             elif s == 1:
                 row = self._k.inverses(self.prime, self.exponent)
             else:
-                row = self._k.power(self._row(self._ipow, self.inv_powers, 1), s)
+                row = self._k.powers(self._row(self._ipow, self.inv_powers, 1), (s,))[s]
             self._ipow[s] = row
         return row if _raw else self._k.tolist(row)
 
@@ -485,7 +518,7 @@ class PrefixTable:
             base = [self.scale // j for j in range(lo, hi)]
         else:
             base = self._row(self._ipow, self.inv_powers, 1)[lo:hi]
-        return {s: base if s == 1 else self._k.power(base, s) for s in exponents}
+        return self._k.powers(base, exponents)
 
     def single_values(self, specs: Iterable[tuple[str, tuple]]) -> dict[tuple[str, tuple], int]:
         """The value at n of every spec, as a raw int keyed by the spec.

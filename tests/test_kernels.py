@@ -1,6 +1,8 @@
 """The numpy row kernel of PrefixTable against the Python kernel, which
-stays the reference: cell for cell at every prime below 200, the split
-multiply on random pairs, full tables at p = 65537, the rule that picks a
+stays the reference: cell for cell at every prime below 200, both paths
+of the multiply and the in-place reduction against Python ints, shared
+block powers against pow and the products they take, full tables at
+p = 65537, the inverse row at p = 99991, the rule that picks a
 kernel, the rows each kernel caches, single values across block
 boundaries, the memory a unit of large-prime checks takes, and
 byte-identical scans with and without numpy.  A table picks its kernel in
@@ -88,15 +90,83 @@ def test_kernels_agree_cell_for_cell(p):
             assert (value, row) == (ref.weighted_sum3(*q), ref.weighted_sum3_all(*q))
 
 
-@pytest.mark.parametrize("m", [65537**2, 1048573**2])
-def test_split_multiply_matches_python_ints(m):
+# Moduli on both paths of _NumpyKernel._mul: below 2^31 a product of two
+# residues fits int64; from 2^31 to 2^40 the second factor is split.
+MODULI = [99991, (1 << 31) - 1, 65537**2, 1048573**2]
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_multiply_matches_python_ints(m):
     np = pytest.importorskip("numpy")
-    assert 1 << 31 <= m < 1 << 40  # both take the split path
+    edges = [v for v in (0, 1, m - 1, (1 << 20) - 1, 1 << 20) if v < m]
     rng = random.Random(m)
-    a = [rng.randrange(m) for _ in range(5000)] + [m - 1, m - 1, 0, 1, (1 << 20) - 1]
-    b = [rng.randrange(m) for _ in range(5000)] + [m - 1, 1 << 20, m - 1, m - 1, m - 1]
-    got = mhs._NumpyKernel(np, m)._mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-    assert got.tolist() == [x * y % m for x, y in zip(a, b)]
+    pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(5000)]
+    pairs += itertools.product(edges, repeat=2)
+    a, b = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    got = mhs._NumpyKernel(np, m)._mul(a, b)
+    assert got.tolist() == [x * y % m for x, y in pairs]
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_reduction_matches_python_mod(m):
+    # Negative cells (the Newton lift's 2 - jx), running sums up to and
+    # past the largest multiple n * m that int64 holds (prefix), and the
+    # int64 extremes all get the residue Python's % gives.
+    np = pytest.importorskip("numpy")
+    top = (1 << 63) - 1
+    n = top // m
+    rng = random.Random(m)
+    xs = [0, 1, -1, m - 1, m, m + 1, -m, -m - 1, 2 - (m - 1), -top - 1, top]
+    xs += [k * m + d for k in (2, n // 2, n - 1, n) for d in (-1, 0, 1)]
+    xs += [-x for x in xs if -x <= top]
+    xs += [rng.randrange(-top - 1, top) for _ in range(1000)]
+    row = np.array(xs, dtype=np.int64)
+    assert mhs._reduce(row, m) is row
+    assert row.tolist() == [x % m for x in xs]
+
+
+def test_inverse_row_at_99991_matches_the_python_kernel():
+    pytest.importorskip("numpy")
+    assert numpy_table(99991, 1).inv_powers(1) == python_table(99991, 1).inv_powers(1)
+
+
+EXPONENT_SETS = [(1,), (2, 4), (1, 3, 5), (3, 4, 5), (1, 2, 7, 12), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("exponents", EXPONENT_SETS)
+@pytest.mark.parametrize("m", [None, *MODULI])
+def test_powers_match_pow_cell_for_cell(m, exponents):
+    rng = random.Random(repr((m, exponents)))
+    cells = [0, 1] + [rng.randrange(m or 10**6) for _ in range(300)]
+    if m is not None:
+        cells.append(m - 1)
+    want = {s: [pow(x, s, m) for x in cells] for s in exponents}
+    got = mhs._PythonKernel(m).powers(cells, exponents)
+    assert got == want
+    if m is None:
+        return  # exact mode is the Python kernel's alone
+    np = pytest.importorskip("numpy")
+    got = mhs._NumpyKernel(np, m).powers(np.array(cells, dtype=np.int64), exponents)
+    assert {s: row.tolist() for s, row in got.items()} == want
+
+
+def square_and_multiply(s: int) -> int:
+    """The products one square-and-multiply power of its own takes."""
+    return s.bit_length() - 1 + bin(s).count("1") - 1
+
+
+# 10**6 has 20 bits, so it costs at most 19 squarings and 19 products.
+@pytest.mark.parametrize("exponents", EXPONENT_SETS + [(1, 2, 3, 4), (10**6,)])
+def test_powers_share_their_squares(monkeypatch, exponents):
+    np = pytest.importorskip("numpy")
+    calls = []
+    mul = mhs._NumpyKernel._mul
+    monkeypatch.setattr(mhs._NumpyKernel, "_mul", lambda *a: calls.append(a) or mul(*a))
+    row = np.arange(1, 100, dtype=np.int64)
+    mhs._NumpyKernel(np, 99991).powers(row, exponents)
+    assert len(calls) <= sum(map(square_and_multiply, set(exponents)))
+    if exponents == (1, 2, 3, 4):
+        assert len(calls) == 3  # x^2, x^4 and x^3 = x * x^2
 
 
 def test_full_tables_at_65537_match_the_python_kernel():
