@@ -4,15 +4,17 @@ weighted sums to plain multiple harmonic sums.
 Everything here compares exact values for equality; no modular shortcut
 is taken.  The two three-factor-free forms (form1 with the product term,
 form2 fully expanded through the quasi-shuffle) and the four-exponent
-relation are each verified by a grid suite.  Every suite builds one
-exact PrefixTable for its largest upper index, refused above EXACT_N_CAP
-before any row is built.  The table caches only its inverse-power and
-harmonic-prefix rows; the mhs_all and weighted-sum rows are built anew
-for each exponent tuple, once for both forms of Theorem 2.1, and the
-Theorem 3.1 grid builds each two-factor weighted-sum row once for all
-the s4 that share its (s1, s2, s3).  Every term of an identity has the
-same weight, so both sides are compared as raw-int numerators over one
-denominator; only reported instances carry Fractions.
+relation are each verified by a grid suite.  A grid suite builds one
+exact PrefixTable for its largest upper index and asks it for its rows
+in batches, one single_values(specs, rows=True) pass per batch: Theorem
+2.1 one pass per (s1, s2) with all its s3, for both forms, and Theorem
+3.1 one per (s1, s2, s3) with all its s4, so the rows a pass holds grow
+with smax, not with the grid.  Each random probe of Theorem 3.1 is one
+pass on a table for its own upper index n.  An upper index above
+EXACT_N_CAP is refused before any row is built.  Every term of an
+identity has the same weight, so both sides are compared as raw-int
+numerators over one denominator; only reported instances carry
+Fractions.
 """
 
 from __future__ import annotations
@@ -60,31 +62,37 @@ class SuiteReport:
 
 
 def _compare(t: PrefixTable, exps: tuple, lhs: list, sides: dict, ns: Sequence, out: list) -> int:
-    """Compare the lhs row with each named right-side row at every n in ns,
-    appending to out, in (identity, n) order, an IdentityInstance with both
-    sides as Fractions wherever they differ.  Rows are numerators over
-    t.scale**sum(exps).  Returns the number of points compared."""
+    """Compare the lhs cells with each named right side's cells, both at
+    the upper indices ns in order, appending to out, in (identity, n)
+    order, an IdentityInstance with both sides as Fractions wherever they
+    differ.  Cells are numerators over t.scale**sum(exps).  Returns the
+    number of points compared."""
     w, frac = sum(exps), t.to_fraction
     for identity, rhs in sides.items():
-        for n in ns:
-            if lhs[n] != rhs[n]:
-                out.append(IdentityInstance(identity, exps, n, frac(lhs[n], w), frac(rhs[n], w)))
+        for n, left, right in zip(ns, lhs, rhs):
+            if left != right:
+                out.append(IdentityInstance(identity, exps, n, frac(left, w), frac(right, w)))
     return len(sides) * len(ns)
 
 
-def _thm21_rows(t: PrefixTable, s1: int, s2: int, s3: int) -> tuple[list, dict]:
-    """The left row and both forms' right rows over every upper index
-    0..t.n for one exponent triple, as numerators over
-    t.scale**(s1+s2+s3).  The left side is sum_j H^(s1)H^(s3)/j^(s2);
-    form 1's right side is -H(s1,s2,s3) + H(s3,s1+s2) + H(s1+s2+s3) +
-    H(s3)H(s1,s2), and form 2's is the six-term expansion H(s1,s3,s2) +
-    H(s3,s1,s2) + H(s3,s1+s2) + H(s1+s3,s2) + H(s1,s2+s3) + H(s1+s2+s3).
-    The two terms the forms share are built once."""
-    lhs = t.weighted_sum2_all(s1, s2, s3)
-    b, c = t.mhs_all((s3, s1 + s2)), t.harmonic_prefix(s1 + s2 + s3)
-    a, d, e = t.mhs_all((s1, s2, s3)), t.harmonic_prefix(s3), t.mhs_all((s1, s2))
-    rest = [t.mhs_all(u) for u in ((s1, s3, s2), (s3, s1, s2), (s1 + s3, s2), (s1, s2 + s3))]
-    cells = range(t.n + 1)
+def _thm21_specs(s1: int, s2: int, s3: int) -> list:
+    """The left side sum_j H^(s1)H^(s3)/j^(s2), then the nine sums of both
+    forms' right sides, in the order _thm21_sides reads them."""
+    a = s1 + s2
+    comps = [(s3, a), (a + s3,), (s1, s2, s3), (s3,), (s1, s2)]
+    comps += [(s1, s3, s2), (s3, s1, s2), (s1 + s3, s2), (s1, s2 + s3)]
+    return [("weighted_sum2", (s1, s2, s3))] + [("mhs", (c,)) for c in comps]
+
+
+def _thm21_sides(rows: dict, s: tuple) -> tuple[list, dict]:
+    """The left row and both forms' right rows over every upper index, from
+    the rows of _thm21_specs(*s).  Form 1's right side is -H(s1,s2,s3) +
+    H(s3,s1+s2) + H(s1+s2+s3) + H(s3)H(s1,s2), and form 2's is the
+    six-term expansion H(s1,s3,s2) + H(s3,s1,s2) + H(s3,s1+s2) +
+    H(s1+s3,s2) + H(s1,s2+s3) + H(s1+s2+s3).  The two terms the forms
+    share are added once."""
+    lhs, b, c, a, d, e, *rest = (rows[spec] for spec in _thm21_specs(*s))
+    cells = range(len(lhs))
     shared = [b[j] + c[j] for j in cells]
     return lhs, {
         "thm21-form1": [shared[j] - a[j] + d[j] * e[j] for j in cells],
@@ -92,25 +100,24 @@ def _thm21_rows(t: PrefixTable, s1: int, s2: int, s3: int) -> tuple[list, dict]:
     }
 
 
-def _thm31_rows(t: PrefixTable, s1: int, s2: int, s3: int, s4: int, w2: list) -> tuple[list, list]:
-    """As _thm21_rows, over t.scale**(s1+s2+s3+s4): the left side is
-    -sum_j H^(s1)H^(s3)H^(s4)/j^(s2), the right the six length-four sums
-    minus H^(s4) times the two-factor weighted sum, whose row
-    t.weighted_sum2_all(s1, s2, s3) the caller passes as w2."""
-    lhs = [-v for v in t.weighted_sum3_all(s1, s2, s3, s4)]
-    rows = [
-        t.mhs_all((s1, s3, s2, s4)),
-        t.mhs_all((s3, s1, s2, s4)),
-        t.mhs_all((s3, s1 + s2, s4)),
-        t.mhs_all((s1 + s3, s2, s4)),
-        t.mhs_all((s1, s2 + s3, s4)),
-        t.mhs_all((s1 + s2 + s3, s4)),
-    ]
-    h4 = t.harmonic_prefix(s4)
+def _thm31_specs(s1: int, s2: int, s3: int, s4: int) -> list:
+    """The three-factor sum, the two-factor sum of (s1, s2, s3), H(s4) and
+    the six length-four sums, in the order _thm31_sides reads them."""
+    comps = [(s4,), (s1, s3, s2, s4), (s3, s1, s2, s4), (s3, s1 + s2, s4)]
+    comps += [(s1 + s3, s2, s4), (s1, s2 + s3, s4), (s1 + s2 + s3, s4)]
+    wsums = [("weighted_sum3", (s1, s2, s3, s4)), ("weighted_sum2", (s1, s2, s3))]
+    return wsums + [("mhs", (c,)) for c in comps]
+
+
+def _thm31_sides(rows: dict, s: tuple, ns: Sequence) -> tuple[list, list]:
+    """As _thm21_sides, at the upper indices ns only, from the rows of
+    _thm31_specs(*s): the left side is -sum_j H^(s1)H^(s3)H^(s4)/j^(s2),
+    the right the six length-four sums minus H^(s4) times the two-factor
+    weighted sum."""
+    w3, w2, h4, *six = (rows[spec] for spec in _thm31_specs(*s))
     # The product term carries a minus sign; summing the six nested sums
     # alone overshoots by exactly H^(s4)_n times the two-factor sum.
-    rhs = [sum(r[j] for r in rows) - h4[j] * w2[j] for j in range(t.n + 1)]
-    return lhs, rhs
+    return [-w3[n] for n in ns], [sum(r[n] for r in six) - h4[n] * w2[n] for n in ns]
 
 
 def run_thm21_suite(smax: int = 4, nmax: int = 40) -> SuiteReport:
@@ -120,8 +127,13 @@ def run_thm21_suite(smax: int = 4, nmax: int = 40) -> SuiteReport:
     t = PrefixTable.for_exact(nmax)
     failures: list[IdentityInstance] = []
     points = 0
-    for s in product(range(1, smax + 1), repeat=3):
-        points += _compare(t, s, *_thm21_rows(t, *s), range(nmax + 1), failures)
+    exps = range(1, smax + 1)
+    # One pass per (s1, s2) for all its s3; the grid in product order.
+    for s12 in product(exps, repeat=2):
+        rows = t.single_values([spec for s3 in exps for spec in _thm21_specs(*s12, s3)], rows=True)
+        for s3 in exps:
+            s = (*s12, s3)
+            points += _compare(t, s, *_thm21_sides(rows, s), range(nmax + 1), failures)
     return SuiteReport("thm21", points, tuple(failures))
 
 
@@ -133,13 +145,12 @@ def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> S
     failures: list[IdentityInstance] = []
     points = 0
     exps = range(1, smax + 1)
-    # The grid in product(exps, repeat=4) order, s4 fastest: the s4 that
-    # share an (s1, s2, s3) share its two-factor row.
+    # One pass per (s1, s2, s3) for all its s4; the grid in product order.
     for s123 in product(exps, repeat=3):
-        w2 = t.weighted_sum2_all(*s123)
+        rows = t.single_values([spec for s4 in exps for spec in _thm31_specs(*s123, s4)], rows=True)
         for s4 in exps:
             s = (*s123, s4)
-            lhs, rhs = _thm31_rows(t, *s, w2)
+            lhs, rhs = _thm31_sides(rows, s, nvalues)
             points += _compare(t, s, lhs, {"thm31": rhs}, nvalues, failures)
     return SuiteReport("thm31", points, tuple(failures))
 
@@ -153,13 +164,14 @@ def probe_thm31_random(
         raise ValueError(f"probe count must be >= 0, got {count}")
     if nmax < 5:
         raise ValueError(f"nmax must be >= 5 (the smallest n with n+1 composite is 5), got {nmax}")
-    t = PrefixTable.for_exact(nmax)
+    PrefixTable.for_exact(nmax)  # refuses nmax above EXACT_N_CAP before any probe runs
     rng = random.Random(seed)
     composite_n = [n for n in range(4, nmax + 1) if not is_prime(n + 1)]
     failures: list[IdentityInstance] = []
     for _ in range(count):
         s = tuple(rng.randint(1, smax) for _ in range(4))
         n = rng.choice(composite_n)
-        lhs, rhs = _thm31_rows(t, *s, t.weighted_sum2_all(*s[:3]))
+        t = PrefixTable.for_exact(n)
+        lhs, rhs = _thm31_sides(t.single_values(_thm31_specs(*s), rows=True), s, (n,))
         _compare(t, s, lhs, {"thm31-general-n": rhs}, (n,), failures)
     return SuiteReport("thm31-general-n", count, tuple(failures))

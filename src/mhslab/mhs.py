@@ -12,25 +12,20 @@ residues mod p^e, or in exact mode numerators over scale**w with
 scale = lcm(1..n) and w the weight of the value.  Fraction and Residue
 objects appear only at the public boundary.
 
-A PrefixTable answers two kinds of question at its upper index n.
-
-Single values (single_values, and mhs, mhs_many, weighted_sum2 and
-weighted_sum3, which call it) are evaluated together in one pass over j
-in blocks of _BLOCK indices.  The prefixes of the compositions and the
-harmonic factors (s,) of the weighted sums form one sorted list of
-tuples, the prefix trie in depth-first order, and each keeps only a
-carry: its value at the start of the block.  A block computes each
-inverse power j^(-s) and each H_j^(s) once, for every value that uses
-it, and drops its rows before the next block starts.  A pass thus holds
-one block row per exponent, per harmonic factor and per prefix with
-children still to be built, plus, in mod mode, the one whole row a
-table keeps for it: the inverses 1/j mod p^e.  Exact mode computes
-(scale // j)^s block by block and keeps no row.
-
-Whole rows (inv_powers, harmonic_prefix, mhs_all, weighted_sum2_all,
-weighted_sum3_all) are for callers that read every index, such as the
-identity suites; the table caches the inverse-power and harmonic-prefix
-rows they are built from.
+A PrefixTable has one evaluation engine, single_values: one pass over j
+in blocks of _BLOCK indices that gives every spec's value at the table's
+upper index n or, with rows=True, its row over 0..n.  The prefixes of
+the compositions and the harmonic factors (s,) of the weighted sums form
+one sorted list of tuples, the prefix trie in depth-first order, and
+each keeps only a carry: its value at the start of the block.  A block
+computes each inverse power j^(-s) and each H_j^(s) once, for every
+value that uses it, and drops its rows before the next block starts.
+The value methods (mhs, mhs_many, weighted_sum2, weighted_sum3) and the
+row methods (harmonic_prefix, mhs_all, weighted_sum2_all,
+weighted_sum3_all) are one call of it each, and inv_powers(s) is the
+block powers j^(-s) over 1..n.  The one whole row a table keeps is, in
+mod mode, the inverses 1/j mod p^e; exact mode computes (scale // j)^s
+block by block.
 
 Rows and blocks are built by one of two kernels, picked once per table.
 The Python kernel streams products and running sums through
@@ -47,10 +42,10 @@ their squares j^(-2^i) across every exponent s (powers).  numpy is
 imported the first time a table picks that kernel, never at package
 import.
 
-Inside a table the rows stay in the kernel's form (int64 arrays on the
+Inside a pass the rows stay in the kernel's form (int64 arrays on the
 numpy kernel).  A row becomes a list of Python ints only when a public
 row method hands it to a caller, and that list is always the caller's
-own: a cached row is copied, never lent.
+own: the kept inverse row is never lent.
 
 The table methods return raw ints and are what a caller shares to evaluate
 many sums at one upper index or prime.  The functions mhs_exact, mhs_mod,
@@ -113,7 +108,7 @@ EXACT_BITS_CAP = 100_000
 # its peak RSS (about 26 MiB) by some 40 %.
 _NUMPY_MIN_N = 4000
 
-# Indices per block of a single-value pass (PrefixTable.single_values), and
+# Indices per block of a pass of PrefixTable.single_values, and
 # per chunk of the numpy inverse row's build.  One int64 block is 64 KiB.
 # The benchmark's bigprime workload (four checks at six primes up to 99991)
 # peaked at 34.0, 34.2, 35.0 and 37.0 MiB of RSS with blocks of 2^12, 2^13,
@@ -132,11 +127,10 @@ class _PythonKernel:
     every machine without numpy, and it is the reference the numpy kernel
     is tested against.
 
-    A run of indices j = lo..hi-1 (a block, or the whole row 1..n) is
-    worked on as the cells of its terms, one per index, and the carried
-    rows of its prefixes: the carried row of P holds H(P; lo-1), the
-    carry, and then H(P; j) for every j of the run, so a whole row is the
-    carried row of the run 1..n with carry H(P; 0).
+    A block of indices j = lo..hi-1 is worked on as the cells of its
+    terms, one per index, and the carried rows of its prefixes: the
+    carried row of P holds H(P; lo-1), the carry, and then H(P; j) for
+    every j of the block.
     """
 
     __slots__ = ("m",)
@@ -184,9 +178,10 @@ class _PythonKernel:
         return total if self.m is None else total % self.m
 
     def tolist(self, row: list[int]) -> list[int]:
-        """A fresh copy of the row, so that a caller who edits it cannot
-        change a row the table caches."""
-        return list(row)
+        """The row itself: every row this kernel hands on is a list built
+        for the call (the kept inverse row leaves the table only as a
+        slice), so the caller may edit it."""
+        return row
 
 
 class _NumpyKernel:
@@ -199,7 +194,7 @@ class _NumpyKernel:
     reduced in place as x - (x // m) * m (_reduce), never with %, which
     numpy runs several times slower on int64.  The rows hold the same
     residues as the Python kernel's, which the tests check cell for cell.
-    Runs, terms and carried rows are as for the Python kernel.
+    Blocks, terms and carried rows are as for the Python kernel.
     """
 
     __slots__ = ("np", "m")
@@ -381,10 +376,10 @@ class PrefixTable:
     Mod mode sets scale to 1.
 
     The table picks its row kernel once, in the constructor (see _kernel).
-    The cached rows are that kernel's own and never leave the table: the
-    recurrences read them as they are, and the public row methods return a
-    fresh list of Python ints to a caller.  Single values keep no row but
-    the inverse row of a mod-mode table (see single_values).
+    Every value and every row comes from single_values, the one engine;
+    the row methods return a fresh list of Python ints to a caller.  A
+    table keeps one row, the inverse row of mod mode, in the kernel's own
+    form; it never leaves the table.
 
     Exact mode refuses n above EXACT_N_CAP, and mod mode what check_ring
     or check_o_of_p refuses, before any kernel is chosen or row built.
@@ -392,7 +387,7 @@ class PrefixTable:
     would pass EXACT_BITS_CAP bits, before it takes a power (_check_weight).
     """
 
-    __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_k", "_ipow", "_hpref")
+    __slots__ = ("n", "prime", "exponent", "modulus", "scale", "_k", "_inv")
 
     def __init__(self, n: int, *, prime: int | None = None, exponent: int = 1) -> None:
         if prime is None:
@@ -413,8 +408,7 @@ class PrefixTable:
         self.prime = prime
         self.exponent = exponent
         self._k = _kernel(n, self.modulus)
-        self._ipow: dict[int, Sequence] = {}
-        self._hpref: dict[int, Sequence] = {}
+        self._inv = None  # mod mode: the inverse row, built on first use
 
     @classmethod
     def for_exact(cls, n: int) -> "PrefixTable":
@@ -438,76 +432,39 @@ class PrefixTable:
                 f" {w * self.scale.bit_length()} bits, which exceeds cap {EXACT_BITS_CAP}"
             )
 
-    # -- cached rows in the kernel's own form --------------------------------
-
-    def _row(self, cache: dict, build: Callable[..., Sequence], s: int):
-        """The cached row for s, in the kernel's own form.  On first use
-        build(s, _raw=True), that is inv_powers or harmonic_prefix, makes
-        it, so every row is built inside those two methods, where a wrapper
-        around them (such as bench/tracing.py) sees and times it; _raw makes
-        them return the kernel's row, which is never converted to a list."""
-        row = cache.get(s)
-        return build(s, _raw=True) if row is None else row
-
-    def _extend(self, prev, s: int):
-        """The row m -> H(P, s; m), m = 0..n, from the row of the prefix P
-        (None for the empty prefix)."""
-        ip = self._row(self._ipow, self.inv_powers, s)
-        return self._k.prefix(self._k.terms(ip[1:], prev))
-
-    def _wsum_row(self, s2: int, factors: tuple[int, ...]) -> list[int]:
-        """The row m -> sum_{j<=m} j^(-s2) prod_s H_j^(s) over the factors."""
-        self._check_weight(s2 + sum(factors))
-        terms = self._row(self._ipow, self.inv_powers, s2)[1:]
-        for s in factors:
-            terms = self._k.times(terms, self._row(self._hpref, self.harmonic_prefix, s)[1:])
-        return self._k.tolist(self._k.prefix(terms))
-
     # -- rows ----------------------------------------------------------------
 
     def inv_powers(self, s: int, *, _raw: bool = False) -> list[int]:
         """The row j -> j^(-s), j = 1..n (index 0 holds a zero), as a fresh
-        list (_raw, for the table's own use: the cached kernel row)."""
+        list.  _raw (mod mode, s = 1, for _block_powers): build the kept
+        inverse row, in the kernel's form, here, so that a wrapper around
+        this method (such as bench/tracing.py) sees and times its build."""
+        if _raw:
+            self._inv = self._k.inverses(self.prime, self.exponent)
+            return self._inv
         if s < 1:
             raise ValueError(f"exponent must be >= 1, got {s}")
         self._check_weight(s)
-        row = self._ipow.get(s)
-        if row is None:
-            if self.modulus is None:
-                scale = self.scale
-                row = [0] + [(scale // j) ** s for j in range(1, self.n + 1)]
-            elif s == 1:
-                row = self._k.inverses(self.prime, self.exponent)
-            else:
-                row = self._k.powers(self._row(self._ipow, self.inv_powers, 1), (s,))[s]
-            self._ipow[s] = row
-        return row if _raw else self._k.tolist(row)
+        return [0] + self._k.tolist(self._block_powers(1, self.n + 1, (s,))[s])
 
-    def harmonic_prefix(self, s: int, *, _raw: bool = False) -> list[int]:
-        """The row j -> H_j^(s), j = 0..n, as a fresh list (_raw: as for
-        inv_powers)."""
-        self._check_weight(s)
-        row = self._hpref.get(s)
-        if row is None:
-            row = self._hpref[s] = self._extend(None, s)
-        return row if _raw else self._k.tolist(row)
+    def harmonic_prefix(self, s: int) -> list[int]:
+        """The row j -> H_j^(s), j = 0..n, as a fresh list."""
+        return self.mhs_all((s,))
 
     def mhs_all(self, parts: Iterable[int]) -> list[int]:
-        """H(parts; m) for every m = 0..n, by the recurrence."""
-        parts = Composition(parts)
-        self._check_weight(parts.weight)
-        row = None
-        for s in parts:
-            row = self._extend(row, s)
-        return [1] * (self.n + 1) if row is None else self._k.tolist(row)
+        """H(parts; m) for every m = 0..n, from one single_values pass."""
+        spec = ("mhs", (Composition(parts),))
+        return self.single_values((spec,), rows=True)[spec]
 
     def weighted_sum2_all(self, s1: int, s2: int, s3: int) -> list[int]:
         """sum_{j<=m} H_j^(s1) H_j^(s3) / j^(s2) for every m = 0..n."""
-        return self._wsum_row(s2, (s1, s3))
+        spec = ("weighted_sum2", (s1, s2, s3))
+        return self.single_values((spec,), rows=True)[spec]
 
     def weighted_sum3_all(self, s1: int, s2: int, s3: int, s4: int) -> list[int]:
         """As weighted_sum2_all with a third harmonic factor H_j^(s4)."""
-        return self._wsum_row(s2, (s1, s3, s4))
+        spec = ("weighted_sum3", (s1, s2, s3, s4))
+        return self.single_values((spec,), rows=True)[spec]
 
     # -- single values -------------------------------------------------------
 
@@ -517,11 +474,13 @@ class PrefixTable:
         if self.modulus is None:
             base = [self.scale // j for j in range(lo, hi)]
         else:
-            base = self._row(self._ipow, self.inv_powers, 1)[lo:hi]
+            inv = self.inv_powers(1, _raw=True) if self._inv is None else self._inv
+            base = inv[lo:hi]
         return self._k.powers(base, exponents)
 
-    def single_values(self, specs: Iterable[tuple[str, tuple]]) -> dict[tuple[str, tuple], int]:
-        """The value at n of every spec, as a raw int keyed by the spec.
+    def single_values(self, specs: Iterable[tuple[str, tuple]], *, rows: bool = False) -> dict:
+        """The value at n of every spec, as a raw int keyed by the spec; with
+        rows, its row over every upper index 0..n instead, as a fresh list.
 
         A spec names a single-value method and its arguments, as a
         CheckMember's left side does: ("mhs", (parts,)),
@@ -536,7 +495,9 @@ class PrefixTable:
         with children, or one that a weighted sum reads as H_j^(s), builds
         the block's carried row; a leaf adds one dot product to its carry.
         A parent's row waits on a stack until its last child takes it off,
-        so a chain of prefixes holds two rows at once.
+        so a chain of prefixes holds two rows at once.  With rows, a leaf
+        and a weighted sum build the block's carried row too, in place of
+        the dot product, and append it to the row they return.
         """
         specs = list(dict.fromkeys(specs))
         leaves: dict[tuple[str, tuple], tuple[int, ...]] = {}
@@ -563,37 +524,53 @@ class PrefixTable:
         order = sorted(prefixes | factors)
         exponents = {c[-1] for c in order} | {s2 for s2, _ in wsums.values()}
         last_child = {c[:-1]: c for c in order}
+        wanted = set(leaves.values()) if rows else set()
         # Per prefix: its last part, whether it is its parent's last child,
-        # whether it has children, and whether it is a harmonic factor.
+        # whether it has children, whether it is a harmonic factor, and
+        # whether its row is asked for.
         walk = [
-            (c, c[-1], last_child[c[:-1]] is c, c in last_child, c in factors) for c in order
+            (c, c[-1], last_child[c[:-1]] is c, c in last_child, c in factors, c in wanted)
+            for c in order
         ]
         k = self._k
-        carries = dict.fromkeys(order, 0)
+        # The carry of every prefix and weighted sum, and with rows each
+        # asked-for row so far, from its cell at 0.  A weighted sum is keyed
+        # by its spec, a composition by its tuple.
+        carries = dict.fromkeys([*order, *wsums], 0)
         carries[()] = 1  # H(; j) = 1: the empty composition's value
-        totals = dict.fromkeys(wsums, 0)
+        grown = {key: [0] for key in (*wanted, *wsums)} if rows else {}
         for lo in range(1, self.n + 1, _BLOCK):
             ip = self._block_powers(lo, min(lo + _BLOCK, self.n + 1), exponents)
-            rows = {}  # s -> H_j^(s) for the block's j
+            hrows = {}  # s -> H_j^(s) for the block's j
             stack = [None]  # the empty prefix's row
-            for prefix, s, last, parent, factor in walk:
+            for prefix, s, last, parent, factor, want in walk:
                 prev = stack.pop() if last else stack[-1]
                 terms = k.terms(ip[s], prev)
-                if not (parent or factor):
+                if not (parent or factor or want):
                     carries[prefix] = k.total(terms, carries[prefix])
                     continue
                 row = k.prefix(terms, carries[prefix])
                 carries[prefix] = int(row[-1])
+                if want:
+                    grown[prefix] += k.tolist(row[1:])
                 if factor:
-                    rows[s] = row[1:]
+                    hrows[s] = row[1:]
                 if parent:
                     stack.append(row)
             for spec, (s2, harmonic) in wsums.items():
                 terms = ip[s2]
                 for s in harmonic:
-                    terms = k.times(terms, rows[s])
-                totals[spec] = k.total(terms, totals[spec])
-        return {spec: totals[spec] if spec in totals else carries[leaves[spec]] for spec in specs}
+                    terms = k.times(terms, hrows[s])
+                if rows:
+                    row = k.prefix(terms, carries[spec])
+                    carries[spec] = int(row[-1])
+                    grown[spec] += k.tolist(row[1:])
+                else:
+                    carries[spec] = k.total(terms, carries[spec])
+        if rows:
+            grown[()] = [1] * (self.n + 1)
+        values = grown if rows else carries
+        return {spec: values[leaves.get(spec, spec)] for spec in specs}
 
     def mhs_many(self, compositions: Iterable[Iterable[int]]) -> dict[Composition, int]:
         """H(c; n) as a raw int for every composition c, keyed by c as a

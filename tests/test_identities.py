@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -72,32 +73,40 @@ def test_probe_is_deterministic():
     assert a.ok and b.ok
 
 
-def _count_row_builds(monkeypatch, *methods) -> Counter:
-    """Count the calls of each named PrefixTable row method from now on."""
-    calls = Counter()
-    for method in methods:
+def _record_passes(monkeypatch) -> list:
+    """Record (rows, specs) for every single_values call from now on."""
+    passes = []
+    original = PrefixTable.single_values
 
-        def spy(self, *args, _original=getattr(PrefixTable, method), _method=method):
-            calls[_method] += 1
-            return _original(self, *args)
+    def spy(self, specs, *, rows=False):
+        specs = list(specs)
+        passes.append((rows, specs))
+        return original(self, specs, rows=rows)
 
-        monkeypatch.setattr(PrefixTable, method, spy)
-    return calls
+    monkeypatch.setattr(PrefixTable, "single_values", spy)
+    return passes
 
 
 def test_thm21_builds_each_row_once(monkeypatch):
-    # Per triple: one left row, and seven H rows, as the forms share H(s3, s1+s2).
-    calls = _count_row_builds(monkeypatch, "weighted_sum2_all", "mhs_all")
+    # One pass of rows per (s1, s2), for all its s3: each left row is asked
+    # for once, in the pass of its (s1, s2).
+    passes = _record_passes(monkeypatch)
     assert run_thm21_suite(4, 10).ok
-    assert calls == {"weighted_sum2_all": 4**3, "mhs_all": 7 * 4**3}
+    assert len(passes) == 4**2 and all(rows for rows, _ in passes)
+    lefts = [args for _, specs in passes for method, args in specs if method == "weighted_sum2"]
+    assert sorted(lefts) == list(product(range(1, 5), repeat=3))
+    for _, specs in passes:
+        assert len({args[:2] for method, args in specs if method == "weighted_sum2"}) == 1
 
 
 def test_thm31_builds_each_two_factor_row_once(monkeypatch):
-    # One two-factor row per (s1, s2, s3), shared by its three s4; one
-    # three-factor row per point of the grid.
-    calls = _count_row_builds(monkeypatch, "weighted_sum2_all", "weighted_sum3_all")
+    # One pass of rows per (s1, s2, s3), for all its s4: the two-factor row
+    # is asked for once there, and each three-factor row once in the grid.
+    passes = _record_passes(monkeypatch)
     assert run_thm31_suite(3, (4, 6, 10, 12)).ok
-    assert calls == {"weighted_sum2_all": 3**3, "weighted_sum3_all": 3**4}
+    assert len(passes) == 3**3 and all(rows for rows, _ in passes)
+    by_method = Counter(method for _, specs in passes for method, _ in dict.fromkeys(specs))
+    assert by_method["weighted_sum2"] == 3**3 and by_method["weighted_sum3"] == 3**4
 
 
 def test_eval_formal_sum_exact_and_mod():
@@ -119,17 +128,22 @@ def test_empty_formal_sum_evaluates_to_zero():
     assert eval_formal_sum(FormalSum(), 9) == 0
 
 
+def _bump_cell_n(monkeypatch, method):
+    """Add 1 to the numerator of every `method` spec where the suites read
+    it, cell n of its row on a table for n: the row's cell, or the value."""
+    original = PrefixTable.single_values
 
-def _bump_last_cell(monkeypatch, method):
-    """Add 1 to the numerator in the last cell of every row `method` returns."""
-    original = getattr(PrefixTable, method)
+    def bumped(self, specs, *, rows=False):
+        values = original(self, specs, rows=rows)
+        for spec in values:
+            if spec[0] == method:
+                if rows:
+                    values[spec][self.n] += 1
+                else:
+                    values[spec] += 1
+        return values
 
-    def bumped(self, *args):
-        row = list(original(self, *args))
-        row[self.n] += 1
-        return row
-
-    monkeypatch.setattr(PrefixTable, method, bumped)
+    monkeypatch.setattr(PrefixTable, "single_values", bumped)
 
 
 def test_failures_report_both_sides_as_fractions(monkeypatch):
@@ -138,7 +152,7 @@ def test_failures_report_both_sides_as_fractions(monkeypatch):
     wsum2_6 = weighted_sum2(1, 1, 1, 6)
     lhs31 = {n: -weighted_sum3(1, 1, 1, 1, n) for n in (5, 12)}
 
-    _bump_last_cell(monkeypatch, "weighted_sum2_all")
+    _bump_cell_n(monkeypatch, "weighted_sum2")
     rep = run_thm21_suite(1, 6)
     # both forms share the bumped left side, so each fails at n = 6
     assert [(f.identity, f.exponents, f.n) for f in rep.failures] == [
@@ -153,7 +167,7 @@ def test_failures_report_both_sides_as_fractions(monkeypatch):
     monkeypatch.undo()
 
     # thm31's left side is minus the three-factor sum
-    _bump_last_cell(monkeypatch, "weighted_sum3_all")
+    _bump_cell_n(monkeypatch, "weighted_sum3")
     rep = run_thm31_suite(1, (12,))
     probe = probe_thm31_random(3, smax=1, nmax=5)
     assert [(f.exponents, f.n) for f in rep.failures] == [((1, 1, 1, 1), 12)]

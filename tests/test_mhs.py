@@ -1,5 +1,6 @@
-"""Nested harmonic sums against a brute-force enumeration oracle, plus the
-table plumbing (inverse row, single-value and trie paths, caching, mode
+"""Nested harmonic sums against a brute-force enumeration oracle, rows and
+single values against a plain-recurrence oracle, plus the table plumbing
+(inverse row, single-value and trie paths, the kept row, mode
 validation)."""
 
 import itertools
@@ -52,6 +53,42 @@ def brute_weighted2(s1, s2, s3, n):
     return sum(
         (h(s1, j) * h(s3, j) / j**s2 for j in range(1, n + 1)), Fraction(0)
     )
+
+
+def reference_row(t, spec):
+    """The row of spec over 0..t.n by the plain recurrences over Python
+    ints, H(P, s; j) = H(P, s; j-1) + j^(-s) H(P; j-1) and the weighted
+    sum's running sum, with none of the table's blocks, carries, prefix
+    walk or kernels: residues mod p^e, or exact numerators over
+    t.scale**weight with j^(-s) = (scale // j)^s."""
+    method, args = spec
+    m, n = t.modulus, t.n
+    if m is None:
+        inv = lambda j, s: (t.scale // j) ** s
+        red = lambda v: v
+    else:
+        inv = lambda j, s: pow(j, -s, m)
+        red = lambda v: v % m
+
+    def h(parts):
+        row = [1] * (n + 1)
+        for s in parts:
+            prev, row = row, [0]
+            for j in range(1, n + 1):
+                row.append(red(row[-1] + inv(j, s) * prev[j - 1]))
+        return row
+
+    if method == "mhs":
+        return h(args[0])
+    s1, s2, *rest = args
+    factors = [h((s,)) for s in (s1, *rest)]
+    row = [0]
+    for j in range(1, n + 1):
+        term = inv(j, s2)
+        for f in factors:
+            term *= f[j]
+        row.append(red(row[-1] + term))
+    return row
 
 
 SMALL_COMPS = [
@@ -290,7 +327,6 @@ def test_exact_bits_cap_enforced(monkeypatch):
     t = PrefixTable.for_exact(3)
     w = EXACT_BITS_CAP // 3 + 1
     monkeypatch.setattr(PrefixTable, "_block_powers", bomb)
-    monkeypatch.setattr(PrefixTable, "_row", bomb)
     calls = [
         lambda: mhs_exact((w,), 3),
         lambda: mhs_exact((1,) * w, 3),
@@ -414,9 +450,13 @@ def test_weighted_sum_single_values_equal_the_rows(p):
     tables = [PrefixTable.for_prime(p, e) for e in (1, 2, 3)] + [PrefixTable.for_exact(p - 1)]
     for t in tables:
         for tr in triples:
-            assert t.weighted_sum2(*tr) == t.weighted_sum2_all(*tr)[p - 1], (p, t.modulus, tr)
+            want = reference_row(t, ("weighted_sum2", tr))
+            assert t.weighted_sum2_all(*tr) == want, (p, t.modulus, tr)
+            assert t.weighted_sum2(*tr) == want[p - 1], (p, t.modulus, tr)
         for q in quads:
-            assert t.weighted_sum3(*q) == t.weighted_sum3_all(*q)[p - 1], (p, t.modulus, q)
+            want = reference_row(t, ("weighted_sum3", q))
+            assert t.weighted_sum3_all(*q) == want, (p, t.modulus, q)
+            assert t.weighted_sum3(*q) == want[p - 1], (p, t.modulus, q)
     # The single values of a table for n equal the cells at n of the rows
     # of the table for p-1 (as values: the two scales differ).
     exact = tables[-1]
@@ -451,19 +491,25 @@ SHARED_SPECS = [
 
 
 def assert_single_values_are_the_last_cells(t, specs=BLOCK_SPECS):
-    """Every single value of one pass equals the cell at n of its row."""
+    """Every single value of one pass, every row of one pass and every
+    *_all row equal the reference recurrence, the single values at n."""
     got = t.single_values(specs)
-    assert list(got) == list(dict.fromkeys(specs))
+    rows = t.single_values(specs, rows=True)
+    assert list(got) == list(rows) == list(dict.fromkeys(specs))
     for method, args in specs:
+        want = reference_row(t, (method, args))
         row = getattr(t, f"{method}_all")(*args)
-        assert got[method, args] == row[t.n], (t.n, t.modulus, method, args)
+        assert row == rows[method, args] == want, (t.n, t.modulus, method, args)
+        assert got[method, args] == want[t.n], (t.n, t.modulus, method, args)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_single_values_across_block_boundaries(monkeypatch, block):
     # With blocks this small every prime below 200 and every n up to 40
     # splits into several blocks (or one cell each), so each carry crosses
-    # many boundaries, several of them inside a composition's chain.
+    # many boundaries, several of them inside a composition's chain.  Where
+    # numpy imports, the mod tables are then built again on the numpy
+    # kernel, at primes below 60 to keep its many tiny blocks cheap.
     monkeypatch.setattr(mhs, "_BLOCK", block)
     for specs in (BLOCK_SPECS, SHARED_SPECS):
         for p in PRIMES_BELOW_200:
@@ -471,6 +517,15 @@ def test_single_values_across_block_boundaries(monkeypatch, block):
                 assert_single_values_are_the_last_cells(PrefixTable.for_prime(p, e), specs)
         for n in range(41):
             assert_single_values_are_the_last_cells(PrefixTable.for_exact(n), specs)
+    if mhs._numpy() is None:
+        return
+    monkeypatch.setattr(mhs, "_NUMPY_MIN_N", 0)
+    for specs in (BLOCK_SPECS, SHARED_SPECS):
+        for p in primes_in_range(3, 59):
+            for e in (1, 2, 3):
+                t = PrefixTable.for_prime(p, e)
+                assert isinstance(t._k, mhs._NumpyKernel)
+                assert_single_values_are_the_last_cells(t, specs)
 
 
 def test_single_values_take_duplicates_and_refuse_unknown_specs():
