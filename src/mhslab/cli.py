@@ -213,7 +213,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     fam = families.get(args.family)
     if fam is None:
         raise ValueError(f"unknown family {args.family!r}; known: {', '.join(sorted(families))}")
-    result = fit_coefficient(fam.lhs, fam.w, parse_primes(args.primes), t=fam.t, e=fam.e)
+    # The member holds only from its own smallest prime, as in scans and refits.
+    primes = [p for p in parse_primes(args.primes) if p >= fam.member.min_prime]
+    result = fit_coefficient(fam.lhs, fam.w, primes, t=fam.t, e=fam.e)
     if result.coefficient is None:
         print("unstable")
         return 1

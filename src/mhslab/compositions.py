@@ -1,5 +1,6 @@
-"""Compositions (finite tuples of positive integer exponents) and integer
-formal sums of compositions, with the quasi-shuffle product.
+"""Compositions (finite tuples of positive integer exponents) and the
+quasi-shuffle product, whose result is a FormalSum: an integer linear
+combination of compositions, built only by its constructor.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ class Composition(tuple):
         """Sum of the parts."""
         return sum(self)
 
-    @property
-    def depth(self) -> int:
-        """Number of parts."""
-        return len(self)
-
     def __repr__(self) -> str:
         return f"Composition({tuple(self)!r})"
 
@@ -80,11 +76,12 @@ def parse_composition(text: str) -> Composition:
 
 
 class FormalSum:
-    """An integer linear combination of compositions.
+    """An integer linear combination of compositions: stuffle's result.
 
-    Zero-coefficient terms are dropped on construction, so equality and
-    hashing see only the support.  Terms are reported in lexicographic
-    order of the underlying tuples.
+    It is built only by its constructor, from a mapping or from
+    (composition, coefficient) pairs, which merges repeated compositions
+    and drops zero coefficients, so equality and hashing see only the
+    support.  Terms are reported in lexicographic order of the tuples.
     """
 
     __slots__ = ("_coeffs",)
@@ -104,51 +101,14 @@ class FormalSum:
                 coeffs.pop(comp, None)
         self._coeffs = coeffs
 
-    @classmethod
-    def single(cls, comp: Iterable[int], coeff: int = 1) -> "FormalSum":
-        return cls([(Composition(comp), coeff)])
-
     def terms(self) -> tuple[tuple[Composition, int], ...]:
         return tuple(sorted(self._coeffs.items()))
-
-    def coefficient(self, comp: Iterable[int]) -> int:
-        return self._coeffs.get(Composition(comp), 0)
 
     def __iter__(self) -> Iterator[tuple[Composition, int]]:
         return iter(self.terms())
 
     def __len__(self) -> int:
         return len(self._coeffs)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        if not isinstance(other, FormalSum):
-            return NotImplemented
-        merged = dict(self._coeffs)
-        for comp, c in other._coeffs.items():
-            s = merged.get(comp, 0) + c
-            if s:
-                merged[comp] = s
-            else:
-                merged.pop(comp, None)
-        out = FormalSum.__new__(FormalSum)
-        out._coeffs = merged
-        return out
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        if not isinstance(other, FormalSum):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, k: int) -> "FormalSum":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k == 0:
-            return FormalSum()
-        out = FormalSum.__new__(FormalSum)
-        out._coeffs = {comp: k * c for comp, c in self._coeffs.items()}
-        return out
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalSum):

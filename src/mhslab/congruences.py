@@ -162,13 +162,18 @@ def _homogeneous(s: int, k: int, e: int) -> tuple[int, Terms]:
     return w + 3, terms
 
 
-def _depth2_modp2(s1: int, s2: int) -> tuple[int, Terms]:
-    """H(s1, s2; p-1) mod p^2.  At even weight w, for p > w+1:
-    p [(-1)^s1 (s2 C(w+1,s1) - s1 C(w+1,s2)) - w] B_{p-w-1} / (2(w+1)).
-    At odd weight only (1,4) and (4,1) are known, for p >= 11."""
+def _depth2(s1: int, s2: int, e: int) -> tuple[int, Terms]:
+    """H(s1, s2; p-1) mod p^e, e = 1 or 2, at weight w = s1 + s2.
+    Mod p, for p > w: (-1)^s2 C(w,s1) B_{p-w} / w.  Mod p^2 at even w,
+    for p > w+1: p [(-1)^s1 (s2 C(w+1,s1) - s1 C(w+1,s2)) - w] B_{p-w-1}
+    / (2(w+1)); at odd w only (1,4) and (4,1) are known, for p >= 11."""
     if min(s1, s2) < 1:
         raise ValueError("exponents must be >= 1")
     w = s1 + s2
+    if e == 1:
+        return w + 1, _one(Fraction((-1) ** s2 * math.comb(w, s1), w), w)
+    if e != 2:
+        raise ValueError(f"exponent must be 1 or 2, got {e}")
     if w % 2 == 0:
         bracket = (-1) ** s1 * (
             s2 * math.comb(w + 1, s1) - s1 * math.comb(w + 1, s2)
@@ -497,7 +502,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                 # p = 7 is 2p, not 0 (H(1,3,1;6) = 5747/34560 = 7*821/34560
                 # and 821/34560 == 2 mod 7).  The vanishing starts at 11.
                 CheckMember("H(1,3,1)", 11, ("mhs", ((1, 3, 1),)), ()),
-                _built("H(4,1)", ("mhs", ((4, 1),)), _depth2_modp2(4, 1)),
+                _built("H(4,1)", ("mhs", ((4, 1),)), _depth2(4, 1, 2)),
             ),
         ),
         CongruenceCheck(
@@ -533,7 +538,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             "h2-over-j3-modp2",
             2,
             "sum_j H_j^2 / j^3 against the refined B_{p-5}/B_{2p-6} form, mod p^2",
-            (_built("(1,3,1)", ("weighted_sum2", (1, 3, 1)), _depth2_modp2(1, 4)),),
+            (_built("(1,3,1)", ("weighted_sum2", (1, 3, 1)), _depth2(1, 4, 2)),),
         ),
         CongruenceCheck(
             "h3-over-j-modp2",
@@ -601,14 +606,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             1,
             "H(s1,s2) against (-1)^s2 C(w,s1) B_{p-w}/w, mod p",
             tuple(
-                CheckMember(
-                    f"H({s1},{s2})",
-                    s1 + s2 + 1,
-                    ("mhs", ((s1, s2),)),
-                    _one(
-                        Fraction((-1) ** s2 * math.comb(s1 + s2, s1), s1 + s2), s1 + s2
-                    ),
-                )
+                _built(f"H({s1},{s2})", ("mhs", ((s1, s2),)), _depth2(s1, s2, 1))
                 for s1, s2 in itertools.product(range(1, 5), repeat=2)
             ),
         ),
@@ -618,7 +616,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             "H(s1,s2) at even weight against the p B_{p-w-1} form, and the"
             " refined H(1,4) and H(4,1), mod p^2",
             tuple(
-                _built(f"H({s1},{s2})", ("mhs", ((s1, s2),)), _depth2_modp2(s1, s2))
+                _built(f"H({s1},{s2})", ("mhs", ((s1, s2),)), _depth2(s1, s2, 2))
                 for s1, s2 in (
                     (1, 3), (3, 1), (2, 2), (2, 4), (1, 5), (3, 3), (1, 4), (4, 1)
                 )

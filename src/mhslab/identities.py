@@ -52,13 +52,12 @@ class IdentityInstance:
 
 @dataclass(frozen=True, slots=True)
 class SuiteReport:
+    """The points a suite compared and the instances where the sides
+    differ; the identity holds on the suite when failures is empty."""
+
     identity: str
     points: int
     failures: tuple[IdentityInstance, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _compare(t: PrefixTable, exps: tuple, lhs: list, sides: dict, ns: Sequence, out: list) -> int:

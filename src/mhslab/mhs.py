@@ -130,7 +130,9 @@ class _PythonKernel:
     A block of indices j = lo..hi-1 is worked on as the cells of its
     terms, one per index, and the carried rows of its prefixes: the
     carried row of P holds H(P; lo-1), the carry, and then H(P; j) for
-    every j of the block.
+    every j of the block.  times is the one product step: the terms
+    j^(-s) H(P; j-1) of a prefix are times(j^(-s), the carried row of P),
+    whose last cell the shorter block of j^(-s) leaves unread.
     """
 
     __slots__ = ("m",)
@@ -159,13 +161,9 @@ class _PythonKernel:
         m = self.m
         return {s: row if s == 1 else list(map(pow, row, repeat(s), repeat(m))) for s in exponents}
 
-    def terms(self, ip: list[int], prev: Sequence | None) -> Iterable[int]:
-        """j -> j^(-s) H(P; j-1) over a run, from the run's cells ip of
-        j^(-s) and the carried row prev of P (None: the empty prefix)."""
-        return ip if prev is None else map(mul, ip, prev)
-
-    def times(self, terms: Iterable[int], cells: list[int]) -> Iterator[int]:
-        """j -> terms[j] * cells[j], cell by cell."""
+    def times(self, terms: Iterable[int], cells: Sequence[int]) -> Iterator[int]:
+        """j -> terms[j] * cells[j] for every j of terms; cells may run
+        longer, as a carried row does."""
         return map(mul, terms, cells)
 
     def prefix(self, terms: Iterable[int], carry: int = 0) -> list[int]:
@@ -194,7 +192,8 @@ class _NumpyKernel:
     reduced in place as x - (x // m) * m (_reduce), never with %, which
     numpy runs several times slower on int64.  The rows hold the same
     residues as the Python kernel's, which the tests check cell for cell.
-    Blocks, terms and carried rows are as for the Python kernel.
+    Blocks, terms, carried rows and the one product step, times, are as
+    for the Python kernel.
     """
 
     __slots__ = ("np", "m")
@@ -279,11 +278,9 @@ class _NumpyKernel:
                 return results
             square = self._mul(square, square)
 
-    def terms(self, ip, prev):
-        return ip if prev is None else self._mul(ip, prev[:-1])
-
     def times(self, terms, cells):
-        return self._mul(terms, cells)
+        """As the Python kernel's; cells[: len(terms)] is a view, not a copy."""
+        return self._mul(terms, cells[: len(terms)])
 
     def prefix(self, terms, carry: int = 0):
         np = self.np
@@ -545,7 +542,7 @@ class PrefixTable:
             stack = [None]  # the empty prefix's row
             for prefix, s, last, parent, factor, want in walk:
                 prev = stack.pop() if last else stack[-1]
-                terms = k.terms(ip[s], prev)
+                terms = ip[s] if prev is None else k.times(ip[s], prev)
                 if not (parent or factor or want):
                     carries[prefix] = k.total(terms, carries[prefix])
                     continue

@@ -47,7 +47,7 @@ def test_criterion_01_identity_suite_two_factor():
     start = time.perf_counter()
     rep = run_thm21_suite(smax=4, nmax=40)
     elapsed = time.perf_counter() - start
-    assert rep.ok, rep.failures[:3]
+    assert not rep.failures, rep.failures[:3]
     assert rep.points == 4**3 * 41 * 2
     assert elapsed < 60
     print(f"criterion 1: PASS ({rep.points} instances, 0 failures, {elapsed:.1f}s)")
@@ -55,10 +55,10 @@ def test_criterion_01_identity_suite_two_factor():
 
 def test_criterion_02_identity_suite_three_factor():
     rep = run_thm31_suite(smax=3, nvalues=(4, 6, 10, 12))
-    assert rep.ok, rep.failures[:3]
+    assert not rep.failures, rep.failures[:3]
     assert rep.points == 3**4 * 4
     probe = probe_thm31_random(50)
-    assert probe.ok, probe.failures[:3]
+    assert not probe.failures, probe.failures[:3]
     print(
         f"criterion 2: PASS ({rep.points} grid instances and"
         f" {probe.points} general-n probes, 0 failures)"

@@ -14,6 +14,7 @@ import mhslab.cli as cli
 from mhslab.bernoulli import DEFAULT_CAP, BernoulliCache, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
 from mhslab.compositions import STUFFLE_MAX_PARTS, STUFFLE_MAX_TERMS
+from mhslab.congruences import FitFamily, fit_families
 from mhslab.exactnum import MAX_PRIME
 from mhslab.identities import probe_thm31_random, run_thm31_suite
 from mhslab.mhs import EXACT_BITS_CAP, mhs_exact
@@ -489,6 +490,16 @@ def test_fit_cor34_fourth_refits_the_published_constant(family, primes, constant
     # cor34-4 is published with 3; no ordering of the exponents (2,1,2,2) gives it
     code, out = run_cli(["fit", "--family", family, "--primes", primes], capsys)
     assert (code, out) == (0, constant + "\n")
+
+
+def test_fit_keeps_to_the_members_smallest_prime(capsys, monkeypatch):
+    # sun-s1 is cor-sun-modp's s=1 member, which holds only from p = 6:
+    # p = 5 is below it and is never evaluated, as in scans and refits.
+    assert fit_families()["sun-s1"].member.min_prime == 6
+    seen, lhs = [], FitFamily.lhs
+    monkeypatch.setattr(FitFamily, "lhs", lambda fam, p: seen.append(p) or lhs(fam, p))
+    assert run_cli(["fit", "--family", "sun-s1", "--primes", "5..50"], capsys) == (0, "1\n")
+    assert seen and min(seen) == 7
 
 
 def test_fit_unknown_family_lists_choices(capsys):

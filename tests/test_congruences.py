@@ -192,9 +192,11 @@ def test_depth2_mod_p2_odd_weight_rejections():
     assert _member("depth2-modp2", "H(1,4)").rhs(7, 2) != int(mhs_mod((1, 4), 7, 2))
     assert "H(1,4)" not in run_check("depth2-modp2", 7).lhs
     with pytest.raises(ValueError):
-        congruences._depth2_modp2(2, 3)  # no closed form registered for (2,3)
+        congruences._depth2(2, 3, 2)  # no closed form registered for (2,3)
     with pytest.raises(ValueError):
-        congruences._depth2_modp2(0, 2)
+        congruences._depth2(0, 2, 2)
+    with pytest.raises(ValueError):
+        congruences._depth2(1, 3, 3)  # mod p and mod p^2 only
 
 
 def test_depth3_odd_weight_closed_form():

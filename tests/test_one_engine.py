@@ -10,6 +10,7 @@ import textwrap
 
 import pytest
 
+from mhslab import mhs
 from mhslab.mhs import PrefixTable
 
 CALLS = {
@@ -46,10 +47,10 @@ def test_each_method_is_one_single_values_call(monkeypatch, method, kind):
 
 
 def test_only_the_engine_runs_the_kernel_sums():
-    # The kernel's term, product and running-sum steps are called from
+    # The kernel's product and running-sum steps are called from
     # single_values alone.
     tree = ast.parse(textwrap.dedent(inspect.getsource(PrefixTable)))
-    sums = {"terms", "times", "prefix", "total"}
+    sums = {"times", "prefix", "total"}
     callers = {
         method.name
         for method in tree.body[0].body
@@ -62,3 +63,14 @@ def test_only_the_engine_runs_the_kernel_sums():
     assert callers == {"single_values"}
     # The one row a table keeps is the inverse row of mod mode.
     assert PrefixTable.__slots__ == ("n", "prime", "exponent", "modulus", "scale", "_k", "_inv")
+
+
+def test_both_kernels_define_the_same_steps():
+    # A table calls its kernel without knowing which one it has, so a step
+    # defined on one kernel only would break the other's tables.  Reading
+    # the class bodies needs no numpy.
+    def steps(kernel):
+        return {name for name, v in vars(kernel).items() if callable(v) and name[0] != "_"}
+
+    assert steps(mhs._PythonKernel) == steps(mhs._NumpyKernel)
+    assert {"times", "prefix", "total"} <= steps(mhs._PythonKernel)
