@@ -32,16 +32,16 @@ from .exactnum import (
     rational_to_residue,
 )
 from .identities import probe_thm31_random, run_thm21_suite, run_thm31_suite
-from .mhs import mhs_exact, mhs_mod, weighted_sum2, weighted_sum3
+from .mhs import EXACT_N_CAP, mhs_exact, mhs_mod, weighted_sum2, weighted_sum3
 
 __all__ = ["build_parser", "main", "parse_primes"]
 
 
-def parse_primes(spec: str) -> list[int]:
+def parse_primes(spec: str, limit: int = MAX_PRIME) -> list[int]:
     """Expand a prime spec: either an inclusive range "a..b" or a comma
     list "5,7,11" of odd primes.  Ranges silently drop anything below 3
-    and may not reach past MAX_PRIME; explicit lists are validated entry
-    by entry."""
+    and may not reach past MAX_PRIME, nor past the command's own limit;
+    explicit lists are validated entry by entry."""
     spec = spec.strip()
     if ".." in spec:
         lo_text, _, hi_text = spec.partition("..")
@@ -49,9 +49,11 @@ def parse_primes(spec: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
             raise ValueError(f"bad prime range {spec!r}; expected a..b") from None
+        # Both refused before the sieve, whose memory grows with hi.
         if hi > MAX_PRIME:
-            # Refused before the sieve, whose memory grows with hi.
             raise ValueError(f"prime range {spec!r} goes past the limit {MAX_PRIME} for O(p) work")
+        if hi > limit:
+            raise ValueError(f"prime range {spec!r} goes past the limit {limit} of this command")
         primes = [p for p in primes_in_range(lo, hi) if p >= 3]
     else:
         primes = []
@@ -167,7 +169,9 @@ def _cmd_identity(args: argparse.Namespace) -> int:
         smax = args.smax if args.smax is not None else 3
         grid = {}
         if args.at_primes:
-            grid["nvalues"] = tuple(p - 1 for p in parse_primes(args.at_primes))
+            # n = p - 1 is evaluated exactly, so p may not pass EXACT_N_CAP + 1.
+            primes = parse_primes(args.at_primes, limit=EXACT_N_CAP + 1)
+            grid["nvalues"] = tuple(p - 1 for p in primes)
         reports = [run_thm31_suite(smax=smax, **grid)]
         if args.probes:
             probe = _given(args, "nmax", "seed")
@@ -213,8 +217,18 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     fam = families.get(args.family)
     if fam is None:
         raise ValueError(f"unknown family {args.family!r}; known: {', '.join(sorted(families))}")
-    # The member holds only from its own smallest prime, as in scans and refits.
-    primes = [p for p in parse_primes(args.primes) if p >= fam.member.min_prime]
+    # The member holds only from its own smallest prime, as in scans and refits;
+    # the primes below it are named on stderr.
+    least = fam.member.min_prime
+    given = parse_primes(args.primes)
+    primes = [p for p in given if p >= least]
+    below = [str(p) for p in given if p < least]
+    if below:
+        print(
+            f"{args.parser.prog}: skipped {', '.join(below)},"
+            f" below the member's smallest prime {least}",
+            file=sys.stderr,
+        )
     result = fit_coefficient(fam.lhs, fam.w, primes, t=fam.t, e=fam.e)
     if result.coefficient is None:
         print("unstable")

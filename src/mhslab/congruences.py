@@ -12,7 +12,9 @@ Checks are plain data.  A member's left side names a PrefixTable method
 and its arguments; its right side is a sum of monomials
 c * p^t * prod B_{kp-w}, which one evaluator reduces mod p^e.  The closed
 forms with real logic are builders that return such a sum together with
-the smallest prime it holds for; only the registry calls them.
+the smallest prime it holds for; only the registry calls them.  A check
+of one weighted sum is a row of one table, from which the registry
+derives its label and its left side.
 
 Scans run prime-major.  The work unit is one prime with the ids of every
 check to evaluate there; a battery (and a scan, a battery of one check)
@@ -396,15 +398,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             "squared harmonic factor over j^r (odd r) against"
             " (-1)^(s+r) C(2s+r,s) B_{p-2s-r}/(2s+r), mod p",
             tuple(
-                CheckMember(
-                    f"s={s},r={r}",
-                    2 * s + r + 1,
-                    ("weighted_sum2", (s, r, s)),
-                    _one(
-                        Fraction((-1) ** (s + r) * math.comb(2 * s + r, s), 2 * s + r),
-                        2 * s + r,
-                    ),
-                )
+                _built(f"s={s},r={r}", ("weighted_sum2", (s, r, s)), _thm23(s, r, s))
                 for s, r in ((1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 3))
             ),
         ),
@@ -442,25 +436,6 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                     ((4, 1, 1), Fraction(1, 6)),
                 )
             ),
-        ),
-        CongruenceCheck(
-            "hjh2-over-j2",
-            1,
-            "sum_j H_j H_j^(2) / j^2 against -B_{p-5}/2, mod p",
-            (
-                CheckMember(
-                    "(1,2,2)",
-                    11,
-                    ("weighted_sum2", (1, 2, 2)),
-                    _one(Fraction(-1, 2), 5),
-                ),
-            ),
-        ),
-        CongruenceCheck(
-            "h5h4-over-j3",
-            1,
-            "sum_j H_j^(5) H_j^(4) / j^3 vanishes mod p for p >= 17",
-            (CheckMember("(5,3,4)", 17, ("weighted_sum2", (5, 3, 4)), ()),),
         ),
         # H({2}^a, 3, {2}^b) and H({2}^a, 1, {2}^b) closed forms mod p.
         CongruenceCheck(
@@ -503,55 +478,6 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                 # and 821/34560 == 2 mod 7).  The vanishing starts at 11.
                 CheckMember("H(1,3,1)", 11, ("mhs", ((1, 3, 1),)), ()),
                 _built("H(4,1)", ("mhs", ((4, 1),)), _depth2(4, 1, 2)),
-            ),
-        ),
-        CongruenceCheck(
-            "cor-sun-modp2",
-            2,
-            "sum_j H_j^2 / j^2 against (4/5) p B_{p-5}, mod p^2",
-            (
-                CheckMember(
-                    "(1,2,1)",
-                    7,
-                    ("weighted_sum2", (1, 2, 1)),
-                    _one(Fraction(4, 5), 5, t=1),
-                ),
-            ),
-        ),
-        CongruenceCheck(
-            "h2h-over-j",
-            2,
-            "sum_j H_j^(2) H_j / j against -(7/10) p B_{p-5}, mod p^2",
-            (
-                CheckMember(
-                    "(2,1,1)",
-                    7,
-                    ("weighted_sum2", (2, 1, 1)),
-                    _one(Fraction(-7, 10), 5, t=1),
-                ),
-            ),
-        ),
-        # The quotable statement is "== B_{p-5}", but that only holds mod p.
-        # Mod p^2 the sum equals H(1,4) (the depth-3 and product terms in the
-        # expansion vanish for p >= 11), so the member reuses that closed form.
-        CongruenceCheck(
-            "h2-over-j3-modp2",
-            2,
-            "sum_j H_j^2 / j^3 against the refined B_{p-5}/B_{2p-6} form, mod p^2",
-            (_built("(1,3,1)", ("weighted_sum2", (1, 3, 1)), _depth2(1, 4, 2)),),
-        ),
-        CongruenceCheck(
-            "h3-over-j-modp2",
-            2,
-            "sum_j H_j^3 / j against (3/2) p B_{p-5}, mod p^2",
-            (
-                CheckMember(
-                    "(1,1,1,1)",
-                    7,
-                    ("weighted_sum3", (1, 1, 1, 1)),
-                    _one(Fraction(3, 2), 5, t=1),
-                    "h3-over-j",
-                ),
             ),
         ),
         CongruenceCheck(
@@ -640,31 +566,47 @@ def _registry() -> Mapping[str, CongruenceCheck]:
         ),
     ]
 
+    # Checks of one weighted sum, as rows (id, e, description, exponents,
+    # (smallest prime, right side), fit family).  The label is the exponents
+    # written (s1,s2,...), and the left side is weighted_sum2 of three
+    # exponents or weighted_sum3 of four.
+    one_sum = [
+        ("hjh2-over-j2", 1, "sum_j H_j H_j^(2) / j^2 against -B_{p-5}/2, mod p",
+         (1, 2, 2), (11, _thm23(1, 2, 2)[1]), None),
+        ("h5h4-over-j3", 1, "sum_j H_j^(5) H_j^(4) / j^3 vanishes mod p for p >= 17",
+         (5, 3, 4), (17, ()), None),
+        ("cor-sun-modp2", 2, "sum_j H_j^2 / j^2 against (4/5) p B_{p-5}, mod p^2",
+         (1, 2, 1), (7, _one(Fraction(4, 5), 5, t=1)), None),
+        ("h2h-over-j", 2, "sum_j H_j^(2) H_j / j against -(7/10) p B_{p-5}, mod p^2",
+         (2, 1, 1), (7, _one(Fraction(-7, 10), 5, t=1)), None),
+        # The quotable statement is "== B_{p-5}", but that only holds mod p.
+        # Mod p^2 the sum equals H(1,4) (the depth-3 and product terms in
+        # the expansion vanish for p >= 11), so the row reuses that form.
+        ("h2-over-j3-modp2", 2,
+         "sum_j H_j^2 / j^3 against the refined B_{p-5}/B_{2p-6} form, mod p^2",
+         (1, 3, 1), _depth2(1, 4, 2), None),
+        ("h3-over-j-modp2", 2, "sum_j H_j^3 / j against (3/2) p B_{p-5}, mod p^2",
+         (1, 1, 1, 1), (7, _one(Fraction(3, 2), 5, t=1)), "h3-over-j"),
+    ]
     # The four weight-9/weight-7 triple-factor sums.  Right sides use the
     # published constants on purpose; scans attach the refitted value to
     # any fail rows rather than silently replacing the constant.
-    for check_id, exps, coef, offset, fam in (
-        ("cor34-first", (2, 2, 2, 3), Fraction(-13), 9, "cor34-1"),
-        ("cor34-second", (2, 3, 2, 2), Fraction(83, 3), 9, "cor34-2"),
-        ("cor34-third", (2, 2, 2, 1), Fraction(-21, 8), 7, "cor34-3"),
-        ("cor34-fourth", (2, 1, 2, 2), Fraction(3), 7, "cor34-4"),
-    ):
+    one_sum += [
+        (check_id, 1,
+         f"triple-factor weighted sum at exponents {exps} against {coef} B_{{p-{w}}}, mod p",
+         exps, (11, _one(coef, w)), family)
+        for check_id, exps, coef, w, family in (
+            ("cor34-first", (2, 2, 2, 3), Fraction(-13), 9, "cor34-1"),
+            ("cor34-second", (2, 3, 2, 2), Fraction(83, 3), 9, "cor34-2"),
+            ("cor34-third", (2, 2, 2, 1), Fraction(-21, 8), 7, "cor34-3"),
+            ("cor34-fourth", (2, 1, 2, 2), Fraction(3), 7, "cor34-4"),
+        )
+    ]
+    for check_id, e, description, exps, built, family in one_sum:
+        label = f"({','.join(map(str, exps))})"
+        spec = ("weighted_sum2" if len(exps) == 3 else "weighted_sum3", exps)
         checks.append(
-            CongruenceCheck(
-                check_id,
-                1,
-                f"triple-factor weighted sum at exponents {exps} against"
-                f" {coef} B_{{p-{offset}}}, mod p",
-                (
-                    CheckMember(
-                        f"({','.join(map(str, exps))})",
-                        11,
-                        ("weighted_sum3", exps),
-                        _one(coef, offset),
-                        fam,
-                    ),
-                ),
-            )
+            CongruenceCheck(check_id, e, description, (_built(label, spec, built, family),))
         )
 
     return MappingProxyType({c.check_id: c for c in checks})

@@ -17,7 +17,7 @@ from mhslab.compositions import STUFFLE_MAX_PARTS, STUFFLE_MAX_TERMS
 from mhslab.congruences import FitFamily, fit_families
 from mhslab.exactnum import MAX_PRIME
 from mhslab.identities import probe_thm31_random, run_thm31_suite
-from mhslab.mhs import EXACT_BITS_CAP, mhs_exact
+from mhslab.mhs import EXACT_BITS_CAP, EXACT_N_CAP, mhs_exact
 
 
 def run_cli(argv, capsys):
@@ -502,6 +502,22 @@ def test_fit_keeps_to_the_members_smallest_prime(capsys, monkeypatch):
     assert seen and min(seen) == 7
 
 
+def test_fit_names_the_primes_below_the_members_smallest_prime(capsys):
+    # One stderr line names them before the fit runs; stdout is unchanged.
+    code, err = run_cli_error(["fit", "--family", "cor34-1", "--primes", "3..13"], capsys)
+    assert code == 2
+    assert err.splitlines()[0] == (
+        "mhslab fit: skipped 3, 5, 7, below the member's smallest prime 11"
+    )
+    assert main(["fit", "--family", "sun-s1", "--primes", "5..50"]) == 0
+    assert capsys.readouterr() == (
+        "1\n",
+        "mhslab fit: skipped 5, below the member's smallest prime 6\n",
+    )
+    assert main(["fit", "--family", "sun-s1", "--primes", "7..50"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
 def test_fit_unknown_family_lists_choices(capsys):
     code, err = run_cli_error(["fit", "--family", "huh", "--primes", "7..50"], capsys)
     assert code == 2
@@ -569,6 +585,27 @@ def test_huge_prime_range_is_a_usage_error(monkeypatch, capsys):
     ):
         code, err = run_cli_error(argv, capsys)
         assert code == 2 and f"past the limit {MAX_PRIME}" in err
+
+
+def test_at_primes_past_the_exact_cap_is_refused_before_the_sieve(monkeypatch, capsys):
+    # identity evaluates n = p - 1 exactly, so its ranges stop at
+    # EXACT_N_CAP + 1, and one that goes further is never sieved.
+    assert run_cli(["identity", "--thm", "3.1", "--at-primes", "3..61"], capsys) == (
+        0,
+        "thm31: 1377 instances, 0 failures\n",
+    )
+
+    def no_sieve(lo, hi):
+        raise AssertionError(f"sieved {lo}..{hi}")
+
+    monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+    code, err = run_cli_error(
+        ["identity", "--thm", "3.1", "--at-primes", f"3..{MAX_PRIME}"], capsys
+    )
+    assert code == 2
+    assert f"goes past the limit {EXACT_N_CAP + 1} of this command" in err
+    with pytest.raises(ValueError, match=f"past the limit {EXACT_N_CAP + 1}"):
+        parse_primes(f"3..{EXACT_N_CAP + 2}", limit=EXACT_N_CAP + 1)
 
 
 def test_parser_top_level():

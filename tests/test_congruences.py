@@ -7,6 +7,7 @@ code touches prefix tables only.  Two tests enforce that independence by
 sabotaging the other side's entry points.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -281,6 +282,44 @@ def test_registry_is_picklable_data():
     # no member holds a closure, so every check can cross a process boundary
     for chk in registry().values():
         assert pickle.loads(pickle.dumps(chk)) == chk
+
+
+def _registry_rendering():
+    """Every datum of the registry and the fit families, one line each,
+    sorted by id, with coefficients written as a/b."""
+    lines = []
+    for cid in sorted(registry()):
+        chk = registry()[cid]
+        lines.append(f"check {cid} e={chk.e} {chk.description}")
+        for m in chk.members:
+            terms = " + ".join(
+                f"{c.numerator}/{c.denominator} p^{t} "
+                + "".join(f"B[{k}p-{w}]" for k, w in factors)
+                for c, t, factors in m.rhs_terms
+            )
+            lines.append(
+                f"  {m.label} min_prime={m.min_prime} spec={m.lhs_spec!r}"
+                f" terms=({terms}) family={m.family}"
+            )
+    for name in sorted(fit_families()):
+        fam = fit_families()[name]
+        lines.append(f"family {name} w={fam.w} t={fam.t} e={fam.e} member={fam.member.label}")
+    return "\n".join(lines) + "\n"
+
+
+# The sha256 of _registry_rendering().  The battery CSV pins the data of
+# the 13 battery checks only; this pins every label, description, family
+# tag, smallest prime, spec and coefficient of all of them.
+REGISTRY_DIGEST = "47728be767be39354df44f64485da6091b84c7293eb95b0e7f705004601f960a"
+
+
+def test_registry_data_is_pinned():
+    digest = hashlib.sha256(_registry_rendering().encode()).hexdigest()
+    assert digest == REGISTRY_DIGEST, (
+        f"the registry's data changed; its digest is now {digest}.  A"
+        " deliberate change updates REGISTRY_DIGEST together with a CHANGES.md"
+        " line that says what changed."
+    )
 
 
 def test_every_member_rhs_evaluates_at_every_admissible_prime():
