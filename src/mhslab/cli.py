@@ -230,6 +230,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     result = fit_coefficient(fam.lhs, fam.w, primes, t=fam.t, e=fam.e)
+    if result.skipped:
+        skipped = ", ".join(f"{p} ({reason})" for p, reason in result.skipped)
+        print(f"{args.parser.prog}: skipped {skipped}", file=sys.stderr)
     if result.coefficient is None:
         print("unstable")
         return 1

@@ -49,11 +49,10 @@ import math
 import operator
 import os
 import random
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .bernoulli import PDividesDenominator, bernoulli_mod
 from .exactnum import EXPONENTS, crt_list, is_odd_prime, mod_inverse_int, rational_reconstruct
@@ -243,8 +242,7 @@ def _thm23(s1: int, s2: int, s3: int) -> tuple[int, Terms]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckMember:
+class CheckMember(NamedTuple):
     """One congruence inside a check, as plain data: a label, the smallest
     admissible prime, the left side as a PrefixTable method name with its
     arguments, and the right side as a sum of Bernoulli monomials.  A
@@ -264,8 +262,7 @@ class CheckMember:
         return _evaluate(self.rhs_terms, p, e)
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(NamedTuple):
     check_id: str
     e: int
     description: str
@@ -281,8 +278,7 @@ class CongruenceCheck:
         return next((m.family for m in self.members if m.family), None)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Per-prime verdict; lhs/rhs hold rendered residue values (for checks
     with several members, 'label=value' pairs joined by ';')."""
 
@@ -295,19 +291,16 @@ class CheckReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return dict(zip(_REPORT_FIELDS, _report_row(self)))
+        return self._asdict()
 
 
-# The report layout, stated once: the CSV header and rows and the JSON
-# objects take their columns from the dataclass, and every report list is
-# sorted by (check_id, p).
-_REPORT_FIELDS = tuple(f.name for f in fields(CheckReport))
-_report_row = operator.attrgetter(*_REPORT_FIELDS)
+# The report layout, stated once: a report is its own CSV row, the CSV
+# header and the JSON objects' keys are CheckReport._fields, and every
+# report list is sorted by (check_id, p).
 _report_order = operator.attrgetter("check_id", "p")
 
 
-@dataclass(frozen=True)
-class FitFamily:
+class FitFamily(NamedTuple):
     """A left-side family p -> value mod p^e with its ansatz parameters:
     the Bernoulli offset w, the power t of p split off, and the ring
     exponent e.  The left side is that of a registry member."""
@@ -321,8 +314,7 @@ class FitFamily:
         return self.member.lhs(PrefixTable.for_prime(p, self.e))
 
 
-@dataclass(frozen=True, eq=False)
-class FitResult:
+class FitResult(NamedTuple):
     primes_used: tuple[int, ...]
     skipped: tuple[tuple[int, str], ...]
     coefficient: Fraction | None
@@ -758,7 +750,7 @@ def _with_refit(
         )
     except InsufficientPrimes:
         suffix = "fitted=insufficient-primes"
-    return [replace(r, note=f"{r.note}; {suffix}") if r.p in failed else r for r in reports]
+    return [r._replace(note=f"{r.note}; {suffix}") if r.p in failed else r for r in reports]
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -942,8 +934,8 @@ def reports_to_csv(reports: Iterable[CheckReport]) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_REPORT_FIELDS)
-    writer.writerows(map(_report_row, sorted(reports, key=_report_order)))
+    writer.writerow(CheckReport._fields)
+    writer.writerows(sorted(reports, key=_report_order))
     return buf.getvalue()
 
 

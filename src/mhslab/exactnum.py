@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "EXPONENTS",
@@ -131,21 +131,30 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [p for p in range(lo, hi + 1) if sieve[p]]
 
 
-@dataclass(frozen=True, slots=True)
-class Residue:
-    """An element of Z/p^e, as returned by the public evaluators: the value
-    reduced into [0, p^e), the ring validated by check_ring on
-    construction.  It has no arithmetic; int(r) gives the value to
-    compute with.  Instances are immutable and hashable.
-    """
-
+class _ResidueFields(NamedTuple):
     value: int
     prime: int
     exponent: int
 
-    def __post_init__(self) -> None:
-        check_ring(self.prime, self.exponent)
-        object.__setattr__(self, "value", self.value % self.prime**self.exponent)
+
+class Residue(_ResidueFields):
+    """An element of Z/p^e, as returned by the public evaluators: the value
+    reduced into [0, p^e), the ring validated by check_ring on
+    construction.  It has no arithmetic; int(r) gives the value to
+    compute with.  It is a NamedTuple, so immutable, hashable and equal to
+    the plain tuple (value, prime, exponent); construction, pickling and
+    _replace all go through __new__, which validates and reduces.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, prime: int, exponent: int) -> Residue:
+        check_ring(prime, exponent)
+        return super().__new__(cls, value % prime**exponent, prime, exponent)
+
+    @classmethod
+    def _make(cls, iterable) -> Residue:
+        return cls(*iterable)
 
     @property
     def modulus(self) -> int:

@@ -20,10 +20,9 @@ Fractions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import is_prime
 from .mhs import PrefixTable, eval_formal_sum
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityInstance:
+class IdentityInstance(NamedTuple):
     """One identity evaluated at one point: exponents, upper index and both
     sides.  A suite reports only the points where the sides differ."""
 
@@ -50,8 +48,7 @@ class IdentityInstance:
     rhs: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """The points a suite compared and the instances where the sides
     differ; the identity holds on the suite when failures is empty."""
 

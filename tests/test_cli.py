@@ -14,7 +14,7 @@ import mhslab.cli as cli
 from mhslab.bernoulli import DEFAULT_CAP, BernoulliCache, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
 from mhslab.compositions import STUFFLE_MAX_PARTS, STUFFLE_MAX_TERMS
-from mhslab.congruences import FitFamily, fit_families
+from mhslab.congruences import FitFamily, FitResult, fit_families
 from mhslab.exactnum import MAX_PRIME
 from mhslab.identities import probe_thm31_random, run_thm31_suite
 from mhslab.mhs import EXACT_BITS_CAP, EXACT_N_CAP, mhs_exact
@@ -516,6 +516,20 @@ def test_fit_names_the_primes_below_the_members_smallest_prime(capsys):
     )
     assert main(["fit", "--family", "sun-s1", "--primes", "7..50"]) == 0
     assert capsys.readouterr() == ("1\n", "")
+
+
+def test_fit_names_the_primes_the_fitter_skipped(capsys, monkeypatch):
+    # B_{p-5} vanishes mod 67, so the fitter skips it; one stderr line says
+    # so, on success and on an unstable fit, and stdout is the verdict alone.
+    assert main(["fit", "--family", "cor34-1", "--primes", "11..100"]) == 0
+    assert capsys.readouterr() == ("-11/3\n", "mhslab fit: skipped 67 (bernoulli-zero)\n")
+    unstable = FitResult((11, 13, 17), ((7, "hypothesis"), (67, "bernoulli-zero")), None)
+    monkeypatch.setattr(cli, "fit_coefficient", lambda *args, **kwargs: unstable)
+    assert main(["fit", "--family", "cor34-1", "--primes", "11..100"]) == 1
+    assert capsys.readouterr() == (
+        "unstable\n",
+        "mhslab fit: skipped 7 (hypothesis), 67 (bernoulli-zero)\n",
+    )
 
 
 def test_fit_unknown_family_lists_choices(capsys):

@@ -15,7 +15,6 @@ import multiprocessing
 import pickle
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -717,7 +716,7 @@ def test_scan_is_run_check_at_every_prime(check_id):
     if check_id in REFITS:
         suffix = f"; fitted={REFITS[check_id]}"
         single = [
-            replace(r, note=r.note + suffix) if r.status == STATUS_FAIL else r for r in single
+            r._replace(note=r.note + suffix) if r.status == STATUS_FAIL else r for r in single
         ]
     assert reports_to_csv(run_scan(check_id, primes, jobs=1)) == reports_to_csv(single)
 

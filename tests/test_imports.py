@@ -1,8 +1,12 @@
 """Import hygiene of the package's modules, read from their source with
 ast: every imported name is used, and no module reaches into another's
-private (underscore) names."""
+private (underscore) names.  In a fresh interpreter, importing the
+package does not load `dataclasses`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,20 @@ def test_no_private_name_is_imported_from_another_module(path):
         if isinstance(node, ast.ImportFrom) and name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import mhslab", "import mhslab.congruences as c; c.registry()", "import mhslab.cli"],
+)
+def test_import_does_not_load_dataclasses(code):
+    # Every command-line call pays the import: the records are NamedTuples,
+    # so no dataclass machinery (dataclasses, inspect, ast) loads with it.
+    env = dict(os.environ)
+    src = str(Path(mhslab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code += "\nimport sys\nprint('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
