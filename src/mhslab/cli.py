@@ -93,16 +93,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.mhs is not None:
         parts = parse_composition(args.mhs)
         out = mhs_mod(parts, p, e) if n is None else mhs_exact(parts, n)
-    elif args.wsum2 is not None:
-        parts = parse_composition(args.wsum2)
-        if len(parts) != 3:
-            raise ValueError("--wsum2 needs exactly three exponents")
-        out = weighted_sum2(*parts, n, p=p, e=e)
     else:
-        parts = parse_composition(args.wsum3)
-        if len(parts) != 4:
-            raise ValueError("--wsum3 needs exactly four exponents")
-        out = weighted_sum3(*parts, n, p=p, e=e)
+        parts = parse_composition(args.wsum)
+        if len(parts) not in (3, 4):
+            raise ValueError("--wsum needs three or four exponents")
+        out = (weighted_sum2 if len(parts) == 3 else weighted_sum3)(*parts, n, p=p, e=e)
     _print_unlimited(out)
     return 0
 
@@ -253,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate a sum exactly or in Z/p^e")
     kind = ev.add_mutually_exclusive_group(required=True)
     kind.add_argument("--mhs", metavar="PARTS", help='composition, e.g. "(1,2)"')
-    kind.add_argument("--wsum2", metavar="S1,S2,S3", help="sum of H^(s1) H^(s3) / j^s2")
     kind.add_argument(
-        "--wsum3", metavar="S1,S2,S3,S4", help="sum of H^(s1) H^(s3) H^(s4) / j^s2"
+        "--wsum", metavar="S1,S2,S3[,S4]", help="sum of H^(s1) H^(s3) [H^(s4)] / j^s2"
     )
     at = ev.add_mutually_exclusive_group(required=True)
     at.add_argument("--n", type=int, help="upper limit; exact rational output")

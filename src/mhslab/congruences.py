@@ -8,8 +8,8 @@ binomial coefficients and exact rationals.  The two sides never share
 code, so a passing scan is genuine cross-validation.  Primes that violate
 a check's hypothesis are reported as skipped rows, never dropped.
 
-Checks are plain data.  A member's left side names a PrefixTable method
-and its arguments; its right side is a sum of monomials
+Checks are plain data.  A member's left side is a single-value spec, a
+kind and its exponents; its right side is a sum of monomials
 c * p^t * prod B_{kp-w}, which one evaluator reduces mod p^e.  The closed
 forms with real logic are builders that return such a sum together with
 the smallest prime it holds for; only the registry calls them.  A check
@@ -244,10 +244,10 @@ def _thm23(s1: int, s2: int, s3: int) -> tuple[int, Terms]:
 
 class CheckMember(NamedTuple):
     """One congruence inside a check, as plain data: a label, the smallest
-    admissible prime, the left side as a PrefixTable method name with its
-    arguments, and the right side as a sum of Bernoulli monomials.  A
-    member whose right side is one monomial c * p^t * B_{p-w} may carry
-    the name of the fit family it defines."""
+    admissible prime, the left side as a PrefixTable.single_values spec
+    (a kind and its exponents), and the right side as a sum of Bernoulli
+    monomials.  A member whose right side is one monomial c * p^t * B_{p-w}
+    may carry the name of the fit family it defines."""
 
     label: str
     min_prime: int
@@ -348,14 +348,15 @@ def _homogeneous_check(
         e,
         description,
         tuple(
-            _built(f"s={s},l={l}", ("mhs", ((s,) * l,)), _homogeneous(s, l, e))
+            _built(f"s={s},l={l}", ("mhs", (s,) * l), _homogeneous(s, l, e))
             for s, l in pairs
         ),
     )
 
 
 @lru_cache(maxsize=1)
-def _registry() -> Mapping[str, CongruenceCheck]:
+def registry() -> Mapping[str, CongruenceCheck]:
+    """The immutable id -> check mapping (built once per process)."""
     checks = [
         # sum_j (H_j^(s))^2 / j^s == C(3s,s) B_{p-3s} / (3s)  (mod p)
         CongruenceCheck(
@@ -366,7 +367,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                 CheckMember(
                     f"s={s}",
                     3 * s + 3,
-                    ("weighted_sum2", (s, s, s)),
+                    ("weighted_sum", (s, s, s)),
                     _one(Fraction(math.comb(3 * s, s), 3 * s), 3 * s),
                     "sun-s1" if s == 1 else None,
                 )
@@ -379,7 +380,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             1,
             "squared harmonic factor over j^s vanishes mod p for even s",
             tuple(
-                CheckMember(f"s={s}", 3 * s + 3, ("weighted_sum2", (s, s, s)), ())
+                CheckMember(f"s={s}", 3 * s + 3, ("weighted_sum", (s, s, s)), ())
                 for s in (2, 4)
             ),
         ),
@@ -390,7 +391,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             "squared harmonic factor over j^r (odd r) against"
             " (-1)^(s+r) C(2s+r,s) B_{p-2s-r}/(2s+r), mod p",
             tuple(
-                _built(f"s={s},r={r}", ("weighted_sum2", (s, r, s)), _thm23(s, r, s))
+                _built(f"s={s},r={r}", ("weighted_sum", (s, r, s)), _thm23(s, r, s))
                 for s, r in ((1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 3))
             ),
         ),
@@ -400,11 +401,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             1,
             "two-factor weighted sums at random odd-weight exponent triples, mod p",
             tuple(
-                _built(
-                    f"({s1},{s2},{s3})",
-                    ("weighted_sum2", (s1, s2, s3)),
-                    _thm23(s1, s2, s3),
-                )
+                _built(f"({s1},{s2},{s3})", ("weighted_sum", (s1, s2, s3)), _thm23(s1, s2, s3))
                 for s1, s2, s3 in thm23_random_triples()
             ),
         ),
@@ -417,7 +414,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                 CheckMember(
                     f"({s1},{s2},{s3})",
                     11,
-                    ("weighted_sum2", (s1, s2, s3)),
+                    ("weighted_sum", (s1, s2, s3)),
                     ((coef, 0, ((1, 3), (1, 3))),),
                 )
                 for (s1, s2, s3), coef in (
@@ -438,7 +435,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             tuple(
                 _built(
                     f"a={a},mid={mid},b={b}",
-                    ("mhs", ((2,) * a + (mid,) + (2,) * b,)),
+                    ("mhs", (2,) * a + (mid,) + (2,) * b),
                     _tauraso_232(a, b, mid),
                     "zero" if (a, mid, b) == (1, 1, 1) else None,  # coefficient 0
                 )
@@ -456,20 +453,14 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             2,
             "pinned weight-5 depth-3 values and H(4,1), mod p^2",
             (
-                CheckMember(
-                    "H(1,2,1)", 7, ("mhs", ((1, 2, 1),)), _one(Fraction(-9, 10), 5, t=1)
-                ),
-                CheckMember(
-                    "H(2,1,1)", 7, ("mhs", ((2, 1, 1),)), _one(Fraction(3, 5), 5, t=1)
-                ),
-                CheckMember(
-                    "H(1,1,2)", 7, ("mhs", ((1, 1, 2),)), _one(Fraction(11, 10), 5, t=1)
-                ),
+                CheckMember("H(1,2,1)", 7, ("mhs", (1, 2, 1)), _one(Fraction(-9, 10), 5, t=1)),
+                CheckMember("H(2,1,1)", 7, ("mhs", (2, 1, 1)), _one(Fraction(3, 5), 5, t=1)),
+                CheckMember("H(1,1,2)", 7, ("mhs", (1, 1, 2)), _one(Fraction(11, 10), 5, t=1)),
                 # Stated for p >= 7 in the source result, but the value at
                 # p = 7 is 2p, not 0 (H(1,3,1;6) = 5747/34560 = 7*821/34560
                 # and 821/34560 == 2 mod 7).  The vanishing starts at 11.
-                CheckMember("H(1,3,1)", 11, ("mhs", ((1, 3, 1),)), ()),
-                _built("H(4,1)", ("mhs", ((4, 1),)), _depth2(4, 1, 2)),
+                CheckMember("H(1,3,1)", 11, ("mhs", (1, 3, 1)), ()),
+                _built("H(4,1)", ("mhs", (4, 1)), _depth2(4, 1, 2)),
             ),
         ),
         CongruenceCheck(
@@ -481,7 +472,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
                 CheckMember(
                     f"s={s}",
                     3 * s + 2,
-                    ("weighted_sum2", (s, s, s)),
+                    ("weighted_sum", (s, s, s)),
                     _one(
                         Fraction(2 * math.comb(3 * s + 1, s - 1) + s, 2 * (3 * s + 1)),
                         3 * s + 1,
@@ -496,7 +487,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             3,
             "all-ones sums H({1}^k) against the p^2 B_{p-k-2} closed form, mod p^3",
             tuple(
-                _built(f"k={k}", ("mhs", ((1,) * k,)), _homogeneous(1, k, 3))
+                _built(f"k={k}", ("mhs", (1,) * k), _homogeneous(1, k, 3))
                 for k in (1, 3)
             ),
         ),
@@ -524,7 +515,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             1,
             "H(s1,s2) against (-1)^s2 C(w,s1) B_{p-w}/w, mod p",
             tuple(
-                _built(f"H({s1},{s2})", ("mhs", ((s1, s2),)), _depth2(s1, s2, 1))
+                _built(f"H({s1},{s2})", ("mhs", (s1, s2)), _depth2(s1, s2, 1))
                 for s1, s2 in itertools.product(range(1, 5), repeat=2)
             ),
         ),
@@ -534,7 +525,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             "H(s1,s2) at even weight against the p B_{p-w-1} form, and the"
             " refined H(1,4) and H(4,1), mod p^2",
             tuple(
-                _built(f"H({s1},{s2})", ("mhs", ((s1, s2),)), _depth2(s1, s2, 2))
+                _built(f"H({s1},{s2})", ("mhs", (s1, s2)), _depth2(s1, s2, 2))
                 for s1, s2 in (
                     (1, 3), (3, 1), (2, 2), (2, 4), (1, 5), (3, 3), (1, 4), (4, 1)
                 )
@@ -546,11 +537,7 @@ def _registry() -> Mapping[str, CongruenceCheck]:
             "odd-weight H(s1,s2,s3) against"
             " ((-1)^s1 C(w,s1) - (-1)^s3 C(w,s3)) B_{p-w}/(2w), mod p",
             tuple(
-                _built(
-                    f"H({s1},{s2},{s3})",
-                    ("mhs", ((s1, s2, s3),)),
-                    _depth3_oddweight(s1, s2, s3),
-                )
+                _built(f"H({s1},{s2},{s3})", ("mhs", (s1, s2, s3)), _depth3_oddweight(s1, s2, s3))
                 for s1, s2, s3 in (
                     (1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 3, 1), (3, 1, 1), (2, 2, 3)
                 )
@@ -560,8 +547,8 @@ def _registry() -> Mapping[str, CongruenceCheck]:
 
     # Checks of one weighted sum, as rows (id, e, description, exponents,
     # (smallest prime, right side), fit family).  The label is the exponents
-    # written (s1,s2,...), and the left side is weighted_sum2 of three
-    # exponents or weighted_sum3 of four.
+    # written (s1,s2,...), and the left side is the weighted sum of those
+    # three or four exponents.
     one_sum = [
         ("hjh2-over-j2", 1, "sum_j H_j H_j^(2) / j^2 against -B_{p-5}/2, mod p",
          (1, 2, 2), (11, _thm23(1, 2, 2)[1]), None),
@@ -596,21 +583,14 @@ def _registry() -> Mapping[str, CongruenceCheck]:
     ]
     for check_id, e, description, exps, built, family in one_sum:
         label = f"({','.join(map(str, exps))})"
-        spec = ("weighted_sum2" if len(exps) == 3 else "weighted_sum3", exps)
-        checks.append(
-            CongruenceCheck(check_id, e, description, (_built(label, spec, built, family),))
-        )
+        member = _built(label, ("weighted_sum", exps), built, family)
+        checks.append(CongruenceCheck(check_id, e, description, (member,)))
 
     return MappingProxyType({c.check_id: c for c in checks})
 
 
-def registry() -> Mapping[str, CongruenceCheck]:
-    """The immutable id -> check mapping (built once per process)."""
-    return _registry()
-
-
 def get_check(check_id: str) -> CongruenceCheck:
-    reg = _registry()
+    reg = registry()
     chk = reg.get(check_id)
     if chk is None:
         known = ", ".join(sorted(reg))
@@ -624,7 +604,7 @@ def fit_families() -> Mapping[str, FitFamily]:
     tagged registry member: its single monomial c * p^t * B_{p-w} fixes
     the family's w and t, and its check fixes e."""
     fams = {}
-    for chk in _registry().values():
+    for chk in registry().values():
         for mem in chk.members:
             if mem.family:
                 ((_, t, ((_, w),)),) = mem.rhs_terms

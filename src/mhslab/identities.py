@@ -77,7 +77,7 @@ def _thm21_specs(s1: int, s2: int, s3: int) -> list:
     a = s1 + s2
     comps = [(s3, a), (a + s3,), (s1, s2, s3), (s3,), (s1, s2)]
     comps += [(s1, s3, s2), (s3, s1, s2), (s1 + s3, s2), (s1, s2 + s3)]
-    return [("weighted_sum2", (s1, s2, s3))] + [("mhs", (c,)) for c in comps]
+    return [("weighted_sum", (s1, s2, s3))] + [("mhs", c) for c in comps]
 
 
 def _thm21_sides(rows: dict, s: tuple) -> tuple[list, dict]:
@@ -101,8 +101,8 @@ def _thm31_specs(s1: int, s2: int, s3: int, s4: int) -> list:
     the six length-four sums, in the order _thm31_sides reads them."""
     comps = [(s4,), (s1, s3, s2, s4), (s3, s1, s2, s4), (s3, s1 + s2, s4)]
     comps += [(s1 + s3, s2, s4), (s1, s2 + s3, s4), (s1 + s2 + s3, s4)]
-    wsums = [("weighted_sum3", (s1, s2, s3, s4)), ("weighted_sum2", (s1, s2, s3))]
-    return wsums + [("mhs", (c,)) for c in comps]
+    wsums = [("weighted_sum", (s1, s2, s3, s4)), ("weighted_sum", (s1, s2, s3))]
+    return wsums + [("mhs", c) for c in comps]
 
 
 def _thm31_sides(rows: dict, s: tuple, ns: Sequence) -> tuple[list, list]:

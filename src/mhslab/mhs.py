@@ -14,18 +14,19 @@ objects appear only at the public boundary.
 
 A PrefixTable has one evaluation engine, single_values: one pass over j
 in blocks of _BLOCK indices that gives every spec's value at the table's
-upper index n or, with rows=True, its row over 0..n.  The prefixes of
-the compositions and the harmonic factors (s,) of the weighted sums form
-one sorted list of tuples, the prefix trie in depth-first order, and
-each keeps only a carry: its value at the start of the block.  A block
-computes each inverse power j^(-s) and each H_j^(s) once, for every
-value that uses it, and drops its rows before the next block starts.
-The value methods (mhs, mhs_many, weighted_sum2, weighted_sum3) and the
-row methods (harmonic_prefix, mhs_all, weighted_sum2_all,
-weighted_sum3_all) are one call of it each, and inv_powers(s) is the
-block powers j^(-s) over 1..n.  The one whole row a table keeps is, in
-mod mode, the inverses 1/j mod p^e; exact mode computes (scale // j)^s
-block by block.
+upper index n or, with rows=True, its row over 0..n.  A spec is a kind
+and its exponents: ("mhs", parts) or ("weighted_sum", (s1, s2, s3[, s4])).
+The prefixes of the compositions and the harmonic factors (s,) of the
+weighted sums form one sorted list of tuples, the prefix trie in
+depth-first order, and each keeps only a carry: its value at the start
+of the block.  A block computes each inverse power j^(-s) and each
+H_j^(s) once, for every value that uses it, and drops its rows before
+the next block starts.  The value methods (mhs, mhs_many, weighted_sum2,
+weighted_sum3) and the row methods (harmonic_prefix, mhs_all,
+weighted_sum2_all, weighted_sum3_all) are one call of it each, and
+inv_powers(s) is the block powers j^(-s) over 1..n.  The one whole row a
+table keeps is, in mod mode, the inverses 1/j mod p^e; exact mode
+computes (scale // j)^s block by block.
 
 Rows and blocks are built by one of two kernels, picked once per table.
 The Python kernel streams products and running sums through
@@ -49,11 +50,12 @@ own: the kept inverse row is never lent.
 
 The table methods return raw ints and are what a caller shares to evaluate
 many sums at one upper index or prime.  The functions mhs_exact, mhs_mod,
-weighted_sum2, weighted_sum3 and eval_formal_sum (every term of a
-FormalSum in one mhs_many pass) build a table for one value and hand it
-across the boundary as a Fraction (exact mode) or a Residue (mod mode),
-the only Residue this module builds.  Which rings Z/p^e a table accepts
-is exactnum's rule (check_ring, check_o_of_p).
+weighted_sum2, weighted_sum3 and eval_formal_sum each hand a list of
+(spec, coefficient) terms to _value, which builds one table, evaluates
+every term in one single_values pass and hands the sum across the
+boundary as a Fraction (exact mode) or a Residue (mod mode), the only
+Residue this module builds.  Which rings Z/p^e a table accepts is
+exactnum's rule (check_ring, check_o_of_p).
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, repeat
-from operator import methodcaller, mod, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import mod, mul
+from typing import Iterable, Iterator, Sequence
 
 from .compositions import Composition, FormalSum
 from .exactnum import Residue, check_o_of_p, check_ring
@@ -183,12 +185,13 @@ class _PythonKernel:
 
 
 class _NumpyKernel:
-    """Rows as int64 arrays of residues mod m, for m < 2^40 and n * m < 2^63.
+    """Rows as int64 arrays of residues mod m, for m < 2^40.
 
     Every cell is reduced before the next operation, so the arithmetic is
     exact: for m < 2^31 a product of two residues is below 2^62; above, the
-    second factor is split into 20-bit halves (see _mul).  A running sum of
-    n reduced cells, after a reduced carry, stays below p * m.  Cells are
+    second factor is split into 20-bit halves (see _mul).  A running sum
+    spans one block: at most _BLOCK reduced cells after a reduced carry,
+    so it stays below (_BLOCK + 1) * m < 2^54 (see _kernel).  Cells are
     reduced in place as x - (x // m) * m (_reduce), never with %, which
     numpy runs several times slower on int64.  The rows hold the same
     residues as the Python kernel's, which the tests check cell for cell.
@@ -340,23 +343,19 @@ def _kernel(n: int, m: int | None):
     """The row kernel of a table at upper index n, modulo m (None: exact).
 
     The numpy kernel is exact while a reduced product fits int64 and a
-    running sum of n reduced cells does too: m < 2^40 (with the split
-    multiply above 2^31) and n * m < 2^63.  With n = p - 1 and m = p^e,
-    n * m < p^(e+1): below 10^14 for e = 1 (p <= MAX_PRIME), and below
-    2^60 and 2^54 for e = 2 and 3 (m < 2^40), so the second bound follows;
-    both are checked here all the same.  Tables with n < _NUMPY_MIN_N keep
-    the Python kernel, so a run that builds no larger one never imports
-    numpy.
+    running sum does too: m < 2^40 (with the split multiply above 2^31)
+    and (_BLOCK + 1) * m < 2^63, since every running sum (prefix, total)
+    adds the at most _BLOCK reduced cells of one block to a reduced carry.
+    With _BLOCK = 2^13 the second bound is below 2^54 and follows from the
+    first; tests/test_kernels.py keeps it so.  Tables with n < _NUMPY_MIN_N
+    keep the Python kernel, so a run that builds no larger one never
+    imports numpy.
     """
-    if m is not None and n >= _NUMPY_MIN_N and m < 1 << 40 and n * m < 1 << 63:
+    if m is not None and n >= _NUMPY_MIN_N and m < 1 << 40:
         np = _numpy()
         if np is not None:
             return _NumpyKernel(np, m)
     return _PythonKernel(m)
-
-
-# The weighted sums a single-value spec may name, with their arities.
-_WSUM_ARITY = {"weighted_sum2": 3, "weighted_sum3": 4}
 
 
 class PrefixTable:
@@ -450,17 +449,17 @@ class PrefixTable:
 
     def mhs_all(self, parts: Iterable[int]) -> list[int]:
         """H(parts; m) for every m = 0..n, from one single_values pass."""
-        spec = ("mhs", (Composition(parts),))
+        spec = ("mhs", Composition(parts))
         return self.single_values((spec,), rows=True)[spec]
 
     def weighted_sum2_all(self, s1: int, s2: int, s3: int) -> list[int]:
         """sum_{j<=m} H_j^(s1) H_j^(s3) / j^(s2) for every m = 0..n."""
-        spec = ("weighted_sum2", (s1, s2, s3))
+        spec = ("weighted_sum", (s1, s2, s3))
         return self.single_values((spec,), rows=True)[spec]
 
     def weighted_sum3_all(self, s1: int, s2: int, s3: int, s4: int) -> list[int]:
         """As weighted_sum2_all with a third harmonic factor H_j^(s4)."""
-        spec = ("weighted_sum3", (s1, s2, s3, s4))
+        spec = ("weighted_sum", (s1, s2, s3, s4))
         return self.single_values((spec,), rows=True)[spec]
 
     # -- single values -------------------------------------------------------
@@ -479,10 +478,11 @@ class PrefixTable:
         """The value at n of every spec, as a raw int keyed by the spec; with
         rows, its row over every upper index 0..n instead, as a fresh list.
 
-        A spec names a single-value method and its arguments, as a
-        CheckMember's left side does: ("mhs", (parts,)),
-        ("weighted_sum2", (s1, s2, s3)) or ("weighted_sum3", (s1, s2, s3, s4)).
-        The empty composition gives 1.
+        A spec is a kind and its exponents, as a CheckMember's left side
+        is written: ("mhs", parts) for H(parts; n), whose empty composition
+        gives 1, or ("weighted_sum", (s1, s2, s3)) and
+        ("weighted_sum", (s1, s2, s3, s4)) for the sums of two and three
+        harmonic factors over j^(s2).  Any other spec is a ValueError.
 
         All of them are evaluated in one pass over j = 1..n in blocks of
         _BLOCK indices.  The nonempty prefixes of the compositions and the
@@ -502,14 +502,13 @@ class PrefixTable:
         wsums: dict[tuple[str, tuple], tuple[int, tuple[int, ...]]] = {}
         prefixes: set[tuple[int, ...]] = set()
         for spec in specs:
-            method, args = spec
-            if method == "mhs":
-                (parts,) = args
-                parts = Composition(parts)
+            kind, args = spec
+            if kind == "mhs":
+                parts = Composition(args)
                 self._check_weight(parts.weight)
                 prefixes.update(parts[:i] for i in range(1, len(parts) + 1))
                 leaves[spec] = tuple(parts)
-            elif len(args) == _WSUM_ARITY.get(method):
+            elif kind == "weighted_sum" and len(args) in (3, 4):
                 if min(args) < 1:
                     raise ValueError(f"exponent must be >= 1, got {min(args)}")
                 self._check_weight(sum(args))
@@ -573,56 +572,50 @@ class PrefixTable:
         """H(c; n) as a raw int for every composition c, keyed by c as a
         tuple, from one single_values pass."""
         comps = dict.fromkeys(map(Composition, compositions))
-        values = self.single_values(("mhs", (c,)) for c in comps)
-        return {c: values["mhs", (c,)] for c in comps}
+        values = self.single_values(("mhs", c) for c in comps)
+        return {c: values["mhs", c] for c in comps}
 
     def mhs(self, parts: Iterable[int]) -> int:
         """H(parts; n) as a raw int: the numerator over scale**weight in
         exact mode, the residue in mod mode."""
-        spec = ("mhs", (Composition(parts),))
+        spec = ("mhs", Composition(parts))
         return self.single_values((spec,))[spec]
 
     def weighted_sum2(self, s1: int, s2: int, s3: int) -> int:
         """sum_{j<=n} H_j^(s1) H_j^(s3) / j^(s2) as a raw int."""
-        spec = ("weighted_sum2", (s1, s2, s3))
+        spec = ("weighted_sum", (s1, s2, s3))
         return self.single_values((spec,))[spec]
 
     def weighted_sum3(self, s1: int, s2: int, s3: int, s4: int) -> int:
         """As weighted_sum2 with a third harmonic factor H_j^(s4)."""
-        spec = ("weighted_sum3", (s1, s2, s3, s4))
+        spec = ("weighted_sum", (s1, s2, s3, s4))
         return self.single_values((spec,))[spec]
 
 
-def _value(
-    evaluate: Callable[[PrefixTable], int], weight: int, n: int | None, p: int | None, e: int
-):
-    """evaluate(table) as a boundary value: over a fresh exact table for
-    upper index n as a Fraction (its raw int is a numerator over
-    scale**weight), or over a fresh table mod p^e, at n = p-1, as a Residue.
-    Exactly one of n and p must be given."""
+def _value(terms: Sequence[tuple[tuple[str, tuple], int]], n: int | None, p: int | None, e: int):
+    """sum coefficient * value(spec) over the (spec, coefficient) terms,
+    from one single_values pass: over a fresh exact table for upper index
+    n as a Fraction, or over a fresh table mod p^e, at n = p-1, as a
+    Residue.  Exactly one of n and p must be given.  A spec's weight is the
+    sum of its exponents; each value is brought to the largest weight's
+    denominator (mod mode has scale 1, so there the factor is 1)."""
     if (n is None) == (p is None):
         raise ValueError("give exactly one of n (exact mode) or p (mod mode)")
-    if p is None:
-        t = PrefixTable.for_exact(n)
-        return t.to_fraction(evaluate(t), weight)
-    return Residue(evaluate(PrefixTable.for_prime(p, e)), p, e)
+    t = PrefixTable.for_exact(n) if p is None else PrefixTable.for_prime(p, e)
+    values = t.single_values(spec for spec, _ in terms)
+    top = max((sum(spec[1]) for spec, _ in terms), default=0)
+    total = sum(k * values[spec] * t.scale ** (top - sum(spec[1])) for spec, k in terms)
+    return t.to_fraction(total, top) if p is None else Residue(total, p, e)
 
 
 def eval_formal_sum(F: FormalSum, n: int | None = None, *, p: int | None = None, e: int = 1):
     """Evaluate sum coeff * H(c; n) over the terms of F.
 
     Exact mode (give n) returns a Fraction; mod mode (give p, e) evaluates
-    at n = p-1 and returns a Residue.  All terms share one mhs_many pass.
+    at n = p-1 and returns a Residue.  All terms share one single_values
+    pass, through _value.
     """
-    # Bring every term to the largest weight's denominator (mod mode has
-    # scale 1, so there the factor is 1).
-    top = max((comp.weight for comp, _ in F), default=0)
-
-    def evaluate(t: PrefixTable) -> int:
-        sums = t.mhs_many(comp for comp, _ in F)
-        return sum(c * sums[comp] * t.scale ** (top - comp.weight) for comp, c in F)
-
-    return _value(evaluate, top, n, p, e)
+    return _value([(("mhs", c), k) for c, k in F], n, p, e)
 
 
 def mhs_exact(parts: Iterable[int], n: int) -> Fraction:
@@ -631,14 +624,12 @@ def mhs_exact(parts: Iterable[int], n: int) -> Fraction:
     Conventions: H(parts; r) = 0 for r < len(parts), and the empty
     composition evaluates to 1 for every n.
     """
-    parts = Composition(parts)
-    return _value(methodcaller("mhs", parts), parts.weight, n, None, 1)
+    return _value([(("mhs", Composition(parts)), 1)], n, None, 1)
 
 
 def mhs_mod(parts: Iterable[int], p: int, e: int = 1) -> Residue:
     """H(parts; p-1) as a Residue mod p^e."""
-    parts = Composition(parts)
-    return _value(methodcaller("mhs", parts), parts.weight, None, p, e)
+    return _value([(("mhs", Composition(parts)), 1)], None, p, e)
 
 
 def weighted_sum2(
@@ -649,13 +640,11 @@ def weighted_sum2(
     Exact mode (give n): returns a Fraction.  Mod mode (give p and e):
     the sum runs to p-1 and a Residue comes back.
     """
-    return _value(methodcaller("weighted_sum2", s1, s2, s3), s1 + s2 + s3, n, p, e)
+    return _value([(("weighted_sum", (s1, s2, s3)), 1)], n, p, e)
 
 
 def weighted_sum3(
     s1: int, s2: int, s3: int, s4: int, n: int | None = None, *, p: int | None = None, e: int = 1
 ):
     """sum_{j=1}^{n} H_j^(s1) H_j^(s3) H_j^(s4) / j^(s2), as weighted_sum2."""
-    return _value(
-        methodcaller("weighted_sum3", s1, s2, s3, s4), s1 + s2 + s3 + s4, n, p, e
-    )
+    return _value([(("weighted_sum", (s1, s2, s3, s4)), 1)], n, p, e)

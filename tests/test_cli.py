@@ -44,13 +44,17 @@ def test_eval_mod_prime_power(capsys):
 
 
 def test_eval_weighted_sums(capsys):
-    assert run_cli(["eval", "--wsum2", "1,1,1", "--prime", "7"], capsys) == (
+    assert run_cli(["eval", "--wsum", "1,1,1", "--prime", "7"], capsys) == (
         0,
         "3 (mod 7)\n",
     )
-    code, out = run_cli(["eval", "--wsum3", "2,2,2,3", "--n", "5"], capsys)
+    code, out = run_cli(["eval", "--wsum", "2,2,2,3", "--n", "5"], capsys)
     assert code == 0
     assert out == "19444115078101727/10077696000000000\n"
+    for exps in ("1,2", "1,2,3,4,5"):
+        code, err = run_cli_error(["eval", "--wsum", exps, "--n", "5"], capsys)
+        assert code == 2
+        assert err.splitlines()[-1].endswith(": error: --wsum needs three or four exponents")
 
 
 def test_eval_exact_weight_past_the_bits_cap_is_a_usage_error(capsys):
@@ -60,7 +64,7 @@ def test_eval_exact_weight_past_the_bits_cap_is_a_usage_error(capsys):
     for argv in (
         ["eval", "--mhs", str(EXACT_BITS_CAP // 3 + 1), "--n", "3"],
         ["eval", "--mhs", "10000000", "--n", "3"],
-        ["eval", "--wsum2", "1,10000000,1", "--n", "2"],
+        ["eval", "--wsum", "1,10000000,1", "--n", "2"],
     ):
         code, err = run_cli_error(argv, capsys)
         assert code == 2
@@ -92,9 +96,9 @@ def test_eval_prints_values_past_the_int_digit_limit(capsys):
         ["eval", "--mhs", "1,2"],  # neither --n nor --prime
         ["eval", "--mhs", "1,2", "--n", "5", "--prime", "7"],  # both
         ["eval", "--n", "5"],  # no sum selected
-        ["eval", "--mhs", "1", "--wsum2", "1,1,1", "--n", "5"],  # two sums
-        ["eval", "--wsum2", "1,1", "--n", "5"],  # wrong arity
-        ["eval", "--wsum3", "1,1,1", "--n", "5"],
+        ["eval", "--mhs", "1", "--wsum", "1,1,1", "--n", "5"],  # two sums
+        ["eval", "--wsum", "1,2", "--n", "5"],  # wrong arity
+        ["eval", "--wsum", "1,2,3,4,5", "--n", "5"],
         ["eval", "--mhs", "1,x", "--n", "5"],  # unparseable composition
         ["eval", "--mhs", "1", "--prime", "9"],  # composite modulus
     ],
@@ -109,7 +113,7 @@ def test_eval_usage_errors(argv, capsys):
     "argv",
     [
         ["eval", "--mhs", "(1,2)", "--n", "6", "--e", "3"],
-        ["eval", "--wsum2", "1,1,1", "--n", "6", "--e", "1"],
+        ["eval", "--wsum", "1,1,1", "--n", "6", "--e", "1"],
         ["bernoulli", "--n", "12", "--e", "3"],
     ],
 )
@@ -208,13 +212,13 @@ RING = "modulus base must be an odd prime, got 9"
 EXPONENT = "argument --e: invalid choice: 4"
 REFUSALS = [
     (["eval", "--mhs", "1", "--prime", "10000019"], LIMIT),
-    (["eval", "--wsum3", "2,2,2,3", "--prime", "10000019", "--e", "3"], LIMIT),
+    (["eval", "--wsum", "2,2,2,3", "--prime", "10000019", "--e", "3"], LIMIT),
     (["scan", "--check", "homog-vanishing-modp2", "--primes", "10000019"], LIMIT),
     (["scan", "--check", "cor-sun-modp", "--primes", "10000019", "--jobs", "1"], LIMIT),
     (["fit", "--family", "sun-s1", "--primes", "10000019"], LIMIT),
     (["bernoulli", "--n", "3002", "--prime", "10000019"], LIMIT),
     (["eval", "--mhs", "1", "--prime", "9"], RING),
-    (["eval", "--wsum2", "1,1,1", "--prime", "7", "--e", "4"], EXPONENT),
+    (["eval", "--wsum", "1,1,1", "--prime", "7", "--e", "4"], EXPONENT),
     (["bernoulli", "--n", "4", "--prime", "9"], RING),
     (["bernoulli", "--n", "3002", "--prime", "9"], RING),
     (["bernoulli", "--n", "4", "--prime", "7", "--e", "4"], EXPONENT),

@@ -91,10 +91,10 @@ def test_thm21_builds_each_row_once(monkeypatch):
     passes = _record_passes(monkeypatch)
     assert not run_thm21_suite(4, 10).failures
     assert len(passes) == 4**2 and all(rows for rows, _ in passes)
-    lefts = [args for _, specs in passes for method, args in specs if method == "weighted_sum2"]
+    lefts = [args for _, specs in passes for kind, args in specs if kind == "weighted_sum"]
     assert sorted(lefts) == list(product(range(1, 5), repeat=3))
     for _, specs in passes:
-        assert len({args[:2] for method, args in specs if method == "weighted_sum2"}) == 1
+        assert len({args[:2] for kind, args in specs if kind == "weighted_sum"}) == 1
 
 
 def test_thm31_builds_each_two_factor_row_once(monkeypatch):
@@ -103,8 +103,9 @@ def test_thm31_builds_each_two_factor_row_once(monkeypatch):
     passes = _record_passes(monkeypatch)
     assert not run_thm31_suite(3, (4, 6, 10, 12)).failures
     assert len(passes) == 3**3 and all(rows for rows, _ in passes)
-    by_method = Counter(method for _, specs in passes for method, _ in dict.fromkeys(specs))
-    assert by_method["weighted_sum2"] == 3**3 and by_method["weighted_sum3"] == 3**4
+    asked = [spec for _, specs in passes for spec in dict.fromkeys(specs)]
+    by_arity = Counter(len(args) for kind, args in asked if kind == "weighted_sum")
+    assert by_arity[3] == 3**3 and by_arity[4] == 3**4
 
 
 def test_eval_formal_sum_exact_and_mod():
@@ -126,15 +127,16 @@ def test_empty_formal_sum_evaluates_to_zero():
     assert eval_formal_sum(FormalSum(), 9) == 0
 
 
-def _bump_cell_n(monkeypatch, method):
-    """Add 1 to the numerator of every `method` spec where the suites read
-    it, cell n of its row on a table for n: the row's cell, or the value."""
+def _bump_cell_n(monkeypatch, arity):
+    """Add 1 to the numerator of every weighted-sum spec of `arity`
+    exponents where the suites read it, cell n of its row on a table for
+    n: the row's cell, or the value."""
     original = PrefixTable.single_values
 
     def bumped(self, specs, *, rows=False):
         values = original(self, specs, rows=rows)
         for spec in values:
-            if spec[0] == method:
+            if spec[0] == "weighted_sum" and len(spec[1]) == arity:
                 if rows:
                     values[spec][self.n] += 1
                 else:
@@ -150,7 +152,7 @@ def test_failures_report_both_sides_as_fractions(monkeypatch):
     wsum2_6 = weighted_sum2(1, 1, 1, 6)
     lhs31 = {n: -weighted_sum3(1, 1, 1, 1, n) for n in (5, 12)}
 
-    _bump_cell_n(monkeypatch, "weighted_sum2")
+    _bump_cell_n(monkeypatch, 3)
     rep = run_thm21_suite(1, 6)
     # both forms share the bumped left side, so each fails at n = 6
     assert [(f.identity, f.exponents, f.n) for f in rep.failures] == [
@@ -165,7 +167,7 @@ def test_failures_report_both_sides_as_fractions(monkeypatch):
     monkeypatch.undo()
 
     # thm31's left side is minus the three-factor sum
-    _bump_cell_n(monkeypatch, "weighted_sum3")
+    _bump_cell_n(monkeypatch, 4)
     rep = run_thm31_suite(1, (12,))
     probe = probe_thm31_random(3, smax=1, nmax=5)
     assert [(f.exponents, f.n) for f in rep.failures] == [((1, 1, 1, 1), 12)]

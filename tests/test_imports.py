@@ -1,7 +1,7 @@
-"""Import hygiene of the package's modules, read from their source with
-ast: every imported name is used, and no module reaches into another's
-private (underscore) names.  In a fresh interpreter, importing the
-package does not load `dataclasses`."""
+"""Source hygiene of the package's modules.  Read with ast, every
+imported name is used and no module reaches into another's private
+(underscore) names; read as text, no line is over 100 columns.  In a
+fresh interpreter, importing the package does not load `dataclasses`."""
 
 import ast
 import os
@@ -52,6 +52,12 @@ def test_no_private_name_is_imported_from_another_module(path):
         if isinstance(node, ast.ImportFrom) and name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_line_is_over_100_columns(path):
+    lines = path.read_text().splitlines()
+    assert [i for i, line in enumerate(lines, 1) if len(line) > 100] == []
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,14 @@ def test_full_tables_at_65537_match_the_python_kernel():
     assert fast.weighted_sum3(1, 1, 2, 1) == ref.weighted_sum3(1, 1, 2, 1)
 
 
+def test_a_block_of_running_sums_fits_int64():
+    # A numpy running sum (prefix, total) adds the at most _BLOCK reduced
+    # cells of one block, each below m < 2^40, to a reduced carry; the
+    # kernel choice checks m only, so a larger _BLOCK must fail here
+    # rather than let a sum wrap.
+    assert (mhs._BLOCK + 1) << 40 <= 1 << 63
+
+
 def test_kernel_choice():
     pytest.importorskip("numpy")
     kind = lambda t: type(t._k)
@@ -261,10 +269,18 @@ def test_numpy_rows_reach_callers_as_fresh_lists_of_ints():
 
 
 NUMPY_SPECS = (
-    [("mhs", (c,)) for c in WEIGHT6 if sum(c) <= 5]
-    + [("weighted_sum2", tr) for tr in TRIPLES]
-    + [("weighted_sum3", q) for q in QUADS]
+    [("mhs", c) for c in WEIGHT6 if sum(c) <= 5]
+    + [("weighted_sum", tr) for tr in TRIPLES]
+    + [("weighted_sum", q) for q in QUADS]
 )
+
+
+def all_row(t, spec):
+    """The row of spec from the table's own *_all method for it."""
+    kind, args = spec
+    if kind == "mhs":
+        return t.mhs_all(args)
+    return (t.weighted_sum2_all if len(args) == 3 else t.weighted_sum3_all)(*args)
 
 
 @pytest.mark.parametrize("block", [64, 999])
@@ -287,11 +303,11 @@ def test_numpy_single_values_across_block_boundaries(monkeypatch, p, block):
         got = t.single_values(NUMPY_SPECS)
         assert got == ref.single_values(NUMPY_SPECS) and ints(got.values())
         rows = t.single_values(NUMPY_SPECS, rows=True)
-        for method, args in NUMPY_SPECS:
-            row = rows[method, args]
-            assert len(row) == p and row[p - 1] == got[method, args], (e, args)
+        for spec in NUMPY_SPECS:
+            row = rows[spec]
+            assert len(row) == p and row[p - 1] == got[spec], (e, spec)
             if p == 4001:
-                assert getattr(t, f"{method}_all")(*args) == row, (e, args)
+                assert all_row(t, spec) == row, (e, spec)
 
 
 def test_bigprime_checks_stay_within_a_few_blocks_of_memory():

@@ -61,7 +61,7 @@ def reference_row(t, spec):
     sum's running sum, with none of the table's blocks, carries, prefix
     walk or kernels: residues mod p^e, or exact numerators over
     t.scale**weight with j^(-s) = (scale // j)^s."""
-    method, args = spec
+    kind, args = spec
     m, n = t.modulus, t.n
     if m is None:
         inv = lambda j, s: (t.scale // j) ** s
@@ -78,8 +78,8 @@ def reference_row(t, spec):
                 row.append(red(row[-1] + inv(j, s) * prev[j - 1]))
         return row
 
-    if method == "mhs":
-        return h(args[0])
+    if kind == "mhs":
+        return h(args)
     s1, s2, *rest = args
     factors = [h((s,)) for s in (s1, *rest)]
     row = [0]
@@ -450,11 +450,11 @@ def test_weighted_sum_single_values_equal_the_rows(p):
     tables = [PrefixTable.for_prime(p, e) for e in (1, 2, 3)] + [PrefixTable.for_exact(p - 1)]
     for t in tables:
         for tr in triples:
-            want = reference_row(t, ("weighted_sum2", tr))
+            want = reference_row(t, ("weighted_sum", tr))
             assert t.weighted_sum2_all(*tr) == want, (p, t.modulus, tr)
             assert t.weighted_sum2(*tr) == want[p - 1], (p, t.modulus, tr)
         for q in quads:
-            want = reference_row(t, ("weighted_sum3", q))
+            want = reference_row(t, ("weighted_sum", q))
             assert t.weighted_sum3_all(*q) == want, (p, t.modulus, q)
             assert t.weighted_sum3(*q) == want[p - 1], (p, t.modulus, q)
     # The single values of a table for n equal the cells at n of the rows
@@ -474,20 +474,28 @@ def test_weighted_sum_single_values_equal_the_rows(p):
 # --- block boundaries of the single-value pass ------------------------------
 
 BLOCK_SPECS = (
-    [("mhs", (c,)) for c in compositions_upto(4)]
-    + [("weighted_sum2", tr) for tr in itertools.product((1, 2), repeat=3)]
-    + [("weighted_sum3", q) for q in ((1, 1, 1, 1), (2, 1, 2, 1), (1, 3, 1, 2))]
+    [("mhs", c) for c in compositions_upto(4)]
+    + [("weighted_sum", tr) for tr in itertools.product((1, 2), repeat=3)]
+    + [("weighted_sum", q) for q in ((1, 1, 1, 1), (2, 1, 2, 1), (1, 3, 1, 2))]
 )
 
 # (1,) is at once a weighted-sum factor, an mhs leaf and a parent, beside
 # the empty composition and a repeated spec.
 SHARED_SPECS = [
-    ("weighted_sum2", (1, 2, 1)),
-    ("mhs", ((1,),)),
-    ("mhs", ((),)),
-    ("mhs", ((1, 2),)),
-    ("weighted_sum2", (1, 2, 1)),
+    ("weighted_sum", (1, 2, 1)),
+    ("mhs", (1,)),
+    ("mhs", ()),
+    ("mhs", (1, 2)),
+    ("weighted_sum", (1, 2, 1)),
 ]
+
+
+def all_row(t, spec):
+    """The row of spec from the table's own *_all method for it."""
+    kind, args = spec
+    if kind == "mhs":
+        return t.mhs_all(args)
+    return (t.weighted_sum2_all if len(args) == 3 else t.weighted_sum3_all)(*args)
 
 
 def assert_single_values_are_the_last_cells(t, specs=BLOCK_SPECS, *, each_all=True):
@@ -499,12 +507,12 @@ def assert_single_values_are_the_last_cells(t, specs=BLOCK_SPECS, *, each_all=Tr
     got = t.single_values(specs)
     rows = t.single_values(specs, rows=True)
     assert list(got) == list(rows) == list(dict.fromkeys(specs))
-    for method, args in specs:
-        want = reference_row(t, (method, args))
-        assert rows[method, args] == want, (t.n, t.modulus, method, args)
-        assert got[method, args] == want[t.n], (t.n, t.modulus, method, args)
+    for spec in specs:
+        want = reference_row(t, spec)
+        assert rows[spec] == want, (t.n, t.modulus, spec)
+        assert got[spec] == want[t.n], (t.n, t.modulus, spec)
         if each_all:
-            assert getattr(t, f"{method}_all")(*args) == want, (t.n, t.modulus, method, args)
+            assert all_row(t, spec) == want, (t.n, t.modulus, spec)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -540,12 +548,17 @@ def test_single_values_across_block_boundaries(monkeypatch, block):
 
 def test_single_values_take_duplicates_and_refuse_unknown_specs():
     t = PrefixTable.for_prime(31, 2)
-    specs = [("weighted_sum2", (1, 1, 1)), ("mhs", ((),)), ("weighted_sum2", (1, 1, 1))]
+    specs = [("weighted_sum", (1, 1, 1)), ("mhs", ()), ("weighted_sum", (1, 1, 1))]
     assert t.single_values(specs) == {specs[0]: t.weighted_sum2(1, 1, 1), specs[1]: 1}
     assert t.single_values([]) == {}
-    for bad in (("mhs_all", ((1,),)), ("weighted_sum2", (1, 1)), ("weighted_sum3", (1, 1, 1))):
+    unknown = [("mhs_all", (1,)), ("weighted_sum", (1, 1)), ("weighted_sum", (1, 1, 1, 1, 1))]
+    # the kinds and shapes of the old method-call specs
+    unknown += [("weighted_sum2", (1, 1, 1)), ("weighted_sum3", (1, 1, 1, 1))]
+    for bad in unknown:
         with pytest.raises(ValueError, match="unknown single value"):
             t.single_values([bad])
+    with pytest.raises(ValueError, match="composition parts must be positive integers"):
+        t.single_values([("mhs", ((1, 2),))])
     with pytest.raises(ValueError, match="exponent must be >= 1, got 0"):
         t.weighted_sum2(1, 0, 1)
     with pytest.raises(ValueError):
