@@ -1,20 +1,18 @@
 """Exact rational verification of the structural identities relating the
 weighted sums to plain multiple harmonic sums.
 
-Everything here compares exact values for equality; no modular shortcut
-is taken.  The two three-factor-free forms (form1 with the product term,
-form2 fully expanded through the quasi-shuffle) and the four-exponent
-relation are each verified by a grid suite.  A grid suite builds one
-exact PrefixTable for its largest upper index and asks it for its rows
-in batches, one single_values(specs, rows=True) pass per batch: Theorem
-2.1 one pass per (s1, s2) with all its s3, for both forms, and Theorem
-3.1 one per (s1, s2, s3) with all its s4, so the rows a pass holds grow
-with smax, not with the grid.  Each random probe of Theorem 3.1 is one
-pass on a table for its own upper index n.  An upper index above
-EXACT_N_CAP is refused before any row is built.  Every term of an
-identity has the same weight, so both sides are compared as raw-int
-numerators over one denominator; only reported instances carry
-Fractions.
+Theorem 2.1, in form 1 (with a product term) and form 2 (expanded
+through the quasi-shuffle), and Theorem 3.1 are stated once, as data:
+_thm21 and _thm31 give both sides as products of single_values specs
+with integer coefficients.  One loop, _run, compares the sides exactly,
+for the grid suites and the random probes alike, with one
+single_values(specs, rows=True) pass per batch of exponent tuples:
+Theorem 2.1 per (s1, s2) with all its s3, Theorem 3.1 per (s1, s2, s3)
+with all its s4, and a probe on a table at its own n.  More exponent
+tuples than _MAX_TUPLES, or an upper index above EXACT_N_CAP, is refused
+before any row is built.  Every term of an identity has the same
+weight, so the sides are compared as raw-int numerators over one
+denominator; only reported instances carry Fractions.
 """
 
 from __future__ import annotations
@@ -22,7 +20,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple, Sequence
+from math import prod
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import is_prime
 from .mhs import PrefixTable, eval_formal_sum
@@ -35,6 +34,10 @@ __all__ = [
     "run_thm31_suite",
     "probe_thm31_random",
 ]
+
+# Most exponent tuples one suite evaluates: smax**3, smax**4 or the probe count.
+# At nmax 40 the largest 2.1 suite it admits, smax 23, took 9-11 s (2-CPU Xeon, Python 3.11).
+_MAX_TUPLES = 12_500
 
 
 class IdentityInstance(NamedTuple):
@@ -57,79 +60,77 @@ class SuiteReport(NamedTuple):
     failures: tuple[IdentityInstance, ...]
 
 
-def _compare(t: PrefixTable, exps: tuple, lhs: list, sides: dict, ns: Sequence, out: list) -> int:
-    """Compare the lhs cells with each named right side's cells, both at
-    the upper indices ns in order, appending to out, in (identity, n)
-    order, an IdentityInstance with both sides as Fractions wherever they
-    differ.  Cells are numerators over t.scale**sum(exps).  Returns the
-    number of points compared."""
-    w, frac = sum(exps), t.to_fraction
-    for identity, rhs in sides.items():
-        for n, left, right in zip(ns, lhs, rhs):
-            if left != right:
-                out.append(IdentityInstance(identity, exps, n, frac(left, w), frac(right, w)))
-    return len(sides) * len(ns)
+def _thm21(s1: int, s2: int, s3: int) -> dict:
+    """Theorem 2.1 at (s1, s2, s3): sum_j H_j^(s1) H_j^(s3) / j^(s2) equals
+    form 1, -H(s1,s2,s3) + H(s3,s1+s2) + H(s1+s2+s3) + H(s3) H(s1,s2), and
+    form 2, H(s1,s3,s2) + H(s3,s1,s2) + H(s3,s1+s2) + H(s1+s3,s2) +
+    H(s1,s2+s3) + H(s1+s2+s3).  Each form maps to (lhs, rhs); a side is a
+    tuple of products (factors, coefficient), the factors specs."""
+    lhs = (((("weighted_sum", (s1, s2, s3)),), 1),)
+    shared = tuple(((("mhs", c),), 1) for c in [(s3, s1 + s2), (s1 + s2 + s3,)])
+    form1 = ((("mhs", (s1, s2, s3)),), -1), ((("mhs", (s3,)), ("mhs", (s1, s2))), 1)
+    comps = [(s1, s3, s2), (s3, s1, s2), (s1 + s3, s2), (s1, s2 + s3)]
+    form2 = tuple(((("mhs", c),), 1) for c in comps)
+    return {"thm21-form1": (lhs, shared + form1), "thm21-form2": (lhs, shared + form2)}
 
 
-def _thm21_specs(s1: int, s2: int, s3: int) -> list:
-    """The left side sum_j H^(s1)H^(s3)/j^(s2), then the nine sums of both
-    forms' right sides, in the order _thm21_sides reads them."""
-    a = s1 + s2
-    comps = [(s3, a), (a + s3,), (s1, s2, s3), (s3,), (s1, s2)]
-    comps += [(s1, s3, s2), (s3, s1, s2), (s1 + s3, s2), (s1, s2 + s3)]
-    return [("weighted_sum", (s1, s2, s3))] + [("mhs", c) for c in comps]
-
-
-def _thm21_sides(rows: dict, s: tuple) -> tuple[list, dict]:
-    """The left row and both forms' right rows over every upper index, from
-    the rows of _thm21_specs(*s).  Form 1's right side is -H(s1,s2,s3) +
-    H(s3,s1+s2) + H(s1+s2+s3) + H(s3)H(s1,s2), and form 2's is the
-    six-term expansion H(s1,s3,s2) + H(s3,s1,s2) + H(s3,s1+s2) +
-    H(s1+s3,s2) + H(s1,s2+s3) + H(s1+s2+s3).  The two terms the forms
-    share are added once."""
-    lhs, b, c, a, d, e, *rest = (rows[spec] for spec in _thm21_specs(*s))
-    cells = range(len(lhs))
-    shared = [b[j] + c[j] for j in cells]
-    return lhs, {
-        "thm21-form1": [shared[j] - a[j] + d[j] * e[j] for j in cells],
-        "thm21-form2": [shared[j] + sum(r[j] for r in rest) for j in cells],
-    }
-
-
-def _thm31_specs(s1: int, s2: int, s3: int, s4: int) -> list:
-    """The three-factor sum, the two-factor sum of (s1, s2, s3), H(s4) and
-    the six length-four sums, in the order _thm31_sides reads them."""
-    comps = [(s4,), (s1, s3, s2, s4), (s3, s1, s2, s4), (s3, s1 + s2, s4)]
+def _thm31(s1: int, s2: int, s3: int, s4: int) -> dict:
+    """Theorem 3.1 at (s1, s2, s3, s4), stated as _thm21 states its forms:
+    minus sum_j H_j^(s1) H_j^(s3) H_j^(s4) / j^(s2) equals H(s1,s3,s2,s4) +
+    H(s3,s1,s2,s4) + H(s3,s1+s2,s4) + H(s1+s3,s2,s4) + H(s1,s2+s3,s4) +
+    H(s1+s2+s3,s4) - H(s4) sum_j H_j^(s1) H_j^(s3) / j^(s2)."""
+    comps = [(s1, s3, s2, s4), (s3, s1, s2, s4), (s3, s1 + s2, s4)]
     comps += [(s1 + s3, s2, s4), (s1, s2 + s3, s4), (s1 + s2 + s3, s4)]
-    wsums = [("weighted_sum", (s1, s2, s3, s4)), ("weighted_sum", (s1, s2, s3))]
-    return wsums + [("mhs", c) for c in comps]
+    six = tuple(((("mhs", c),), 1) for c in comps)
+    product_term = (("mhs", (s4,)), ("weighted_sum", (s1, s2, s3))), -1
+    return {"thm31": ((((("weighted_sum", (s1, s2, s3, s4)),), -1),), six + (product_term,))}
 
 
-def _thm31_sides(rows: dict, s: tuple, ns: Sequence) -> tuple[list, list]:
-    """As _thm21_sides, at the upper indices ns only, from the rows of
-    _thm31_specs(*s): the left side is -sum_j H^(s1)H^(s3)H^(s4)/j^(s2),
-    the right the six length-four sums minus H^(s4) times the two-factor
-    weighted sum."""
-    w3, w2, h4, *six = (rows[spec] for spec in _thm31_specs(*s))
-    # The product term carries a minus sign; summing the six nested sums
-    # alone overshoots by exactly H^(s4)_n times the two-factor sum.
-    return [-w3[n] for n in ns], [sum(r[n] for r in six) - h4[n] * w2[n] for n in ns]
+def _cells(side: tuple, rows: dict) -> list:
+    """Per cell, the sum of each product's coefficient times its factors' cells."""
+    terms = []
+    for factors, c in side:
+        cells = rows[factors[0]] if len(factors) == 1 else map(prod, zip(*map(rows.get, factors)))
+        terms.append(cells if c == 1 else [c * x for x in cells])
+    return list(map(sum, zip(*terms)))
+
+
+def _run(t: PrefixTable, identities: Callable, batches: Iterable, ns: Sequence, out: list) -> int:
+    """Compare the sides of each identity that identities(*s) states, for
+    each tuple s of each batch, at the upper indices ns, with one pass of
+    rows on t per batch.  Appends to out, in (s, identity, n) order, an
+    IdentityInstance wherever they differ.  Returns the points compared."""
+    whole = list(ns) == list(range(t.n + 1))  # then the rows are read as they come
+    frac, points = t.to_fraction, 0
+    for batch in batches:
+        stated = [(s, identities(*s)) for s in batch]
+        sides = [side for _, pairs in stated for pair in pairs.values() for side in pair]
+        specs = dict.fromkeys(spec for side in sides for factors, _ in side for spec in factors)
+        rows = t.single_values(specs, rows=True)
+        if not whole:
+            rows = {spec: [row[n] for n in ns] for spec, row in rows.items()}
+        for s, pairs in stated:
+            w = sum(s)
+            for identity, (lhs, rhs) in pairs.items():
+                for n, left, right in zip(ns, _cells(lhs, rows), _cells(rhs, rows)):
+                    if left != right:
+                        out.append(IdentityInstance(identity, s, n, frac(left, w), frac(right, w)))
+                points += len(ns)
+    return points
 
 
 def run_thm21_suite(smax: int = 4, nmax: int = 40) -> SuiteReport:
     """Verify both expanded forms on the whole grid [1,smax]^3 x [0,nmax]."""
     if smax < 1 or nmax < 0:
         raise ValueError("smax must be >= 1 and nmax >= 0")
+    if smax**3 > _MAX_TUPLES:
+        raise ValueError(f"smax {smax}: {smax**3} exponent tuples exceed cap {_MAX_TUPLES}")
     t = PrefixTable.for_exact(nmax)
-    failures: list[IdentityInstance] = []
-    points = 0
     exps = range(1, smax + 1)
     # One pass per (s1, s2) for all its s3; the grid in product order.
-    for s12 in product(exps, repeat=2):
-        rows = t.single_values([spec for s3 in exps for spec in _thm21_specs(*s12, s3)], rows=True)
-        for s3 in exps:
-            s = (*s12, s3)
-            points += _compare(t, s, *_thm21_sides(rows, s), range(nmax + 1), failures)
+    batches = ([(*s12, s3) for s3 in exps] for s12 in product(exps, repeat=2))
+    failures: list[IdentityInstance] = []
+    points = _run(t, _thm21, batches, range(nmax + 1), failures)
     return SuiteReport("thm21", points, tuple(failures))
 
 
@@ -137,17 +138,14 @@ def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> S
     """Verify the four-exponent relation on [1,smax]^4 at the given n."""
     if smax < 1 or not nvalues or min(nvalues) < 0:
         raise ValueError("smax must be >= 1 and nvalues non-empty, >= 0")
+    if smax**4 > _MAX_TUPLES:
+        raise ValueError(f"smax {smax}: {smax**4} exponent tuples exceed cap {_MAX_TUPLES}")
     t = PrefixTable.for_exact(max(nvalues))
-    failures: list[IdentityInstance] = []
-    points = 0
     exps = range(1, smax + 1)
     # One pass per (s1, s2, s3) for all its s4; the grid in product order.
-    for s123 in product(exps, repeat=3):
-        rows = t.single_values([spec for s4 in exps for spec in _thm31_specs(*s123, s4)], rows=True)
-        for s4 in exps:
-            s = (*s123, s4)
-            lhs, rhs = _thm31_sides(rows, s, nvalues)
-            points += _compare(t, s, lhs, {"thm31": rhs}, nvalues, failures)
+    batches = ([(*s123, s4) for s4 in exps] for s123 in product(exps, repeat=3))
+    failures: list[IdentityInstance] = []
+    points = _run(t, _thm31, batches, nvalues, failures)
     return SuiteReport("thm31", points, tuple(failures))
 
 
@@ -160,6 +158,8 @@ def probe_thm31_random(
         raise ValueError(f"probe count must be >= 0, got {count}")
     if nmax < 5:
         raise ValueError(f"nmax must be >= 5 (the smallest n with n+1 composite is 5), got {nmax}")
+    if count > _MAX_TUPLES:
+        raise ValueError(f"probe count {count} exceeds cap {_MAX_TUPLES}")
     PrefixTable.for_exact(nmax)  # refuses nmax above EXACT_N_CAP before any probe runs
     rng = random.Random(seed)
     composite_n = [n for n in range(4, nmax + 1) if not is_prime(n + 1)]
@@ -167,7 +167,6 @@ def probe_thm31_random(
     for _ in range(count):
         s = tuple(rng.randint(1, smax) for _ in range(4))
         n = rng.choice(composite_n)
-        t = PrefixTable.for_exact(n)
-        lhs, rhs = _thm31_sides(t.single_values(_thm31_specs(*s), rows=True), s, (n,))
-        _compare(t, s, lhs, {"thm31-general-n": rhs}, (n,), failures)
+        sides = _thm31(*s)["thm31"]
+        _run(PrefixTable.for_exact(n), lambda *_: {"thm31-general-n": sides}, [[s]], (n,), failures)
     return SuiteReport("thm31-general-n", count, tuple(failures))

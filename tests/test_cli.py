@@ -355,6 +355,15 @@ def test_identity_nmax_above_exact_cap(argv, capsys):
     [
         (["identity", "--thm", "3.1", "--probes", "3", "--nmax", "3"], "nmax must be >= 5"),
         (["identity", "--thm", "3.1", "--probes", "-2"], "probe count must be >= 0"),
+        (
+            ["identity", "--thm", "3.1", "--probes", "100000000"],
+            "probe count 100000000 exceeds cap 12500",
+        ),
+        (
+            ["identity", "--thm", "2.1", "--smax", "100", "--nmax", "0"],
+            "smax 100: 1000000 exponent tuples exceed cap 12500",
+        ),
+        (["identity", "--thm", "3.1", "--smax", "30"], "smax 30: 810000 exponent tuples"),
     ],
 )
 def test_identity_probes_it_cannot_serve(argv, message, capsys):

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import mhslab.identities as identities
 from mhslab.compositions import FormalSum
 from mhslab.exactnum import rational_to_residue
 from mhslab.identities import (
@@ -52,7 +53,7 @@ def test_thm31_suite_small():
     assert not rep.failures
 
 
-def test_suite_argument_validation():
+def test_suite_argument_validation(monkeypatch):
     with pytest.raises(ValueError):
         run_thm21_suite(smax=0)
     with pytest.raises(ValueError):
@@ -61,6 +62,49 @@ def test_suite_argument_validation():
         run_thm31_suite(nvalues=())
     with pytest.raises(ValueError):
         run_thm31_suite(nvalues=(4, -2))
+
+    # More exponent tuples than the cap are refused before any row is
+    # built; the largest grids and probe count under it reach the rows.
+    def no_rows(self, specs, *, rows=False):
+        raise AssertionError("built rows")
+
+    monkeypatch.setattr(PrefixTable, "single_values", no_rows)
+    cap = identities._MAX_TUPLES
+    for run, message in [
+        (lambda: run_thm21_suite(smax=24), f"smax 24: 13824 exponent tuples exceed cap {cap}"),
+        (lambda: run_thm31_suite(smax=11), f"smax 11: 14641 exponent tuples exceed cap {cap}"),
+        (lambda: probe_thm31_random(cap + 1), f"probe count {cap + 1} exceeds cap {cap}"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            run()
+    for run in [
+        lambda: run_thm21_suite(smax=23),
+        lambda: run_thm31_suite(smax=10),
+        lambda: probe_thm31_random(cap),
+    ]:
+        with pytest.raises(AssertionError, match="built rows"):
+            run()
+
+
+@pytest.mark.parametrize(
+    "state, exponents",
+    [
+        (identities._thm21, list(product(range(1, 6), repeat=3))),
+        (identities._thm31, list(product(range(1, 5), repeat=4))),
+    ],
+)
+def test_every_product_has_the_identitys_weight(state, exponents):
+    # The suites compare cells as numerators over scale**sum(s), which
+    # holds only if every product on both sides has weight sum(s).
+    t = PrefixTable.for_exact(3)
+    for s in exponents:
+        specs = []
+        for lhs, rhs in state(*s).values():
+            for factors, coefficient in lhs + rhs:
+                assert type(coefficient) is int and coefficient != 0
+                assert sum(sum(args) for _, args in factors) == sum(s)
+                specs += factors
+        assert set(t.single_values(specs)) == set(specs)
 
 
 def test_probe_is_deterministic():
