@@ -45,6 +45,7 @@ __all__ = [
     "BernoulliCache",
     "bernoulli_exact",
     "bernoulli_mod",
+    "bernoulli_mod_int",
     "check_pole",
     "von_staudt_clausen_check",
     "DEFAULT_CAP",
@@ -194,18 +195,27 @@ def check_pole(n: int, p: int) -> None:
         raise PDividesDenominator(f"p = {p} divides the denominator of B_{n}")
 
 
+def bernoulli_mod_int(n: int, p: int, e: int) -> int:
+    """B_n mod p^e as an int in [0, p^e), for a ring Z/p^e the caller has
+    validated (check_ring); bernoulli_mod is this with the checks and a
+    Residue.  Raises PDividesDenominator where check_pole does and
+    ValueError for n < 0 or p above MAX_PRIME.
+    """
+    if n < 0:
+        raise ValueError(f"Bernoulli index must be >= 0, got {n}")
+    check_pole(n, p)
+    check_o_of_p(p)
+    return _p_times_bernoulli(n, p, e + 1) // p
+
+
 def bernoulli_mod(n: int, p: int, e: int) -> Residue:
     """B_n reduced into Z/p^e, for any index n >= 0 and any odd prime p
     up to MAX_PRIME (ValueError above it).
 
     Raises PDividesDenominator where check_pole does.
     """
-    if n < 0:
-        raise ValueError(f"Bernoulli index must be >= 0, got {n}")
     check_ring(p, e)
-    check_pole(n, p)
-    check_o_of_p(p)
-    return Residue(_p_times_bernoulli(n, p, e + 1) // p, p, e)
+    return Residue(bernoulli_mod_int(n, p, e), p, e)
 
 
 def von_staudt_clausen_check(n: int) -> bool:

@@ -31,7 +31,7 @@ from .exactnum import (
     primes_in_range,
     rational_to_residue,
 )
-from .identities import probe_thm31_random, run_thm21_suite, run_thm31_suite
+from .identities import check_probes, probe_thm31_random, run_thm21_suite, run_thm31_suite
 from .mhs import EXACT_N_CAP, mhs_exact, mhs_mod, weighted_sum2, weighted_sum3
 
 __all__ = ["build_parser", "main", "parse_primes"]
@@ -167,6 +167,9 @@ def _cmd_identity(args: argparse.Namespace) -> int:
             # n = p - 1 is evaluated exactly, so p may not pass EXACT_N_CAP + 1.
             primes = parse_primes(args.at_primes, limit=EXACT_N_CAP + 1)
             grid["nvalues"] = tuple(p - 1 for p in primes)
+        if args.probes:
+            # Refuse bad probes before the grid runs; the grid still prints first.
+            check_probes(args.probes, **_given(args, "nmax"))
         reports = [run_thm31_suite(smax=smax, **grid)]
         if args.probes:
             probe = _given(args, "nmax", "seed")

@@ -54,8 +54,15 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .bernoulli import PDividesDenominator, bernoulli_mod
-from .exactnum import EXPONENTS, crt_list, is_odd_prime, mod_inverse_int, rational_reconstruct
+from .bernoulli import PDividesDenominator, bernoulli_mod, bernoulli_mod_int
+from .exactnum import (
+    EXPONENTS,
+    check_ring,
+    crt_list,
+    is_odd_prime,
+    mod_inverse_int,
+    rational_reconstruct,
+)
 from .mhs import PrefixTable
 
 __all__ = [
@@ -131,8 +138,10 @@ def _evaluate(terms: Terms, p: int, e: int) -> int:
     Each factor of a monomial lives mod p^(e-t), the precision its p^t
     leaves.  A zero coefficient is skipped before its Bernoulli factors are
     touched: for the symmetric Tauraso member a = b = 0, middle = 1 that
-    factor would be the undefined B_{p-1}.
+    factor would be the undefined B_{p-1}.  The ring Z/p^e is checked
+    once here, so each factor is read as a raw int (bernoulli_mod_int).
     """
+    check_ring(p, e)
     total = 0
     for coef, t, factors in terms:
         if coef == 0 or t >= e:
@@ -140,7 +149,7 @@ def _evaluate(terms: Terms, p: int, e: int) -> int:
         m = p ** (e - t)
         v = coef.numerator * mod_inverse_int(coef.denominator, m) % m
         for k, w in factors:
-            v = v * int(bernoulli_mod(k * p - w, p, e - t)) % m
+            v = v * bernoulli_mod_int(k * p - w, p, e - t) % m
         total += v * p**t
     return total % p**e
 

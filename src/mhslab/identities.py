@@ -29,6 +29,7 @@ from .mhs import PrefixTable, eval_formal_sum
 __all__ = [
     "IdentityInstance",
     "SuiteReport",
+    "check_probes",
     "eval_formal_sum",
     "run_thm21_suite",
     "run_thm31_suite",
@@ -38,6 +39,8 @@ __all__ = [
 # Most exponent tuples one suite evaluates: smax**3, smax**4 or the probe count.
 # At nmax 40 the largest 2.1 suite it admits, smax 23, took 9-11 s (2-CPU Xeon, Python 3.11).
 _MAX_TUPLES = 12_500
+# The default largest upper index of the random probes.
+_PROBE_NMAX = 40
 
 
 class IdentityInstance(NamedTuple):
@@ -149,18 +152,24 @@ def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> S
     return SuiteReport("thm31", points, tuple(failures))
 
 
-def probe_thm31_random(
-    count: int = 50, *, smax: int = 4, nmax: int = 40, seed: int = 1729
-) -> SuiteReport:
-    """Probe the four-exponent relation at random exponents and random
-    upper indices n with n+1 composite (so n is never of the form p-1)."""
+def check_probes(count: int, nmax: int = _PROBE_NMAX) -> None:
+    """Raise ValueError unless probe_thm31_random(count, nmax=nmax) can run,
+    so a caller that runs other work first can refuse bad probes up front."""
     if count < 0:
         raise ValueError(f"probe count must be >= 0, got {count}")
     if nmax < 5:
         raise ValueError(f"nmax must be >= 5 (the smallest n with n+1 composite is 5), got {nmax}")
     if count > _MAX_TUPLES:
         raise ValueError(f"probe count {count} exceeds cap {_MAX_TUPLES}")
-    PrefixTable.for_exact(nmax)  # refuses nmax above EXACT_N_CAP before any probe runs
+    PrefixTable.for_exact(nmax)  # refuses nmax above EXACT_N_CAP
+
+
+def probe_thm31_random(
+    count: int = 50, *, smax: int = 4, nmax: int = _PROBE_NMAX, seed: int = 1729
+) -> SuiteReport:
+    """Probe the four-exponent relation at random exponents and random
+    upper indices n with n+1 composite (so n is never of the form p-1)."""
+    check_probes(count, nmax)
     rng = random.Random(seed)
     composite_n = [n for n in range(4, nmax + 1) if not is_prime(n + 1)]
     failures: list[IdentityInstance] = []

@@ -41,7 +41,8 @@ cells are the same residues; see _kernel for the bounds.  It reduces in
 place by floor division (_reduce), and a block's powers j^(-s) share
 their squares j^(-2^i) across every exponent s (powers).  numpy is
 imported the first time a table picks that kernel, never at package
-import.
+import; when that is the process's first import of numpy and no BLAS
+thread count is set, OpenBLAS loads single-threaded (_numpy).
 
 Inside a pass the rows stay in the kernel's form (int64 arrays on the
 numpy kernel).  A row becomes a list of Python ints only when a public
@@ -61,6 +62,9 @@ exactnum's rule (check_ring, check_o_of_p).
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, repeat
@@ -329,13 +333,37 @@ def _primitive_root(p: int) -> int:
     return next(g for g in count(2) if all(pow(g, n // q, p) != 1 for q in factors))
 
 
+# What OpenBLAS reads for its thread count when it loads, in this order.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_NUMPY_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=None)
 def _numpy():
-    """The numpy module, imported on first use; None where it is missing."""
-    try:
-        import numpy
-    except ImportError:
-        return None
+    """The numpy module, imported on first use; None where it is missing.
+
+    The kernels never call BLAS, yet importing numpy loads OpenBLAS, which
+    starts one thread per further CPU that spins after start-up.  So when
+    this is the process's first import of numpy and none of
+    _BLAS_THREAD_VARS is set, it runs with OPENBLAS_NUM_THREADS=1, which
+    OpenBLAS reads once as it loads; os.environ is restored afterwards, so
+    child processes see the caller's environment.  A program that wants
+    threaded BLAS imports numpy first or sets one of the variables.  The
+    lock keeps two threads from interleaving the set and the restore.
+    """
+    with _NUMPY_LOCK:
+        single = "numpy" not in sys.modules and not any(
+            v in os.environ for v in _BLAS_THREAD_VARS
+        )
+        if single:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        except ImportError:
+            return None
+        finally:
+            if single:
+                del os.environ["OPENBLAS_NUM_THREADS"]
     return numpy
 
 

@@ -24,6 +24,7 @@ from mhslab.bernoulli import (
     _power_sum,
     bernoulli_exact,
     bernoulli_mod,
+    bernoulli_mod_int,
     von_staudt_clausen_check,
 )
 from mhslab.exactnum import primes_in_range, rational_to_residue
@@ -150,6 +151,23 @@ def test_bernoulli_mod_matches_exact_reduction_below_200():
                         bernoulli_mod(n, p, e)
                 else:
                     assert bernoulli_mod(n, p, e) == rational_to_residue(exact, p, e), (n, p, e)
+
+
+def test_bernoulli_mod_int_is_the_residue_value_with_the_same_refusals():
+    for p in (3, 5, 7, 31, 101):
+        for n in range(2 * p + 1):
+            for e in (1, 2, 3):
+                try:
+                    want = int(bernoulli_mod(n, p, e))
+                except PDividesDenominator:
+                    with pytest.raises(PDividesDenominator):
+                        bernoulli_mod_int(n, p, e)
+                    continue
+                assert bernoulli_mod_int(n, p, e) == want, (n, p, e)
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        bernoulli_mod_int(-2, 7, 1)
+    with pytest.raises(ValueError, match="exceeds the limit 10000000 for O"):
+        bernoulli_mod_int(4, 10000019, 1)
 
 
 def test_kummer_congruence_past_the_exact_cap():

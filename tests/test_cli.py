@@ -366,7 +366,13 @@ def test_identity_nmax_above_exact_cap(argv, capsys):
         (["identity", "--thm", "3.1", "--smax", "30"], "smax 30: 810000 exponent tuples"),
     ],
 )
-def test_identity_probes_it_cannot_serve(argv, message, capsys):
+def test_identity_probes_it_cannot_serve(argv, message, capsys, monkeypatch):
+    if "--probes" in argv:
+        # Bad probe arguments are refused before the grid suite runs.
+        def grid(*args, **kwargs):
+            raise AssertionError("the grid suite ran before the probes were refused")
+
+        monkeypatch.setattr(cli, "run_thm31_suite", grid)
     code, err = run_cli_error(argv, capsys)
     assert code == 2
     assert message in err

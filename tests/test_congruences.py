@@ -447,6 +447,7 @@ def test_rhs_side_never_builds_prefix_tables(monkeypatch):
 
 def test_lhs_side_never_touches_bernoulli(monkeypatch):
     monkeypatch.setattr(congruences, "bernoulli_mod", _Bomb())
+    monkeypatch.setattr(congruences, "bernoulli_mod_int", _Bomb())
     tables = {}
     for chk in registry().values():
         for mem in chk.members:

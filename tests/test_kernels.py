@@ -4,8 +4,9 @@ of the multiply and the in-place reduction against Python ints, shared
 block powers against pow and the products they take, full tables at
 p = 65537, the inverse row at p = 99991, the rule that picks a
 kernel, the row each kernel keeps, single values across block
-boundaries, the memory a unit of large-prime checks takes, and
-byte-identical scans with and without numpy.  A table picks its kernel in
+boundaries, the memory a unit of large-prime checks takes,
+byte-identical scans with and without numpy, and the first import of
+numpy loading OpenBLAS without threads.  A table picks its kernel in
 the constructor, so tests reach the numpy kernel at small primes by
 lowering the size threshold while the table is built."""
 
@@ -334,9 +335,16 @@ def test_bigprime_checks_stay_within_a_few_blocks_of_memory():
 NO_NUMPY = 'import sys\nsys.modules["numpy"] = None\n'
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, **environ: str | None) -> str:
+    """The stdout of code run in a fresh interpreter on these sources; each
+    keyword sets an environment variable, or unsets it when None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    for name, value in environ.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
     )
@@ -379,3 +387,90 @@ def test_serial_runs_never_import_numpy_or_the_pool():
         "print(run_scan('cor-sun-modp', primes_in_range(3, 1000), jobs=2) == serial)\n"
     )
     assert run_python(code) == "[]\nTrue\n"
+
+
+# --- OpenBLAS threads ------------------------------------------------------------
+
+NO_BLAS_VARS = dict.fromkeys(mhs._BLAS_THREAD_VARS)
+
+ONE_TABLE = (
+    "import os\n"
+    "from mhslab.mhs import PrefixTable, _NumpyKernel\n"
+    "before = dict(os.environ)\n"
+    "t = PrefixTable.for_prime(4001)\n"
+    "assert isinstance(t._k, _NumpyKernel)\n"
+    "assert t.mhs((1, 1)) == 0\n"
+    "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+def needs_thread_count():
+    pytest.importorskip("numpy")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+
+
+def test_the_numpy_kernel_starts_no_blas_threads():
+    # The first import of numpy loads OpenBLAS single-threaded, so the
+    # process keeps its one thread, and the variable that did it is gone.
+    needs_thread_count()
+    assert run_python(ONE_TABLE, **NO_BLAS_VARS) == "1 True\nNone\n"
+
+
+def test_a_user_blas_thread_count_is_kept():
+    needs_thread_count()
+    out = run_python(ONE_TABLE, **{**NO_BLAS_VARS, "OPENBLAS_NUM_THREADS": "2"})
+    assert out.split()[1:] == ["True", "2"]
+
+
+def test_numpy_imported_first_leaves_the_environment_alone():
+    pytest.importorskip("numpy")
+    code = (
+        "import os, numpy\n"
+        "import mhslab.mhs as mhs\n"
+        "class Watched(dict):\n"
+        "    writes = []\n"
+        "    def __setitem__(self, k, v):\n"
+        "        self.writes.append(k); super().__setitem__(k, v)\n"
+        "    def __delitem__(self, k):\n"
+        "        self.writes.append(k); super().__delitem__(k)\n"
+        "before = dict(os.environ)\n"
+        "os.environ = Watched(before)\n"
+        "assert mhs._numpy() is numpy\n"
+        "print(Watched.writes, os.environ == before)\n"
+    )
+    assert run_python(code, **NO_BLAS_VARS) == "[] True\n"
+
+
+
+def test_threads_racing_to_the_first_import_leave_the_environment_alone():
+    # An environment whose lookups are slow widens the gap between checking
+    # and setting the variable: without the lock every thread would set it
+    # and all but the first restore would fail.  Each thread must get numpy
+    # and the environment must end as it began.
+    pytest.importorskip("numpy")
+    code = (
+        "import os, sys, threading, time\n"
+        "import mhslab.mhs as mhs\n"
+        "class Slow(dict):\n"
+        "    def __contains__(self, k):\n"
+        "        time.sleep(0.01)\n"
+        "        return super().__contains__(k)\n"
+        "before = dict(os.environ)\n"
+        "os.environ = Slow(before)\n"
+        "start = threading.Barrier(8)\n"
+        "got = []\n"
+        "def first():\n"
+        "    start.wait()\n"
+        "    got.append(mhs._numpy())\n"
+        "threads = [threading.Thread(target=first) for _ in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "import numpy\n"
+        "print(sum(m is numpy for m in got), any(t.is_alive() for t in threads),"
+        " os.environ == before)\n"
+    )
+    assert run_python(code, **NO_BLAS_VARS) == "8 False True\n"
