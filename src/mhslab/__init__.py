@@ -15,7 +15,7 @@ from .bernoulli import (
     bernoulli_mod,
     von_staudt_clausen_check,
 )
-from .compositions import Composition, FormalSum, parse_composition, stuffle
+from .compositions import Composition, parse_composition, stuffle
 from .congruences import (
     CheckMember,
     CheckReport,
@@ -71,7 +71,6 @@ __all__ = [
     "bernoulli_mod",
     "von_staudt_clausen_check",
     "Composition",
-    "FormalSum",
     "parse_composition",
     "stuffle",
     "CheckMember",

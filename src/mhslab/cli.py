@@ -119,7 +119,8 @@ def _print_unlimited(value) -> None:
 
 
 def _cmd_stuffle(args: argparse.Namespace) -> int:
-    print(stuffle(parse_composition(args.a), parse_composition(args.b)))
+    terms = stuffle(parse_composition(args.a), parse_composition(args.b))
+    print(" + ".join(str(c) if k == 1 else f"{k}*{c}" for c, k in terms))
     return 0
 
 

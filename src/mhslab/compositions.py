@@ -1,17 +1,16 @@
 """Compositions (finite tuples of positive integer exponents) and the
-quasi-shuffle product, whose result is a FormalSum: an integer linear
-combination of compositions, built only by its constructor.
+quasi-shuffle product, whose result is a sorted tuple of (composition,
+coefficient) pairs: an integer linear combination of compositions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 __all__ = [
     "Composition",
     "parse_composition",
-    "FormalSum",
     "STUFFLE_MAX_PARTS",
     "STUFFLE_MAX_TERMS",
     "stuffle",
@@ -75,63 +74,10 @@ def parse_composition(text: str) -> Composition:
     return Composition(parts)
 
 
-class FormalSum:
-    """An integer linear combination of compositions: stuffle's result.
-
-    It is built only by its constructor, from a mapping or from
-    (composition, coefficient) pairs, which merges repeated compositions
-    and drops zero coefficients, so equality and hashing see only the
-    support.  Terms are reported in lexicographic order of the tuples.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(
-        self,
-        terms: Mapping[Composition, int] | Iterable[tuple[Composition, int]] = (),
-    ) -> None:
-        coeffs: dict[Composition, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for comp, c in items:
-            comp = Composition(comp)
-            c = coeffs.get(comp, 0) + c
-            if c:
-                coeffs[comp] = c
-            else:
-                coeffs.pop(comp, None)
-        self._coeffs = coeffs
-
-    def terms(self) -> tuple[tuple[Composition, int], ...]:
-        return tuple(sorted(self._coeffs.items()))
-
-    def __iter__(self) -> Iterator[tuple[Composition, int]]:
-        return iter(self.terms())
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalSum):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.terms())
-
-    def __repr__(self) -> str:
-        return f"FormalSum({list(self.terms())!r})"
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for comp, c in self.terms():
-            parts.append(str(comp) if c == 1 else f"{c}*{comp}")
-        return " + ".join(parts)
-
-
-def stuffle(a: Iterable[int], b: Iterable[int]) -> FormalSum:
-    """Quasi-shuffle product of two compositions, as a FormalSum.
+def stuffle(a: Iterable[int], b: Iterable[int]) -> tuple[tuple[Composition, int], ...]:
+    """Quasi-shuffle product of two compositions, as its (composition,
+    coefficient) pairs sorted by composition: each composition once, each
+    coefficient a positive count.
 
     The product is the multiplication rule for nested harmonic sums taken
     at a common upper limit.  A table over the prefix pairs a[:i], b[:j],
@@ -164,4 +110,4 @@ def stuffle(a: Iterable[int], b: Iterable[int]) -> FormalSum:
                     cell[key] = cell.get(key, 0) + c
             cur.append(cell)
         row = cur
-    return FormalSum(row[n].items())
+    return tuple(sorted((Composition(c), k) for c, k in row[n].items()))

@@ -24,7 +24,7 @@ from math import prod
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import is_prime
-from .mhs import PrefixTable, eval_formal_sum
+from .mhs import EXACT_N_CAP, PrefixTable, eval_formal_sum
 
 __all__ = [
     "IdentityInstance",
@@ -161,7 +161,8 @@ def check_probes(count: int, nmax: int = _PROBE_NMAX) -> None:
         raise ValueError(f"nmax must be >= 5 (the smallest n with n+1 composite is 5), got {nmax}")
     if count > _MAX_TUPLES:
         raise ValueError(f"probe count {count} exceeds cap {_MAX_TUPLES}")
-    PrefixTable.for_exact(nmax)  # refuses nmax above EXACT_N_CAP
+    if nmax > EXACT_N_CAP:
+        raise ValueError(f"exact upper index {nmax} exceeds cap {EXACT_N_CAP}")
 
 
 def probe_thm31_random(

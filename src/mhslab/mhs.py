@@ -21,12 +21,12 @@ weighted sums form one sorted list of tuples, the prefix trie in
 depth-first order, and each keeps only a carry: its value at the start
 of the block.  A block computes each inverse power j^(-s) and each
 H_j^(s) once, for every value that uses it, and drops its rows before
-the next block starts.  The value methods (mhs, mhs_many, weighted_sum2,
-weighted_sum3) and the row methods (harmonic_prefix, mhs_all,
-weighted_sum2_all, weighted_sum3_all) are one call of it each, and
-inv_powers(s) is the block powers j^(-s) over 1..n.  The one whole row a
-table keeps is, in mod mode, the inverses 1/j mod p^e; exact mode
-computes (scale // j)^s block by block.
+the next block starts.  The value methods (weighted_sum2, weighted_sum3)
+and the row methods (harmonic_prefix, mhs_all, weighted_sum2_all,
+weighted_sum3_all) are one call of it each, and inv_powers(s) is the
+block powers j^(-s) over 1..n.  The one whole row a table keeps is, in
+mod mode, the inverses 1/j mod p^e; exact mode computes (scale // j)^s
+block by block.
 
 Rows and blocks are built by one of two kernels, picked once per table.
 The Python kernel streams products and running sums through
@@ -71,7 +71,7 @@ from itertools import accumulate, count, repeat
 from operator import mod, mul
 from typing import Iterable, Iterator, Sequence
 
-from .compositions import Composition, FormalSum
+from .compositions import Composition
 from .exactnum import Residue, check_o_of_p, check_ring
 
 __all__ = [
@@ -596,19 +596,6 @@ class PrefixTable:
         values = grown if rows else carries
         return {spec: values[leaves.get(spec, spec)] for spec in specs}
 
-    def mhs_many(self, compositions: Iterable[Iterable[int]]) -> dict[Composition, int]:
-        """H(c; n) as a raw int for every composition c, keyed by c as a
-        tuple, from one single_values pass."""
-        comps = dict.fromkeys(map(Composition, compositions))
-        values = self.single_values(("mhs", c) for c in comps)
-        return {c: values["mhs", c] for c in comps}
-
-    def mhs(self, parts: Iterable[int]) -> int:
-        """H(parts; n) as a raw int: the numerator over scale**weight in
-        exact mode, the residue in mod mode."""
-        spec = ("mhs", Composition(parts))
-        return self.single_values((spec,))[spec]
-
     def weighted_sum2(self, s1: int, s2: int, s3: int) -> int:
         """sum_{j<=n} H_j^(s1) H_j^(s3) / j^(s2) as a raw int."""
         spec = ("weighted_sum", (s1, s2, s3))
@@ -636,8 +623,10 @@ def _value(terms: Sequence[tuple[tuple[str, tuple], int]], n: int | None, p: int
     return t.to_fraction(total, top) if p is None else Residue(total, p, e)
 
 
-def eval_formal_sum(F: FormalSum, n: int | None = None, *, p: int | None = None, e: int = 1):
-    """Evaluate sum coeff * H(c; n) over the terms of F.
+def eval_formal_sum(F: Iterable[tuple], n: int | None = None, *, p: int | None = None, e: int = 1):
+    """Evaluate sum coeff * H(c; n) over the (composition, coefficient)
+    pairs of F, such as stuffle's result, each composition a tuple; a
+    repeated composition adds its coefficients.
 
     Exact mode (give n) returns a Fraction; mod mode (give p, e) evaluates
     at n = p-1 and returns a Residue.  All terms share one single_values

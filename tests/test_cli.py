@@ -13,7 +13,7 @@ import mhslab
 import mhslab.cli as cli
 from mhslab.bernoulli import DEFAULT_CAP, BernoulliCache, bernoulli_mod
 from mhslab.cli import build_parser, main, parse_primes
-from mhslab.compositions import STUFFLE_MAX_PARTS, STUFFLE_MAX_TERMS
+from mhslab.compositions import STUFFLE_MAX_PARTS, STUFFLE_MAX_TERMS, Composition
 from mhslab.congruences import FitFamily, FitResult, fit_families
 from mhslab.exactnum import MAX_PRIME
 from mhslab.identities import probe_thm31_random, run_thm31_suite
@@ -132,6 +132,16 @@ def test_stuffle_output(capsys):
         0,
         "(1,2) + (2,1) + (3)\n",
     )
+    assert run_cli(["stuffle", "--a", "1", "--b", "1"], capsys) == (0, "2*(1,1) + (2)\n")
+    assert run_cli(["stuffle", "--a", "()", "--b", "()"], capsys) == (0, "()\n")
+
+
+def test_stuffle_output_format(capsys, monkeypatch):
+    # A term prints as its composition, with k* in front when its
+    # coefficient k is not 1, in the order stuffle gives.
+    terms = ((Composition((1, 2)), 4), (Composition((3,)), 1))
+    monkeypatch.setattr(cli, "stuffle", lambda a, b: terms)
+    assert run_cli(["stuffle", "--a", "1", "--b", "2"], capsys) == (0, "4*(1,2) + (3)\n")
 
 
 def test_stuffle_bad_input(capsys):

@@ -1,15 +1,16 @@
-"""Compositions, formal integer sums of compositions, and the quasi-shuffle
-product."""
+"""Compositions and the quasi-shuffle product, whose result is its sorted
+(composition, coefficient) terms."""
 
 import gc
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhslab.compositions import Composition, FormalSum, parse_composition, stuffle
+from mhslab.compositions import Composition, parse_composition, stuffle
 
 compositions = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(Composition)
 
@@ -64,29 +65,17 @@ def test_parse_composition_rejects(text):
         parse_composition(text)
 
 
-def test_formal_sum_drops_zero_terms():
-    f = FormalSum([(Composition((1,)), 2), (Composition((1,)), -2)])
-    assert len(f) == 0
-    assert f == FormalSum()
-    assert str(f) == "0"
-    # The constructor merges repeated compositions, from pairs or a mapping.
-    g = FormalSum([((1, 2), 3), ((3,), 5), ((1, 2), -1), ((9,), 0)])
-    assert g.terms() == (((1, 2), 2), ((3,), 5))
-    assert g == FormalSum({(3,): 5, (1, 2): 2})
-
-
 def test_formal_sum_terms_sorted_and_hashable():
-    f = FormalSum([((3,), 1), ((1, 2), 4)])
-    assert [c for c, _ in f.terms()] == [(1, 2), (3,)]
-    assert hash(f) == hash(FormalSum([(Composition((1, 2)), 4), (Composition((3,)), 1)]))
-    assert str(f) == "4*(1,2) + (3)"
+    # stuffle's result is its terms, sorted by composition, as a tuple.
+    f = stuffle((3,), (1, 2))
+    assert [c for c, _ in f] == [(1, 2, 3), (1, 3, 2), (1, 5), (3, 1, 2), (4, 2)]
+    assert all(type(c) is Composition for c, _ in f)
+    assert hash(f) == hash(stuffle((1, 2), (3,)))
 
 
 def test_stuffle_known_expansions():
-    assert stuffle((1,), (1,)) == FormalSum(
-        [(Composition((1, 1)), 2), (Composition((2,)), 1)]
-    )
-    assert str(stuffle((1,), (2,))) == "(1,2) + (2,1) + (3)"
+    assert stuffle((1,), (1,)) == (((1, 1), 2), ((2,), 1))
+    assert stuffle((1,), (2,)) == (((1, 2), 1), ((2, 1), 1), ((3,), 1))
     # depth 2 by depth 1: three interleavings plus two merges
     f = stuffle((1, 2), (3,))
     coefficients = dict(f)
@@ -96,8 +85,8 @@ def test_stuffle_known_expansions():
 
 def test_stuffle_identity_element():
     c = Composition((2, 1))
-    assert stuffle(c, ()) == FormalSum([(c, 1)])
-    assert stuffle((), ()) == FormalSum([((), 1)])
+    assert stuffle(c, ()) == ((c, 1),)
+    assert stuffle((), ()) == (((), 1),)
 
 
 @given(compositions, compositions)
@@ -108,13 +97,14 @@ def test_stuffle_commutes(a, b):
 @settings(max_examples=40)
 @given(compositions, compositions, compositions)
 def test_stuffle_associates(a, b, c):
-    # Each side is one FormalSum of the pairs of its expansion.
-    left = FormalSum(
-        (term, k * j) for comp, k in stuffle(a, b) for term, j in stuffle(comp, c)
-    )
-    right = FormalSum(
-        (term, k * j) for comp, k in stuffle(b, c) for term, j in stuffle(a, comp)
-    )
+    # Each side merges the pairs of its expansion.
+    left, right = Counter(), Counter()
+    for comp, k in stuffle(a, b):
+        for term, j in stuffle(comp, c):
+            left[term] += k * j
+    for comp, k in stuffle(b, c):
+        for term, j in stuffle(a, comp):
+            right[term] += k * j
     assert left == right
 
 

@@ -98,10 +98,12 @@ def _assert_members_match(check_id, primes):
     chk = get_check(check_id)
     checked = 0
     for p in primes:
-        t = PrefixTable.for_prime(p, chk.e)
+        values = PrefixTable.for_prime(p, chk.e).single_values(
+            ("mhs", _composition(mem)) for mem in chk.members
+        )
         for mem in chk.members:
             if p >= mem.min_prime:
-                want = t.mhs(_composition(mem))
+                want = values["mhs", _composition(mem)]
                 assert mem.rhs(p, chk.e) == want, (mem.label, p)
                 checked += 1
     return checked
@@ -177,9 +179,9 @@ def test_depth2_mod_p2_odd_weight_four_term_form():
     # mod p^2 at every prime 11 <= p < 400, the range its comment claims
     h14, h41 = _member("depth2-modp2", "H(1,4)"), _member("depth2-modp2", "H(4,1)")
     for p in primes_in_range(11, 399):
-        t = PrefixTable.for_prime(p, 2)
-        assert h14.rhs(p, 2) == t.mhs((1, 4))
-        assert h41.rhs(p, 2) == t.mhs((4, 1))
+        values = PrefixTable.for_prime(p, 2).single_values([("mhs", (1, 4)), ("mhs", (4, 1))])
+        assert h14.rhs(p, 2) == values["mhs", (1, 4)]
+        assert h41.rhs(p, 2) == values["mhs", (4, 1)]
         # reduced mod p it collapses to the classical one-term values
         b = int(bernoulli_mod(p - 5, p, 1))
         assert h14.rhs(p, 2) % p == b
@@ -406,8 +408,8 @@ def test_run_check_sends_its_sums_through_one_trie_walk(monkeypatch):
     chk = get_check("homog-vanishing-modp")
     rep = run_check(chk.check_id, 101)
     assert calls == [[m.lhs_spec for m in chk.members]]
-    t = PrefixTable.for_prime(101, chk.e)
-    assert rep.lhs == ";".join(f"{m.label}={t.mhs(m.lhs_spec[1])}" for m in chk.members)
+    values = PrefixTable.for_prime(101, chk.e).single_values(m.lhs_spec for m in chk.members)
+    assert rep.lhs == ";".join(f"{m.label}={values[m.lhs_spec]}" for m in chk.members)
 
 
 def test_checks_at_one_prime_share_one_trie_walk(monkeypatch):

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import mhslab.identities as identities
-from mhslab.compositions import FormalSum
+from mhslab.compositions import Composition
 from mhslab.exactnum import rational_to_residue
 from mhslab.identities import (
     IdentityInstance,
@@ -86,6 +86,18 @@ def test_suite_argument_validation(monkeypatch):
             run()
 
 
+def test_check_probes_builds_no_table(monkeypatch):
+    # The EXACT_N_CAP refusal is a comparison, not a table built to be refused.
+    class NoTable(PrefixTable):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("built a table")
+
+    monkeypatch.setattr(identities, "PrefixTable", NoTable)
+    identities.check_probes(1, 10_000)
+    with pytest.raises(ValueError, match="^exact upper index 10001 exceeds cap 10000$"):
+        identities.check_probes(1, 10_001)
+
+
 @pytest.mark.parametrize(
     "state, exponents",
     [
@@ -153,13 +165,13 @@ def test_thm31_builds_each_two_factor_row_once(monkeypatch):
 
 
 def test_eval_formal_sum_exact_and_mod():
-    f = FormalSum([((1,), 2), ((2, 1), -3)])
+    f = [(Composition((1,)), 2), (Composition((2, 1)), -3)]
     n = 8
     expected = 2 * mhs_exact((1,), n) - 3 * mhs_exact((2, 1), n)
     assert eval_formal_sum(f, n) == expected
     t = PrefixTable.for_exact(n)
-    sums = t.mhs_many(comp for comp, _ in f)
-    assert sum(c * t.to_fraction(sums[comp], comp.weight) for comp, c in f) == expected
+    sums = t.single_values(("mhs", comp) for comp, _ in f)
+    assert sum(c * t.to_fraction(sums["mhs", comp], comp.weight) for comp, c in f) == expected
     # the mod route must agree with reducing the exact value
     got = eval_formal_sum(f, p=11, e=2)
     assert got == rational_to_residue(
@@ -168,7 +180,20 @@ def test_eval_formal_sum_exact_and_mod():
 
 
 def test_empty_formal_sum_evaluates_to_zero():
-    assert eval_formal_sum(FormalSum(), 9) == 0
+    assert eval_formal_sum([], 9) == 0
+
+
+def test_eval_formal_sum_merges_repeated_compositions():
+    # Pairs are evaluated as given: a repeated composition adds its
+    # coefficients and a zero coefficient adds nothing.
+    f = [((1, 2), 3), ((3,), 5), ((1, 2), -1), ((2,), 0)]
+    merged = [((1, 2), 2), ((3,), 5)]
+    assert eval_formal_sum(f, 9) == eval_formal_sum(merged, 9)
+    assert eval_formal_sum(f, 9) == 2 * mhs_exact((1, 2), 9) + 5 * mhs_exact((3,), 9)
+    assert eval_formal_sum(f, p=11, e=2) == eval_formal_sum(merged, p=11, e=2)
+    assert eval_formal_sum(f, p=11, e=2) == rational_to_residue(
+        2 * mhs_exact((1, 2), 10) + 5 * mhs_exact((3,), 10), 11, 2
+    )
 
 
 def _bump_cell_n(monkeypatch, arity):

@@ -79,8 +79,8 @@ def test_kernels_agree_cell_for_cell(p):
         for c in WEIGHT6:
             row = fast.mhs_all(c)
             assert row == ref.mhs_all(c) and ints(row), (p, e, c)
-        many = fast.mhs_many(WEIGHT6)
-        assert many == ref.mhs_many(WEIGHT6) and ints(many.values())
+        many = fast.single_values(("mhs", c) for c in WEIGHT6)
+        assert many == ref.single_values(("mhs", c) for c in WEIGHT6) and ints(many.values())
         for tr in TRIPLES:
             value, row = fast.weighted_sum2(*tr), fast.weighted_sum2_all(*tr)
             assert type(value) is int and ints(row)
@@ -179,7 +179,8 @@ def test_full_tables_at_65537_match_the_python_kernel():
     assert fast.harmonic_prefix(2) == ref.harmonic_prefix(2)
     assert fast.mhs_all((2, 1)) == ref.mhs_all((2, 1))
     comps = [(1, 1), (1, 1, 1), (3, 1), (1, 3), (1, 5), (3, 3), (1, 2, 1)]
-    assert fast.mhs_many(comps) == ref.mhs_many(comps)
+    specs = [("mhs", c) for c in comps]
+    assert fast.single_values(specs) == ref.single_values(specs)
     assert fast.weighted_sum2(1, 2, 3) == ref.weighted_sum2(1, 2, 3)
     assert fast.weighted_sum2_all(2, 1, 2) == ref.weighted_sum2_all(2, 1, 2)
     assert fast.weighted_sum3(1, 1, 2, 1) == ref.weighted_sum3(1, 1, 2, 1)
@@ -221,7 +222,7 @@ def test_both_kernels_cache_the_same_rows(monkeypatch):
             t = PrefixTable.for_prime(4099, 3)
             t.weighted_sum3_all(2, 1, 1, 3)
             t.mhs_all((4, 1))
-            t.mhs_many(WEIGHT6)
+            t.single_values(("mhs", c) for c in WEIGHT6)
         finally:
             tracer.uninstall()
         return tracer.counts, list(map(int, t._inv)), type(t._k)
@@ -266,7 +267,8 @@ def test_numpy_rows_reach_callers_as_fresh_lists_of_ints():
         assert row == get(ref), name
         row[1] += 1
         assert get(t) == get(ref), name
-    assert type(t.weighted_sum2(2, 1, 3)) is int and type(t.mhs((2, 1))) is int
+    assert type(t.weighted_sum2(2, 1, 3)) is int
+    assert type(t.single_values([("mhs", (2, 1))])["mhs", (2, 1)]) is int
 
 
 NUMPY_SPECS = (
@@ -399,7 +401,7 @@ ONE_TABLE = (
     "before = dict(os.environ)\n"
     "t = PrefixTable.for_prime(4001)\n"
     "assert isinstance(t._k, _NumpyKernel)\n"
-    "assert t.mhs((1, 1)) == 0\n"
+    "assert t.single_values([('mhs', (1, 1))]) == {('mhs', (1, 1)): 0}\n"
     "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)\n"
     "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
 )

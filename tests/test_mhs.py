@@ -163,7 +163,8 @@ def test_mod_agrees_with_exact_reduction(p, e):
     table = PrefixTable.for_prime(p, e)
     for parts in [(1,), (1, 1), (2, 1), (1, 3, 1), (2, 2, 2)]:
         exact = mhs_exact(parts, p - 1)
-        assert Residue(table.mhs(parts), p, e) == rational_to_residue(exact, p, e)
+        value = table.single_values([("mhs", parts)])["mhs", parts]
+        assert Residue(value, p, e) == rational_to_residue(exact, p, e)
         assert mhs_mod(parts, p, e) == rational_to_residue(exact, p, e)
     w2 = Residue(table.weighted_sum2(1, 2, 1), p, e)
     assert w2 == weighted_sum2(1, 2, 1, p=p, e=e)
@@ -204,7 +205,8 @@ def test_stuffle_evaluates_to_the_product_mod_p():
     p = 13
     table = PrefixTable.for_prime(p, 2)
     for a, b in [((1,), (2,)), ((1, 1), (2,)), ((2, 1), (1, 2))]:
-        lhs = table.mhs(a) * table.mhs(b)
+        values = table.single_values([("mhs", a), ("mhs", b)])
+        lhs = values["mhs", a] * values["mhs", b]
         assert lhs % p**2 == int(eval_formal_sum(stuffle(a, b), p=p, e=2))
 
 
@@ -240,7 +242,8 @@ def test_cached_rows_are_handed_out_as_copies():
         assert t.inv_powers(1) == fresh.inv_powers(1)
         assert t.harmonic_prefix(1) == fresh.harmonic_prefix(1)
         assert t.weighted_sum2(1, 1, 1) == fresh.weighted_sum2(1, 1, 1)
-        assert t.mhs((1, 2)) == fresh.mhs((1, 2))
+        h12 = [("mhs", (1, 2))]
+        assert t.single_values(h12) == fresh.single_values(h12)
     assert PrefixTable.for_prime(101).weighted_sum2(1, 1, 1) == 76
 
 
@@ -389,15 +392,18 @@ def test_inverse_row_is_the_modular_inverse(p):
 @pytest.mark.parametrize("p", PRIMES_BELOW_200)
 def test_single_value_trie_and_rows_agree_with_exact_reduction(p):
     exact_table = PrefixTable.for_exact(p - 1)
-    exact = exact_table.mhs_many(WEIGHT6)
-    assert exact == {c: exact_table.mhs_all(c)[p - 1] for c in WEIGHT6}
+    specs = [("mhs", c) for c in WEIGHT6]
+    exact = exact_table.single_values(specs)
+    assert exact == {("mhs", c): exact_table.mhs_all(c)[p - 1] for c in WEIGHT6}
     for e in (1, 2, 3):
         t = PrefixTable.for_prime(p, e)
-        many = t.mhs_many(WEIGHT6)
-        assert set(many) == set(WEIGHT6)
-        for c in WEIGHT6:
-            want = int(rational_to_residue(exact_table.to_fraction(exact[c], c.weight), p, e))
-            assert t.mhs(c) == many[c] == t.mhs_all(c)[p - 1] == want, (p, e, c)
+        many = t.single_values(specs)
+        assert set(many) == set(specs)
+        for spec in specs:
+            c = spec[1]
+            want = int(rational_to_residue(exact_table.to_fraction(exact[spec], c.weight), p, e))
+            one = t.single_values([spec])[spec]
+            assert one == many[spec] == t.mhs_all(c)[p - 1] == want, (p, e, c)
 
 
 def test_trie_takes_duplicates_the_empty_composition_and_mixed_chains():
@@ -415,13 +421,14 @@ def test_trie_takes_duplicates_the_empty_composition_and_mixed_chains():
         (1,),
         (2, 2),
     ]
+    specs = [("mhs", c) for c in comps]
     for t in (PrefixTable.for_prime(97, 2), PrefixTable.for_exact(25)):
-        got = t.mhs_many(iter(comps))
-        assert set(got) == set(comps)
-        assert got == {c: t.mhs(c) for c in comps}
-        assert got[()] == 1
-    assert PrefixTable.for_prime(7).mhs_many([]) == {}
-    assert PrefixTable.for_prime(7).mhs_many([()]) == {(): 1}
+        got = t.single_values(iter(specs))
+        assert set(got) == set(specs)
+        assert got == {spec: t.single_values([spec])[spec] for spec in specs}
+        assert got["mhs", ()] == 1
+    assert PrefixTable.for_prime(7).single_values([]) == {}
+    assert PrefixTable.for_prime(7).single_values([("mhs", ())]) == {("mhs", ()): 1}
 
 
 def test_trie_chain_holds_at_most_two_rows():
@@ -434,7 +441,7 @@ def test_trie_chain_holds_at_most_two_rows():
     def peak(comps):
         tracemalloc.start()
         try:
-            t.mhs_many(comps)
+            t.single_values(("mhs", c) for c in comps)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,7 +474,7 @@ def test_weighted_sum_single_values_equal_the_rows(p):
         assert wsum2 == cell(exact.weighted_sum2_all(2, 1, 3), 6)
         wsum3 = small.to_fraction(small.weighted_sum3(1, 2, 1, 2), 6)
         assert wsum3 == cell(exact.weighted_sum3_all(1, 2, 1, 2), 6)
-        h = small.to_fraction(small.mhs((2, 1, 1)), 4)
+        h = small.to_fraction(small.single_values([("mhs", (2, 1, 1))])["mhs", (2, 1, 1)], 4)
         assert h == cell(exact.mhs_all((2, 1, 1)), 4)
 
 
@@ -562,4 +569,4 @@ def test_single_values_take_duplicates_and_refuse_unknown_specs():
     with pytest.raises(ValueError, match="exponent must be >= 1, got 0"):
         t.weighted_sum2(1, 0, 1)
     with pytest.raises(ValueError):
-        t.mhs((1, 0))
+        t.single_values([("mhs", (1, 0))])

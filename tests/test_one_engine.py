@@ -14,8 +14,6 @@ from mhslab import mhs
 from mhslab.mhs import PrefixTable
 
 CALLS = {
-    "mhs": lambda t: t.mhs((1, 2)),
-    "mhs_many": lambda t: t.mhs_many([(1, 2), (2,), ()]),
     "weighted_sum2": lambda t: t.weighted_sum2(1, 2, 1),
     "weighted_sum3": lambda t: t.weighted_sum3(1, 2, 1, 2),
     "mhs_all": lambda t: t.mhs_all((2, 1, 1)),
