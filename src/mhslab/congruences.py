@@ -12,9 +12,12 @@ Checks are plain data.  A member's left side is a single-value spec, a
 kind and its exponents; its right side is a sum of monomials
 c * p^t * prod B_{kp-w}, which one evaluator reduces mod p^e.  The closed
 forms with real logic are builders that return such a sum together with
-the smallest prime it holds for; only the registry calls them.  A check
-of one weighted sum is a row of one table, from which the registry
-derives its label and its left side.
+the smallest prime it holds for; only the registry calls them.  As in
+the paper, the mod-p right sides of two-factor weighted sums are read off
+Theorem 2.1's first form: _thm23 is the closed form of H(s3,s1+s2) minus
+that of H(s1,s2,s3), and cor-sun-modp is H(s,2s).  A check of one
+weighted sum is a row of one table, from which the registry derives its
+label and its left side.
 
 Scans run prime-major.  The work unit is one prime with the ids of every
 check to evaluate there; a battery (and a scan, a battery of one check)
@@ -196,19 +199,14 @@ def _depth2(s1: int, s2: int, e: int) -> tuple[int, Terms]:
     raise ValueError(f"no mod-p^2 closed form registered for odd weight ({s1},{s2})")
 
 
-def _odd_weight(s1: int, s2: int, s3: int) -> int:
+def _depth3_oddweight(s1: int, s2: int, s3: int) -> tuple[int, Terms]:
+    """H(s1, s2, s3; p-1) mod p at odd weight w, for p > w:
+    ((-1)^s1 C(w,s1) - (-1)^s3 C(w,s3)) B_{p-w} / (2w)."""
     if min(s1, s2, s3) < 1:
         raise ValueError("exponents must be >= 1")
     w = s1 + s2 + s3
     if w % 2 == 0:
         raise ValueError(f"weight {w} must be odd")
-    return w
-
-
-def _depth3_oddweight(s1: int, s2: int, s3: int) -> tuple[int, Terms]:
-    """H(s1, s2, s3; p-1) mod p at odd weight w, for p > w:
-    ((-1)^s1 C(w,s1) - (-1)^s3 C(w,s3)) B_{p-w} / (2w)."""
-    w = _odd_weight(s1, s2, s3)
     num = (-1) ** s1 * math.comb(w, s1) - (-1) ** s3 * math.comb(w, s3)
     return w + 1, _one(Fraction(num, 2 * w), w)
 
@@ -238,12 +236,11 @@ def _tauraso_232(a: int, b: int, middle: int) -> tuple[int, Terms]:
 
 def _thm23(s1: int, s2: int, s3: int) -> tuple[int, Terms]:
     """sum_j H_j^(s1) H_j^(s3) / j^(s2) mod p at odd weight w, for p > w:
-    [(-1)^(s1+1) C(w,s1) + ((-1)^s3 + 2(-1)^(s1+s2)) C(w,s3)] B_{p-w} / (2w)."""
-    w = _odd_weight(s1, s2, s3)
-    num = (-1) ** (s1 + 1) * math.comb(w, s1) + (
-        (-1) ** s3 + 2 * (-1) ** (s1 + s2)
-    ) * math.comb(w, s3)
-    return w + 1, _one(Fraction(num, 2 * w), w)
+    Theorem 2.1's first form, -H(s1,s2,s3) + H(s3,s1+s2) + H(w) +
+    H(s3) H(s1,s2), where H(w) and H(s3) vanish mod p."""
+    _, ((depth3, _, _),) = _depth3_oddweight(s1, s2, s3)
+    min_prime, ((depth2, t, factors),) = _depth2(s3, s1 + s2, 1)
+    return min_prime, ((depth2 - depth3, t, factors),)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +364,7 @@ def _homogeneous_check(
 def registry() -> Mapping[str, CongruenceCheck]:
     """The immutable id -> check mapping (built once per process)."""
     checks = [
-        # sum_j (H_j^(s))^2 / j^s == C(3s,s) B_{p-3s} / (3s)  (mod p)
+        # Sun's sum_j (H_j^(s))^2 / j^s, read off Theorem 2.1's first form: H(s,2s).
         CongruenceCheck(
             "cor-sun-modp",
             1,
@@ -377,7 +374,7 @@ def registry() -> Mapping[str, CongruenceCheck]:
                     f"s={s}",
                     3 * s + 3,
                     ("weighted_sum", (s, s, s)),
-                    _one(Fraction(math.comb(3 * s, s), 3 * s), 3 * s),
+                    _depth2(s, 2 * s, 1)[1],
                     "sun-s1" if s == 1 else None,
                 )
                 for s in range(1, 6)
@@ -393,7 +390,7 @@ def registry() -> Mapping[str, CongruenceCheck]:
                 for s in (2, 4)
             ),
         ),
-        # sum_j (H_j^(s))^2 / j^r for odd r, general closed form mod p.
+        # sum_j (H_j^(s))^2 / j^r for odd r, read off Theorem 2.1's first form.
         CongruenceCheck(
             "cor-first-display",
             1,
@@ -404,7 +401,7 @@ def registry() -> Mapping[str, CongruenceCheck]:
                 for s, r in ((1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 3))
             ),
         ),
-        # Randomized odd-weight triples against the bracketed closed form.
+        # Randomized odd-weight triples, read off Theorem 2.1's first form.
         CongruenceCheck(
             "thm23-general",
             1,

@@ -122,34 +122,30 @@ def _run(t: PrefixTable, identities: Callable, batches: Iterable, ns: Sequence, 
     return points
 
 
+def _grid(name: str, identities: Callable, arity: int, smax: int, ns: Sequence) -> SuiteReport:
+    """Compare identities on [1,smax]^arity at the upper indices ns, in product order."""
+    if smax**arity > _MAX_TUPLES:
+        raise ValueError(f"smax {smax}: {smax**arity} exponent tuples exceed cap {_MAX_TUPLES}")
+    t = PrefixTable.for_exact(max(ns))
+    exps = range(1, smax + 1)
+    batches = ([(*lead, last) for last in exps] for lead in product(exps, repeat=arity - 1))
+    failures: list[IdentityInstance] = []
+    points = _run(t, identities, batches, ns, failures)
+    return SuiteReport(name, points, tuple(failures))
+
+
 def run_thm21_suite(smax: int = 4, nmax: int = 40) -> SuiteReport:
     """Verify both expanded forms on the whole grid [1,smax]^3 x [0,nmax]."""
     if smax < 1 or nmax < 0:
         raise ValueError("smax must be >= 1 and nmax >= 0")
-    if smax**3 > _MAX_TUPLES:
-        raise ValueError(f"smax {smax}: {smax**3} exponent tuples exceed cap {_MAX_TUPLES}")
-    t = PrefixTable.for_exact(nmax)
-    exps = range(1, smax + 1)
-    # One pass per (s1, s2) for all its s3; the grid in product order.
-    batches = ([(*s12, s3) for s3 in exps] for s12 in product(exps, repeat=2))
-    failures: list[IdentityInstance] = []
-    points = _run(t, _thm21, batches, range(nmax + 1), failures)
-    return SuiteReport("thm21", points, tuple(failures))
+    return _grid("thm21", _thm21, 3, smax, range(nmax + 1))
 
 
 def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> SuiteReport:
     """Verify the four-exponent relation on [1,smax]^4 at the given n."""
     if smax < 1 or not nvalues or min(nvalues) < 0:
         raise ValueError("smax must be >= 1 and nvalues non-empty, >= 0")
-    if smax**4 > _MAX_TUPLES:
-        raise ValueError(f"smax {smax}: {smax**4} exponent tuples exceed cap {_MAX_TUPLES}")
-    t = PrefixTable.for_exact(max(nvalues))
-    exps = range(1, smax + 1)
-    # One pass per (s1, s2, s3) for all its s4; the grid in product order.
-    batches = ([(*s123, s4) for s4 in exps] for s123 in product(exps, repeat=3))
-    failures: list[IdentityInstance] = []
-    points = _run(t, _thm31, batches, nvalues, failures)
-    return SuiteReport("thm31", points, tuple(failures))
+    return _grid("thm31", _thm31, 4, smax, nvalues)
 
 
 def check_probes(count: int, nmax: int = _PROBE_NMAX) -> None:

@@ -146,10 +146,6 @@ class _PythonKernel:
     def __init__(self, m: int | None) -> None:
         self.m = m
 
-    def _reduced(self, values: Iterator[int]) -> Iterator[int]:
-        m = self.m
-        return values if m is None else map(mod, values, repeat(m))
-
     def inverses(self, p: int, e: int) -> list[int]:
         """1/j mod m for j = 1..p-1 (index 0 holds a zero), m = p^e, by the
         recurrence 1/j = -(m // j) * 1/(m mod j).  It needs j < p: then j
@@ -174,7 +170,8 @@ class _PythonKernel:
 
     def prefix(self, terms: Iterable[int], carry: int = 0) -> list[int]:
         """The carried row of running sums of terms, starting from carry."""
-        return list(self._reduced(accumulate(terms, initial=carry)))
+        sums, m = accumulate(terms, initial=carry), self.m
+        return list(sums if m is None else map(mod, sums, repeat(m)))
 
     def total(self, terms: Iterable[int], carry: int = 0) -> int:
         """carry plus the sum of terms, reduced."""
@@ -525,6 +522,9 @@ class PrefixTable:
         the dot product, and append it to the row they return.
         """
         specs = list(dict.fromkeys(specs))
+        # spec -> its value at every upper index: 1 for the empty composition,
+        # 0 for one of more than n parts.  Neither adds a prefix.
+        constant: dict[tuple[str, tuple], int] = {}
         leaves: dict[tuple[str, tuple], tuple[int, ...]] = {}
         # spec -> (s2, the exponents of its harmonic factors)
         wsums: dict[tuple[str, tuple], tuple[int, tuple[int, ...]]] = {}
@@ -534,6 +534,9 @@ class PrefixTable:
             if kind == "mhs":
                 parts = Composition(args)
                 self._check_weight(parts.weight)
+                if not parts or len(parts) > self.n:
+                    constant[spec] = int(not parts)
+                    continue
                 prefixes.update(parts[:i] for i in range(1, len(parts) + 1))
                 leaves[spec] = tuple(parts)
             elif kind == "weighted_sum" and len(args) in (3, 4):
@@ -561,7 +564,6 @@ class PrefixTable:
         # asked-for row so far, from its cell at 0.  A weighted sum is keyed
         # by its spec, a composition by its tuple.
         carries = dict.fromkeys([*order, *wsums], 0)
-        carries[()] = 1  # H(; j) = 1: the empty composition's value
         grown = {key: [0] for key in (*wanted, *wsums)} if rows else {}
         for lo in range(1, self.n + 1, _BLOCK):
             ip = self._block_powers(lo, min(lo + _BLOCK, self.n + 1), exponents)
@@ -591,9 +593,8 @@ class PrefixTable:
                     grown[spec] += k.tolist(row[1:])
                 else:
                     carries[spec] = k.total(terms, carries[spec])
-        if rows:
-            grown[()] = [1] * (self.n + 1)
         values = grown if rows else carries
+        values.update((spec, [v] * (self.n + 1) if rows else v) for spec, v in constant.items())
         return {spec: values[leaves.get(spec, spec)] for spec in specs}
 
     def weighted_sum2(self, s1: int, s2: int, s3: int) -> int:
@@ -611,11 +612,16 @@ def _value(terms: Sequence[tuple[tuple[str, tuple], int]], n: int | None, p: int
     """sum coefficient * value(spec) over the (spec, coefficient) terms,
     from one single_values pass: over a fresh exact table for upper index
     n as a Fraction, or over a fresh table mod p^e, at n = p-1, as a
-    Residue.  Exactly one of n and p must be given.  A spec's weight is the
-    sum of its exponents; each value is brought to the largest weight's
+    Residue.  Exactly one of n and p must be given.  A spec whose
+    coefficients sum to 0 is not evaluated.  A spec's weight is the sum of
+    its exponents; each value is brought to the largest weight's
     denominator (mod mode has scale 1, so there the factor is 1)."""
     if (n is None) == (p is None):
         raise ValueError("give exactly one of n (exact mode) or p (mod mode)")
+    coefficients: dict = {}
+    for spec, k in terms:
+        coefficients[spec] = coefficients.get(spec, 0) + k
+    terms = [(spec, k) for spec, k in coefficients.items() if k]
     t = PrefixTable.for_exact(n) if p is None else PrefixTable.for_prime(p, e)
     values = t.single_values(spec for spec, _ in terms)
     top = max((sum(spec[1]) for spec, _ in terms), default=0)
@@ -630,9 +636,9 @@ def eval_formal_sum(F: Iterable[tuple], n: int | None = None, *, p: int | None =
 
     Exact mode (give n) returns a Fraction; mod mode (give p, e) evaluates
     at n = p-1 and returns a Residue.  All terms share one single_values
-    pass, through _value.
+    pass, through _value, and each composition is checked, whatever its coefficient.
     """
-    return _value([(("mhs", c), k) for c, k in F], n, p, e)
+    return _value([(("mhs", Composition(c)), k) for c, k in F], n, p, e)
 
 
 def mhs_exact(parts: Iterable[int], n: int) -> Fraction:

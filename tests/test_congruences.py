@@ -262,6 +262,35 @@ def test_weighted_sum_closed_form():
     assert congruences._thm23(3, 3, 3)[0] == 10  # p = 7 is below the hypothesis
 
 
+def test_thm23_read_off_theorem_21_is_the_printed_bracket():
+    # The registry reads Theorem 2.3 off Theorem 2.1's first form; the
+    # coefficient the paper prints is the oracle:
+    # [(-1)^(s1+1) C(w,s1) + ((-1)^s3 + 2(-1)^(s1+s2)) C(w,s3)] / (2w).
+    every = [t for t in itertools.product(range(1, 6), repeat=3) if sum(t) % 2]
+    assert len(every) == 63
+    for s1, s2, s3 in every:
+        w = s1 + s2 + s3
+        bracket = (-1) ** (s1 + 1) * math.comb(w, s1) + (
+            (-1) ** s3 + 2 * (-1) ** (s1 + s2)
+        ) * math.comb(w, s3)
+        printed = congruences._one(Fraction(bracket, 2 * w), w)
+        assert congruences._thm23(s1, s2, s3) == (w + 1, printed), (s1, s2, s3)
+    with pytest.raises(ValueError, match="exponents must be >= 1"):
+        congruences._thm23(0, 1, 2)
+    with pytest.raises(ValueError, match="weight 4 must be odd"):
+        congruences._thm23(1, 1, 2)
+
+
+def test_cor_sun_modp_is_sun_binomial():
+    # Read off Theorem 2.1's first form as H(s,2s); Sun's printed value is
+    # C(3s,s) B_{p-3s} / (3s), from p >= 3s+3 on.
+    chk = get_check("cor-sun-modp")
+    assert [m.label for m in chk.members] == [f"s={s}" for s in range(1, 6)]
+    for s, mem in zip(range(1, 6), chk.members):
+        assert mem.rhs_terms == congruences._one(Fraction(math.comb(3 * s, s), 3 * s), 3 * s)
+        assert mem.min_prime == 3 * s + 3
+
+
 # ---------------------------------------------------------------------------
 # Registry and single-check runs.
 # ---------------------------------------------------------------------------

@@ -196,6 +196,29 @@ def test_eval_formal_sum_merges_repeated_compositions():
     )
 
 
+def test_zero_coefficients_are_never_evaluated(monkeypatch):
+    # A zero term's weight would pass EXACT_BITS_CAP at n = 3; it adds nothing.
+    f = [((1,), 1), ((40000,), 0)]
+    assert eval_formal_sum(f, 3) == Fraction(11, 6)
+    assert eval_formal_sum(f, p=7, e=2) == rational_to_residue(mhs_exact((1,), 6), 7, 2)
+    want = 2 * mhs_exact((3,), 9)
+    asked = []
+    single_values = PrefixTable.single_values
+
+    def spy(self, specs, **kwargs):
+        specs = list(specs)
+        asked.extend(specs)
+        return single_values(self, specs, **kwargs)
+
+    monkeypatch.setattr(PrefixTable, "single_values", spy)
+    cancel = [((1, 2), 1), ((3,), 2), ((1, 2), -1)]
+    assert eval_formal_sum(cancel, 9) == want
+    assert asked == [("mhs", (3,))]
+    # A malformed composition is refused whatever its coefficient.
+    with pytest.raises(ValueError):
+        eval_formal_sum([((0,), 0)], 3)
+
+
 def _bump_cell_n(monkeypatch, arity):
     """Add 1 to the numerator of every weighted-sum spec of `arity`
     exponents where the suites read it, cell n of its row on a table for

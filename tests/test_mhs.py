@@ -111,6 +111,30 @@ def test_exact_matches_brute_force(parts):
         assert mhs_exact(parts, n) == brute_mhs(parts, n), (parts, n)
 
 
+def test_more_parts_than_the_upper_index_build_no_prefixes():
+    # H(parts; n) = 0 for n < len(parts); no prefix of the parts is built.
+    ones = ("mhs", (1,) * 4000)
+    t = PrefixTable.for_exact(3)
+    tracemalloc.start()
+    try:
+        assert mhs_exact(ones[1], 3) == 0
+        assert t.single_values([ones], rows=True) == {ones: [0, 0, 0, 0]}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert int(mhs_mod((1,) * 7, 7)) == 0
+    assert PrefixTable.for_prime(7).single_values([("mhs", (1,) * 7)]) == {("mhs", (1,) * 7): 0}
+    for t in (PrefixTable.for_exact(6), PrefixTable.for_prime(7, 2)):
+        for parts in ((1,) * 6, (2, 1, 3, 1, 1, 2)):
+            spec = ("mhs", parts)
+            assert t.single_values([spec], rows=True)[spec] == reference_row(t, spec)
+            assert t.single_values([spec])[spec] == reference_row(t, spec)[-1]
+    # the weight is still checked first
+    with pytest.raises(ValueError, match="exceeds cap"):
+        PrefixTable.for_exact(3).single_values([("mhs", (40000,) * 4)])
+
+
 def test_conventions():
     assert mhs_exact((), 0) == 1
     assert mhs_exact((), 25) == 1
