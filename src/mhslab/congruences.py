@@ -13,11 +13,11 @@ kind and its exponents; its right side is a sum of monomials
 c * p^t * prod B_{kp-w}, which one evaluator reduces mod p^e.  The closed
 forms with real logic are builders that return such a sum together with
 the smallest prime it holds for; only the registry calls them.  As in
-the paper, the mod-p right sides of two-factor weighted sums are read off
-Theorem 2.1's first form: _thm23 is the closed form of H(s3,s1+s2) minus
-that of H(s1,s2,s3), and cor-sun-modp is H(s,2s).  A check of one
-weighted sum is a row of one table, from which the registry derives its
-label and its left side.
+the paper, a weighted sum's right side is read off Theorem 2.1's first
+form or Theorem 3.1, as identities states them: _derive turns each
+product into the product of its factors' closed forms, truncated at p^e.
+A check of one weighted sum is a row of one table, from which the
+registry derives its label and its left side.
 
 Scans run prime-major.  The work unit is one prime with the ids of every
 check to evaluate there; a battery (and a scan, a battery of one check)
@@ -66,6 +66,7 @@ from .exactnum import (
     mod_inverse_int,
     rational_reconstruct,
 )
+from .identities import thm21, thm31
 from .mhs import PrefixTable
 
 __all__ = [
@@ -234,13 +235,49 @@ def _tauraso_232(a: int, b: int, middle: int) -> tuple[int, Terms]:
     return w + 1, _one(coef, w)
 
 
-def _thm23(s1: int, s2: int, s3: int) -> tuple[int, Terms]:
-    """sum_j H_j^(s1) H_j^(s3) / j^(s2) mod p at odd weight w, for p > w:
-    Theorem 2.1's first form, -H(s1,s2,s3) + H(s3,s1+s2) + H(w) +
-    H(s3) H(s1,s2), where H(w) and H(s3) vanish mod p."""
-    _, ((depth3, _, _),) = _depth3_oddweight(s1, s2, s3)
-    min_prime, ((depth2, t, factors),) = _depth2(s3, s1 + s2, 1)
-    return min_prime, ((depth2 - depth3, t, factors),)
+# Weight-5 depth-3 sums mod p^2, composition -> (smallest prime, right side).
+# (1,2,1) is pinned at -9/10: the displayed +9/10 fails every prime, as do
+# cor-sun-modp2 and h3-over-j-modp2 read off it.  H(1,3,1) is stated for p >= 7,
+# but H(1,3,1;6) = 7*821/34560 == 2p (mod 7^2): the vanishing starts at 11.
+_WEIGHT5_MODP2: dict[tuple[int, ...], tuple[int, Terms]] = {
+    (1, 2, 1): (7, _one(Fraction(-9, 10), 5, t=1)),
+    (2, 1, 1): (7, _one(Fraction(3, 5), 5, t=1)),
+    (1, 1, 2): (7, _one(Fraction(11, 10), 5, t=1)),
+    (1, 3, 1): (11, ()),
+}
+
+
+def _closed(c: tuple[int, ...], e: int) -> tuple[int, Terms]:
+    """H(c; p-1) mod p^e and its smallest prime, by the first closed form of c."""
+    if len(set(c)) == 1:
+        return _homogeneous(c[0], len(c), e)
+    if len(c) == 2:
+        return _depth2(*c, e)
+    if len(c) == 3 and e == 1 and sum(c) % 2:
+        return _depth3_oddweight(*c)
+    if e == 2 and c in _WEIGHT5_MODP2:
+        return _WEIGHT5_MODP2[c]
+    raise ValueError(f"no closed form of H{c}")
+
+
+def _derive(exps: tuple[int, ...], e: int) -> Terms:
+    """The weighted sum W(exps) mod p^e read off Theorem 2.1's first form or
+    Theorem 3.1.  A product is its factors' closed forms multiplied, cut at
+    p^e and ended by its first vanishing factor, H read before W; like
+    monomials merge.  A composition with no closed form raises ValueError."""
+    ((_, sign),), side = thm21(*exps)["thm21-form1"] if len(exps) == 3 else thm31(*exps)["thm31"]
+    total: dict[tuple[int, tuple], Fraction] = {}
+    for factors, coef in side:
+        product: Terms = ((Fraction(coef, sign), 0, ()),)
+        for kind, args in sorted(factors, key=lambda f: f[0] == "weighted_sum"):
+            terms = _derive(args, e) if kind == "weighted_sum" else _closed(args, e)[1]
+            product = tuple((c * d, t + u, tuple(sorted(f + g)))
+                            for c, t, f in product for d, u, g in terms if t + u < e)
+            if not product:
+                break
+        for c, t, f in product:
+            total[t, f] = total.get((t, f), 0) + c
+    return tuple((c, t, f) for (t, f), c in total.items() if c)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +383,15 @@ def _built(
     return CheckMember(label, min_prime, lhs_spec, terms, family)
 
 
+def _weighted(
+    label: str, min_prime: int, exps: tuple, e: int, family: str | None = None,
+    terms: Terms | None = None,
+) -> CheckMember:
+    """A member of the weighted sum at exps, its right side typed or _derive's."""
+    terms = _derive(exps, e) if terms is None else terms
+    return CheckMember(label, min_prime, ("weighted_sum", exps), terms, family)
+
+
 def _homogeneous_check(
     check_id: str, e: int, description: str, pairs: tuple[tuple[int, int], ...]
 ) -> CongruenceCheck:
@@ -364,19 +410,13 @@ def _homogeneous_check(
 def registry() -> Mapping[str, CongruenceCheck]:
     """The immutable id -> check mapping (built once per process)."""
     checks = [
-        # Sun's sum_j (H_j^(s))^2 / j^s, read off Theorem 2.1's first form: H(s,2s).
+        # Sun's sum_j (H_j^(s))^2 / j^s: mod p, H(s,2s) is all that survives.
         CongruenceCheck(
             "cor-sun-modp",
             1,
             "squared harmonic factor over j^s against C(3s,s)B_{p-3s}/(3s), mod p",
             tuple(
-                CheckMember(
-                    f"s={s}",
-                    3 * s + 3,
-                    ("weighted_sum", (s, s, s)),
-                    _depth2(s, 2 * s, 1)[1],
-                    "sun-s1" if s == 1 else None,
-                )
+                _weighted(f"s={s}", 3 * s + 3, (s, s, s), 1, "sun-s1" if s == 1 else None)
                 for s in range(1, 6)
             ),
         ),
@@ -385,29 +425,26 @@ def registry() -> Mapping[str, CongruenceCheck]:
             "cor-sun-modp-even-zero",
             1,
             "squared harmonic factor over j^s vanishes mod p for even s",
-            tuple(
-                CheckMember(f"s={s}", 3 * s + 3, ("weighted_sum", (s, s, s)), ())
-                for s in (2, 4)
-            ),
+            tuple(_weighted(f"s={s}", 3 * s + 3, (s, s, s), 1, terms=()) for s in (2, 4)),
         ),
-        # sum_j (H_j^(s))^2 / j^r for odd r, read off Theorem 2.1's first form.
+        # sum_j (H_j^(s))^2 / j^r for odd r.
         CongruenceCheck(
             "cor-first-display",
             1,
             "squared harmonic factor over j^r (odd r) against"
             " (-1)^(s+r) C(2s+r,s) B_{p-2s-r}/(2s+r), mod p",
             tuple(
-                _built(f"s={s},r={r}", ("weighted_sum", (s, r, s)), _thm23(s, r, s))
+                _weighted(f"s={s},r={r}", 2 * s + r + 1, (s, r, s), 1)
                 for s, r in ((1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 3))
             ),
         ),
-        # Randomized odd-weight triples, read off Theorem 2.1's first form.
+        # Theorem 2.3 at randomized odd-weight triples.
         CongruenceCheck(
             "thm23-general",
             1,
             "two-factor weighted sums at random odd-weight exponent triples, mod p",
             tuple(
-                _built(f"({s1},{s2},{s3})", ("weighted_sum", (s1, s2, s3)), _thm23(s1, s2, s3))
+                _weighted(f"({s1},{s2},{s3})", s1 + s2 + s3 + 1, (s1, s2, s3), 1)
                 for s1, s2, s3 in thm23_random_triples()
             ),
         ),
@@ -417,12 +454,8 @@ def registry() -> Mapping[str, CongruenceCheck]:
             1,
             "five weight-6 weighted sums, each a rational multiple of B_{p-3}^2, mod p",
             tuple(
-                CheckMember(
-                    f"({s1},{s2},{s3})",
-                    11,
-                    ("weighted_sum", (s1, s2, s3)),
-                    ((coef, 0, ((1, 3), (1, 3))),),
-                )
+                _weighted(f"({s1},{s2},{s3})", 11, (s1, s2, s3), 1,
+                          terms=((coef, 0, ((1, 3), (1, 3))),))
                 for (s1, s2, s3), coef in (
                     ((2, 3, 1), Fraction(1, 2)),
                     ((3, 2, 1), Fraction(-1, 3)),
@@ -450,23 +483,13 @@ def registry() -> Mapping[str, CongruenceCheck]:
                 for b in range(4)
             ),
         ),
-        # Weight-5 length-3 sums and H(4,1) mod p^2.  The (1,2,1) coefficient
-        # is pinned at -9/10: the displayed +9/10 fails every prime (checked
-        # directly at p = 7, 11, ...), while -9/10 matches and also agrees
-        # with the way the value is consumed downstream.
         CongruenceCheck(
             "lemma-modp2-triples",
             2,
             "pinned weight-5 depth-3 values and H(4,1), mod p^2",
-            (
-                CheckMember("H(1,2,1)", 7, ("mhs", (1, 2, 1)), _one(Fraction(-9, 10), 5, t=1)),
-                CheckMember("H(2,1,1)", 7, ("mhs", (2, 1, 1)), _one(Fraction(3, 5), 5, t=1)),
-                CheckMember("H(1,1,2)", 7, ("mhs", (1, 1, 2)), _one(Fraction(11, 10), 5, t=1)),
-                # Stated for p >= 7 in the source result, but the value at
-                # p = 7 is 2p, not 0 (H(1,3,1;6) = 5747/34560 = 7*821/34560
-                # and 821/34560 == 2 mod 7).  The vanishing starts at 11.
-                CheckMember("H(1,3,1)", 11, ("mhs", (1, 3, 1)), ()),
-                _built("H(4,1)", ("mhs", (4, 1)), _depth2(4, 1, 2)),
+            tuple(
+                _built(f"H({','.join(map(str, c))})", ("mhs", c), _closed(c, 2))
+                for c in (*_WEIGHT5_MODP2, (4, 1))
             ),
         ),
         CongruenceCheck(
@@ -474,19 +497,7 @@ def registry() -> Mapping[str, CongruenceCheck]:
             2,
             "squared harmonic factor over j^s, even s, against"
             " [C(3s+1,s-1)+s/2] p B_{p-3s-1}/(3s+1), mod p^2",
-            tuple(
-                CheckMember(
-                    f"s={s}",
-                    3 * s + 2,
-                    ("weighted_sum", (s, s, s)),
-                    _one(
-                        Fraction(2 * math.comb(3 * s + 1, s - 1) + s, 2 * (3 * s + 1)),
-                        3 * s + 1,
-                        t=1,
-                    ),
-                )
-                for s in (2, 4)
-            ),
+            tuple(_weighted(f"s={s}", 3 * s + 2, (s, s, s), 2) for s in (2, 4)),
         ),
         CongruenceCheck(
             "h-ones-modp3",
@@ -552,26 +563,23 @@ def registry() -> Mapping[str, CongruenceCheck]:
     ]
 
     # Checks of one weighted sum, as rows (id, e, description, exponents,
-    # (smallest prime, right side), fit family).  The label is the exponents
-    # written (s1,s2,...), and the left side is the weighted sum of those
-    # three or four exponents.
+    # smallest prime, right side or None for _derive's, fit family).  The
+    # label is the exponents written (s1,s2,...), and the left side is the
+    # weighted sum of those three or four exponents.
     one_sum = [
         ("hjh2-over-j2", 1, "sum_j H_j H_j^(2) / j^2 against -B_{p-5}/2, mod p",
-         (1, 2, 2), (11, _thm23(1, 2, 2)[1]), None),
+         (1, 2, 2), 11, None, None),
         ("h5h4-over-j3", 1, "sum_j H_j^(5) H_j^(4) / j^3 vanishes mod p for p >= 17",
-         (5, 3, 4), (17, ()), None),
+         (5, 3, 4), 17, (), None),
         ("cor-sun-modp2", 2, "sum_j H_j^2 / j^2 against (4/5) p B_{p-5}, mod p^2",
-         (1, 2, 1), (7, _one(Fraction(4, 5), 5, t=1)), None),
+         (1, 2, 1), 7, None, None),
         ("h2h-over-j", 2, "sum_j H_j^(2) H_j / j against -(7/10) p B_{p-5}, mod p^2",
-         (2, 1, 1), (7, _one(Fraction(-7, 10), 5, t=1)), None),
-        # The quotable statement is "== B_{p-5}", but that only holds mod p.
-        # Mod p^2 the sum equals H(1,4) (the depth-3 and product terms in
-        # the expansion vanish for p >= 11), so the row reuses that form.
+         (2, 1, 1), 7, None, None),
         ("h2-over-j3-modp2", 2,
          "sum_j H_j^2 / j^3 against the refined B_{p-5}/B_{2p-6} form, mod p^2",
-         (1, 3, 1), _depth2(1, 4, 2), None),
+         (1, 3, 1), 11, None, None),
         ("h3-over-j-modp2", 2, "sum_j H_j^3 / j against (3/2) p B_{p-5}, mod p^2",
-         (1, 1, 1, 1), (7, _one(Fraction(3, 2), 5, t=1)), "h3-over-j"),
+         (1, 1, 1, 1), 7, None, "h3-over-j"),
     ]
     # The four weight-9/weight-7 triple-factor sums.  Right sides use the
     # published constants on purpose; scans attach the refitted value to
@@ -579,7 +587,7 @@ def registry() -> Mapping[str, CongruenceCheck]:
     one_sum += [
         (check_id, 1,
          f"triple-factor weighted sum at exponents {exps} against {coef} B_{{p-{w}}}, mod p",
-         exps, (11, _one(coef, w)), family)
+         exps, 11, _one(coef, w), family)
         for check_id, exps, coef, w, family in (
             ("cor34-first", (2, 2, 2, 3), Fraction(-13), 9, "cor34-1"),
             ("cor34-second", (2, 3, 2, 2), Fraction(83, 3), 9, "cor34-2"),
@@ -587,9 +595,9 @@ def registry() -> Mapping[str, CongruenceCheck]:
             ("cor34-fourth", (2, 1, 2, 2), Fraction(3), 7, "cor34-4"),
         )
     ]
-    for check_id, e, description, exps, built, family in one_sum:
+    for check_id, e, description, exps, min_prime, terms, family in one_sum:
         label = f"({','.join(map(str, exps))})"
-        member = _built(label, ("weighted_sum", exps), built, family)
+        member = _weighted(label, min_prime, exps, e, family, terms)
         checks.append(CongruenceCheck(check_id, e, description, (member,)))
 
     return MappingProxyType({c.check_id: c for c in checks})

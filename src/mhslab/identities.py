@@ -3,7 +3,7 @@ weighted sums to plain multiple harmonic sums.
 
 Theorem 2.1, in form 1 (with a product term) and form 2 (expanded
 through the quasi-shuffle), and Theorem 3.1 are stated once, as data:
-_thm21 and _thm31 give both sides as products of single_values specs
+thm21 and thm31 give both sides as products of single_values specs
 with integer coefficients.  One loop, _run, compares the sides exactly,
 for the grid suites and the random probes alike, with one
 single_values(specs, rows=True) pass per batch of exponent tuples:
@@ -63,7 +63,7 @@ class SuiteReport(NamedTuple):
     failures: tuple[IdentityInstance, ...]
 
 
-def _thm21(s1: int, s2: int, s3: int) -> dict:
+def thm21(s1: int, s2: int, s3: int) -> dict:
     """Theorem 2.1 at (s1, s2, s3): sum_j H_j^(s1) H_j^(s3) / j^(s2) equals
     form 1, -H(s1,s2,s3) + H(s3,s1+s2) + H(s1+s2+s3) + H(s3) H(s1,s2), and
     form 2, H(s1,s3,s2) + H(s3,s1,s2) + H(s3,s1+s2) + H(s1+s3,s2) +
@@ -77,8 +77,8 @@ def _thm21(s1: int, s2: int, s3: int) -> dict:
     return {"thm21-form1": (lhs, shared + form1), "thm21-form2": (lhs, shared + form2)}
 
 
-def _thm31(s1: int, s2: int, s3: int, s4: int) -> dict:
-    """Theorem 3.1 at (s1, s2, s3, s4), stated as _thm21 states its forms:
+def thm31(s1: int, s2: int, s3: int, s4: int) -> dict:
+    """Theorem 3.1 at (s1, s2, s3, s4), stated as thm21 states its forms:
     minus sum_j H_j^(s1) H_j^(s3) H_j^(s4) / j^(s2) equals H(s1,s3,s2,s4) +
     H(s3,s1,s2,s4) + H(s3,s1+s2,s4) + H(s1+s3,s2,s4) + H(s1,s2+s3,s4) +
     H(s1+s2+s3,s4) - H(s4) sum_j H_j^(s1) H_j^(s3) / j^(s2)."""
@@ -138,14 +138,14 @@ def run_thm21_suite(smax: int = 4, nmax: int = 40) -> SuiteReport:
     """Verify both expanded forms on the whole grid [1,smax]^3 x [0,nmax]."""
     if smax < 1 or nmax < 0:
         raise ValueError("smax must be >= 1 and nmax >= 0")
-    return _grid("thm21", _thm21, 3, smax, range(nmax + 1))
+    return _grid("thm21", thm21, 3, smax, range(nmax + 1))
 
 
 def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> SuiteReport:
     """Verify the four-exponent relation on [1,smax]^4 at the given n."""
     if smax < 1 or not nvalues or min(nvalues) < 0:
         raise ValueError("smax must be >= 1 and nvalues non-empty, >= 0")
-    return _grid("thm31", _thm31, 4, smax, nvalues)
+    return _grid("thm31", thm31, 4, smax, nvalues)
 
 
 def check_probes(count: int, nmax: int = _PROBE_NMAX) -> None:
@@ -173,6 +173,6 @@ def probe_thm31_random(
     for _ in range(count):
         s = tuple(rng.randint(1, smax) for _ in range(4))
         n = rng.choice(composite_n)
-        sides = _thm31(*s)["thm31"]
+        sides = thm31(*s)["thm31"]
         _run(PrefixTable.for_exact(n), lambda *_: {"thm31-general-n": sides}, [[s]], (n,), failures)
     return SuiteReport("thm31-general-n", count, tuple(failures))

@@ -13,6 +13,7 @@ import json
 import math
 import multiprocessing
 import pickle
+import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -247,19 +248,21 @@ def test_closed_form_checks_pass_below_400():
 
 
 def test_weighted_sum_closed_form():
-    # every odd-weight triple the sampler can draw, registered or not
+    # every odd-weight triple the sampler can draw, registered or not, read
+    # off Theorem 2.1 from its smallest prime w+1 on
     tables = {p: PrefixTable.for_prime(p, 1) for p in (11, 13)}
     every = [t for t in itertools.product(range(1, 6), repeat=3) if sum(t) % 2]
     assert len(every) == 63
     for tr in every:
-        min_prime, terms = congruences._thm23(*tr)
+        min_prime, terms = sum(tr) + 1, congruences._derive(tr, 1)
         for p, t in tables.items():
             if p >= min_prime:
                 got = congruences._evaluate(terms, p, 1)
                 assert got == t.weighted_sum2(*tr), (tr, p)
-    with pytest.raises(ValueError):
-        congruences._thm23(1, 1, 2)
-    assert congruences._thm23(3, 3, 3)[0] == 10  # p = 7 is below the hypothesis
+    with pytest.raises(ValueError, match=re.escape("no closed form of H(1, 1, 2)")):
+        congruences._derive((1, 1, 2), 1)
+    # the rows state w+1: p = 7 is below the hypothesis of (3,3,3)
+    assert _member("cor-first-display", "s=3,r=3").min_prime == 10
 
 
 def test_thm23_read_off_theorem_21_is_the_printed_bracket():
@@ -274,11 +277,18 @@ def test_thm23_read_off_theorem_21_is_the_printed_bracket():
             (-1) ** s3 + 2 * (-1) ** (s1 + s2)
         ) * math.comb(w, s3)
         printed = congruences._one(Fraction(bracket, 2 * w), w)
-        assert congruences._thm23(s1, s2, s3) == (w + 1, printed), (s1, s2, s3)
+        assert congruences._derive((s1, s2, s3), 1) == printed, (s1, s2, s3)
+    # the rows that read it keep their stated smallest primes: the printed
+    # w+1, and 11 for hjh2-over-j2
+    for cid in ("thm23-general", "cor-first-display", "hjh2-over-j2"):
+        for mem in get_check(cid).members:
+            exps = mem.lhs_spec[1]
+            assert mem.rhs_terms == congruences._derive(exps, 1)
+            assert mem.min_prime == (11 if cid == "hjh2-over-j2" else sum(exps) + 1)
     with pytest.raises(ValueError, match="exponents must be >= 1"):
-        congruences._thm23(0, 1, 2)
-    with pytest.raises(ValueError, match="weight 4 must be odd"):
-        congruences._thm23(1, 1, 2)
+        congruences._derive((0, 1, 2), 1)
+    with pytest.raises(ValueError, match=re.escape("no closed form of H(1, 1, 2)")):
+        congruences._derive((1, 1, 2), 1)
 
 
 def test_cor_sun_modp_is_sun_binomial():
@@ -289,6 +299,164 @@ def test_cor_sun_modp_is_sun_binomial():
     for s, mem in zip(range(1, 6), chk.members):
         assert mem.rhs_terms == congruences._one(Fraction(math.comb(3 * s, s), 3 * s), 3 * s)
         assert mem.min_prime == 3 * s + 3
+    for s in range(1, 9):
+        sun = congruences._one(Fraction(math.comb(3 * s, s), 3 * s), 3 * s)
+        assert congruences._derive((s, s, s), 1) == sun, s
+
+
+def test_cor_conjecture2_is_the_printed_bracket():
+    # [2 C(3s+1,s-1) + s] / (2(3s+1)) p B_{p-3s-1}, mod p^2 for even s, as
+    # printed, is what Theorem 2.1's first form gives; the rows state p >= 3s+2.
+    for s in (2, 4, 6, 8, 10):
+        printed = Fraction(2 * math.comb(3 * s + 1, s - 1) + s, 2 * (3 * s + 1))
+        want = congruences._one(printed, 3 * s + 1, t=1)
+        assert congruences._derive((s, s, s), 2) == want, s
+    chk = get_check("cor-conjecture2")
+    for s, mem in zip((2, 4), chk.members):
+        assert (mem.label, mem.min_prime) == (f"s={s}", 3 * s + 2)
+        assert mem.rhs_terms == congruences._derive((s, s, s), 2)
+
+
+@pytest.mark.parametrize(
+    "check_id, exps, printed",
+    [
+        ("cor-sun-modp2", (1, 2, 1), congruences._one(Fraction(4, 5), 5, t=1)),
+        ("h2h-over-j", (2, 1, 1), congruences._one(Fraction(-7, 10), 5, t=1)),
+        ("h2-over-j3-modp2", (1, 3, 1), congruences._H14_MODP2),
+        ("h3-over-j-modp2", (1, 1, 1, 1), congruences._one(Fraction(3, 2), 5, t=1)),
+    ],
+)
+def test_mod_p2_sums_are_the_printed_values(check_id, exps, printed):
+    # 4/5, -7/10 and 3/2 as printed, and H(1,4)'s four-term form, are what
+    # Theorems 2.1 and 3.1 give mod p^2; each row keeps its stated prime.
+    (mem,) = get_check(check_id).members
+    assert congruences._derive(exps, 2) == printed
+    assert (mem.lhs_spec, mem.rhs_terms) == (("weighted_sum", exps), printed)
+    assert mem.min_prime == (11 if check_id == "h2-over-j3-modp2" else 7)
+
+
+def test_derive_reads_h_before_w(monkeypatch):
+    # W(1,1,1) mod p^2 is blocked by H(1,2), yet Theorem 3.1 gives W(1,1,1,1)
+    # mod p^2, since its product H(1) W(1,1,1) ends at H(1) == 0 (mod p^2),
+    # in whatever order the statement lists the two factors.
+    with pytest.raises(ValueError, match=re.escape("(1,2)")):
+        congruences._derive((1, 1, 1), 2)
+    want = congruences._one(Fraction(3, 2), 5, t=1)
+    assert congruences._derive((1, 1, 1, 1), 2) == want
+    thm31 = congruences.thm31
+
+    def w_first(*s):
+        ((lhs, rhs),) = thm31(*s).values()
+        return {"thm31": (lhs, tuple((factors[::-1], c) for factors, c in rhs))}
+
+    monkeypatch.setattr(congruences, "thm31", w_first)
+    assert congruences._derive((1, 1, 1, 1), 2) == want
+
+
+def _weighted_fails(terms, exps, primes):
+    """The primes where terms differ from the weighted sum at exps, mod p^2."""
+    spec = ("weighted_sum", exps)
+    return [
+        p
+        for p in primes
+        if congruences._evaluate(terms, p, 2)
+        != PrefixTable.for_prime(p, 2).single_values([spec])[spec]
+    ]
+
+
+def test_the_pinned_minus_nine_tenths_is_load_bearing(monkeypatch):
+    # cor-sun-modp2 and h3-over-j-modp2 read H(1,2,1) = -(9/10) p B_{p-5}
+    # through _derive; with the displayed +9/10 both fail at every prime of
+    # 7..199 but p = 37, where B_32 == 0 (mod 37).
+    primes = primes_in_range(7, 199)
+    for exps in ((1, 2, 1), (1, 1, 1, 1)):
+        assert _weighted_fails(congruences._derive(exps, 2), exps, primes) == []
+    flipped = (7, congruences._one(Fraction(9, 10), 5, t=1))
+    monkeypatch.setitem(congruences._WEIGHT5_MODP2, (1, 2, 1), flipped)
+    for exps in ((1, 2, 1), (1, 1, 1, 1)):
+        fails = _weighted_fails(congruences._derive(exps, 2), exps, primes)
+        assert fails == [p for p in primes if p != 37], exps
+
+
+def _with_tauraso(monkeypatch):
+    """_closed with Tauraso's H({2}^a, m, {2}^b) as a fallback after the others."""
+    closed = congruences._closed
+
+    def fallback(c, e):
+        try:
+            return closed(c, e)
+        except ValueError:
+            others = [i for i, part in enumerate(c) if part != 2]
+            if len(others) != 1 or c[others[0]] not in (1, 3):
+                raise
+            (i,) = others
+            return congruences._tauraso_232(i, len(c) - 1 - i, c[i])
+
+    monkeypatch.setattr(congruences, "_closed", fallback)
+
+
+def test_cor34_derive_to_the_refits_with_tauraso(monkeypatch):
+    # Theorem 3.1 with Tauraso's forms gives the constants the scans refit,
+    # not the published -13, 83/3 and 3 the registry keeps.  Without them,
+    # its first term H(s1,s3,s2,s4) blocks the derivation.
+    refits = {
+        "cor34-first": (Fraction(-11, 3), 9, (2, 2, 2, 3)),
+        "cor34-second": (Fraction(29, 3), 9, (2, 2, 3, 2)),
+        "cor34-third": (Fraction(-21, 8), 7, (2, 2, 2, 1)),
+        "cor34-fourth": (Fraction(31, 8), 7, (2, 2, 1, 2)),
+    }
+    for cid, (_, _, blocker) in refits.items():
+        (mem,) = get_check(cid).members
+        with pytest.raises(ValueError, match=re.escape(f"no closed form of H{blocker}")):
+            congruences._derive(mem.lhs_spec[1], 1)
+    _with_tauraso(monkeypatch)
+    for cid, (coef, w, _) in refits.items():
+        (mem,) = get_check(cid).members
+        assert congruences._derive(mem.lhs_spec[1], 1) == congruences._one(coef, w), cid
+
+
+def test_blocked_checks_name_the_sum_without_closed_form(monkeypatch):
+    # Even-weight depth-3 sums have no closed form in the registry, so these
+    # rows stay typed, and Tauraso's forms do not unblock them: Theorem 2.1's
+    # first term, H(s1,s2,s3) itself, is named.
+    blocked = [m.lhs_spec[1] for cid in ("hoffman-chain-B3sq", "h5h4-over-j3")
+               for m in get_check(cid).members]
+    assert blocked == [(2, 3, 1), (3, 2, 1), (3, 1, 2), (1, 4, 1), (4, 1, 1), (5, 3, 4)]
+    for tauraso in (False, True):
+        if tauraso:
+            _with_tauraso(monkeypatch)
+        for exps in blocked:
+            with pytest.raises(ValueError, match=re.escape(f"no closed form of H{exps}")):
+                congruences._derive(exps, 1)
+
+
+def test_every_derivable_weighted_sum_member_is_derived():
+    # 68 of the 80 weighted-sum members equal _derive's right side.  The
+    # other twelve are the ten blocked ones (None) and the stated even-s
+    # zeros, which _derive gives as (5/2) B_{p-6} and (165/4) B_{p-12}.
+    equal, other = 0, {}
+    for cid, chk in registry().items():
+        for mem in chk.members:
+            kind, exps = mem.lhs_spec
+            if kind != "weighted_sum":
+                continue
+            try:
+                derived = congruences._derive(exps, chk.e)
+            except ValueError:
+                derived = None
+            if derived == mem.rhs_terms:
+                equal += 1
+            else:
+                other[cid, mem.label] = derived
+    assert equal == 68
+    blocked = ["hoffman-chain-B3sq", "h5h4-over-j3"] + [
+        f"cor34-{n}" for n in ("first", "second", "third", "fourth")
+    ]
+    assert other == {
+        ("cor-sun-modp-even-zero", "s=2"): congruences._one(Fraction(5, 2), 6),
+        ("cor-sun-modp-even-zero", "s=4"): congruences._one(Fraction(165, 4), 12),
+        **{(cid, m.label): None for cid in blocked for m in get_check(cid).members},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +530,38 @@ def test_every_member_rhs_evaluates_at_every_admissible_prime():
                 assert 0 <= mem.rhs(p, chk.e) < p**chk.e
                 pairs += 1
     assert pairs == 12387
+
+
+def test_every_coefficient_but_three_can_fail():
+    # Adding 1 to one monomial's coefficient must fail some prime below 100.
+    # Three coefficients no prime can test, as each Bernoulli factor has an
+    # odd index above 1 wherever the member holds: H(4,4) of depth2-modp
+    # (B_{p-8}, from p = 9 on) and cor-sun-modp at s = 2 and 4 (B_{p-6},
+    # B_{p-12}).  The other even-weight depth2-modp members fail at p = w+1
+    # alone, where B_{p-w} = B_1 = -1/2.  A mutant that meets a Bernoulli
+    # pole cannot pass either: the Tauraso member 0 * B_{p-1}.
+    fails: dict = {}
+    for cid, chk in registry().items():
+        for p in primes_in_range(3, 100):
+            active = [m for m in chk.members if p >= m.min_prime]
+            lhs = PrefixTable.for_prime(p, chk.e).single_values(m.lhs_spec for m in active)
+            for mem in active:
+                for i, (c, t, f) in enumerate(mem.rhs_terms):
+                    mutant = mem.rhs_terms[:i] + ((c + 1, t, f),) + mem.rhs_terms[i + 1:]
+                    try:
+                        caught = congruences._evaluate(mutant, p, chk.e) != lhs[mem.lhs_spec]
+                    except congruences.PDividesDenominator:
+                        caught = True
+                    fails.setdefault((cid, mem.label, i), []).extend([p] if caught else [])
+    assert len(fails) == 162
+    untestable = sorted(key for key, primes in fails.items() if not primes)
+    assert untestable == [
+        ("cor-sun-modp", "s=2", 0), ("cor-sun-modp", "s=4", 0), ("depth2-modp", "H(4,4)", 0)
+    ]
+    for s1, s2 in [(1, 1), (1, 3), (3, 1), (2, 2), (2, 4), (4, 2), (3, 3)]:
+        assert fails["depth2-modp", f"H({s1},{s2})", 0] == [s1 + s2 + 1]
+    # every other coefficient fails at 17 primes or more
+    assert min(len(primes) for primes in fails.values() if len(primes) > 1) == 17
 
 
 def test_get_check_unknown_id():

@@ -101,8 +101,8 @@ def test_check_probes_builds_no_table(monkeypatch):
 @pytest.mark.parametrize(
     "state, exponents",
     [
-        (identities._thm21, list(product(range(1, 6), repeat=3))),
-        (identities._thm31, list(product(range(1, 5), repeat=4))),
+        (identities.thm21, list(product(range(1, 6), repeat=3))),
+        (identities.thm31, list(product(range(1, 5), repeat=4))),
     ],
 )
 def test_every_product_has_the_identitys_weight(state, exponents):
