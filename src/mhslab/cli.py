@@ -290,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--check", required=True, metavar="CHECK_ID")
     sc.add_argument("--primes", required=True, metavar="A..B|P1,P2,...")
     sc.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    sc.add_argument("--jobs", type=int, help="worker processes (default: CPU count)")
+    sc.add_argument(
+        "--jobs",
+        type=int,
+        help="processes sharing the primes, this one included (default: CPU count)",
+    )
     sc.set_defaults(func=_cmd_scan, parser=sc)
 
     ft = sub.add_parser("fit", help="fit c in lhs = c p^t B_{p-w} across primes")

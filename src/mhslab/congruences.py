@@ -21,10 +21,11 @@ registry derives its label and its left side.
 
 Scans run prime-major.  The work unit is one prime with the ids of every
 check to evaluate there; a battery (and a scan, a battery of one check)
-sends all its units through one process pool, or runs them in process
-with one worker, and run_check is the one-unit case.  multiprocessing and
-concurrent.futures load with the first pool, so importing the package, a
-serial scan and every other command never pay for them.  At a prime the
+deals all its units out round-robin to the calling process and one forked
+child per further worker, or runs them in process with one worker, and
+run_check is the one-unit case.  No process pool and no multiprocessing
+are involved: the children pickle their reports back over pipes, and
+pickle loads with the first parallel scan.  At a prime the
 checks share one PrefixTable, mod p^e for their largest e, and every
 member goes through one single-value pass, so a prefix chain, an inverse
 power or a harmonic factor common to several checks is computed once; a
@@ -46,7 +47,6 @@ a == x*b (mod M), and x is every per-prime value mod its prime power.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import operator
@@ -642,7 +642,8 @@ def _skip(chk: CongruenceCheck, p: int, status: str, note: str) -> CheckReport:
 
 
 # A work unit: one prime and the ids of the checks to evaluate there.  Plain
-# data, so that any multiprocessing start method can send it to a worker.
+# data, like the reports a unit gives back, so that both pickle between
+# processes.
 Unit = tuple[int, tuple[str, ...]]
 
 
@@ -747,21 +748,91 @@ def _with_refit(
     return [r._replace(note=f"{r.note}; {suffix}") if r.p in failed else r for r in reports]
 
 
-def ProcessPoolExecutor(*args, **kwargs):
-    """concurrent.futures.ProcessPoolExecutor(*args, **kwargs), imported
-    on the first call.  _run_scans starts every pool through this name, so
-    it is the one place to replace the pool."""
-    from concurrent.futures import ProcessPoolExecutor as executor
+class ProcessPoolExecutor:
+    """max_workers processes sharing the items of one map(fn, items): one
+    fork per worker after the first, with the calling process as worker 0.
+    Worker w runs items[w::max_workers]; each child pickles back its
+    results, or the exception that stopped it, over a pipe and leaves by
+    os._exit, so it never returns into its caller's stack.  map gives the
+    results in item order and reaps every child before it returns or
+    raises: a child's exception is raised again in the caller, a child that
+    exits without a complete message raises RuntimeError naming its exit
+    status, and an exception in the caller kills the children first.
 
-    return executor(*args, **kwargs)
+    The name and call shape are concurrent.futures' (a context manager
+    whose map(fn, items) gives the results in order), so that a real
+    process pool still fits here: _run_scans starts every parallel run
+    through this name, which is the one place to replace or count them."""
+
+    def __init__(self, max_workers: int):
+        self.max_workers = max_workers
+
+    def __enter__(self) -> ProcessPoolExecutor:
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def map(self, fn: Callable, items: Iterable) -> list:
+        import pickle
+        import signal
+
+        items = list(items)
+        n = self.max_workers
+        results: list = [None] * len(items)
+        children: list = []  # (pid, read end of its pipe) of each unreaped child
+        try:
+            for w in range(1, n):
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        os.close(read_fd)
+                        for _, pipe in children:
+                            pipe.close()
+                        try:
+                            message = (True, [fn(x) for x in items[w::n]])
+                        except BaseException as exc:
+                            message = (False, exc)
+                        with open(write_fd, "wb") as pipe:
+                            pickle.dump(message, pipe)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write_fd)
+                children.append((pid, open(read_fd, "rb")))
+            results[0::n] = [fn(x) for x in items[0::n]]
+            for w in range(1, n):
+                pid, pipe = children[0]
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    raise RuntimeError(
+                        f"worker process {pid} exited with status {code} before sending its results"
+                    )
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                results[w::n] = value
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        return results
 
 
 def _run_scans(
     scans: Iterable[tuple[str, Iterable[int]]], jobs: int | None
 ) -> list[CheckReport]:
     """Run (check id, primes) scans prime-major: one unit per prime, holding
-    every check scanned at it, and every unit through one pool, or in
-    process when one worker suffices.  Reports are sorted by
+    every check scanned at it.  With jobs workers, the caller and jobs - 1
+    forked children share the units round-robin; with one worker, or where
+    os has no fork, every unit runs in process.  Reports are sorted by
     (check_id, p), with refit notes appended per check.  jobs=None means
     one worker per CPU."""
     if jobs is not None and jobs < 1:
@@ -770,32 +841,23 @@ def _run_scans(
     for check_id, primes in scans:
         for p in primes:
             at_prime.setdefault(p, []).append(check_id)
-    # Largest primes first: their units cost the most, so the pool's last
-    # chunks are short ones, and their rows come and go before the
-    # reports pile up.
+    # Largest primes first: their units cost the most, so dealing them out
+    # in turn gives every worker a like share of the large ones.
     units = [(p, tuple(ids)) for p, ids in sorted(at_prime.items(), reverse=True)]
-    # The pool starts every worker at once: never more than the units or
-    # the CPUs.
+    # Every worker starts at once: never more than the units or the CPUs.
     cpus = os.cpu_count() or 1
     workers = min(jobs or cpus, len(units), cpus)
+    if workers > 1 and hasattr(os, "fork"):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_unit, units))
+    else:
+        done = map(_run_unit, units)
     reports: list[CheckReport] = []
     known: dict[str, dict[int, tuple[int, bool]]] = {}
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            import multiprocessing
-
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                ctx = None
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=ctx))
-            done = pool.map(_run_unit, units, chunksize=max(1, len(units) // (8 * workers)))
-        else:
-            done = map(_run_unit, units)
-        for (p, _), (unit_reports, family_lhs) in zip(units, done):
-            reports.extend(unit_reports)
-            for check_id, lhs in family_lhs.items():
-                known.setdefault(check_id, {})[p] = lhs
+    for (p, _), (unit_reports, family_lhs) in zip(units, done):
+        reports.extend(unit_reports)
+        for check_id, lhs in family_lhs.items():
+            known.setdefault(check_id, {})[p] = lhs
     reports.sort(key=_report_order)
     out: list[CheckReport] = []
     for check_id, group in itertools.groupby(reports, key=operator.attrgetter("check_id")):

@@ -12,8 +12,10 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import pickle
 import re
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -788,6 +790,72 @@ def test_battery_starts_one_pool(monkeypatch, in_process_pool):
     assert in_process_pool == [2]
     assert parallel == reports_to_csv(run_battery(jobs=1))
     assert in_process_pool == [2]
+
+
+def test_platforms_without_fork_run_every_unit_in_process(monkeypatch, in_process_pool):
+    monkeypatch.setattr(congruences.os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    reports = run_scan("cor-sun-modp", [7, 11], jobs=2)
+    assert in_process_pool == []
+    assert reports == run_scan("cor-sun-modp", [7, 11], jobs=1)
+
+
+# The fork path.  Over primes [7, 11] with jobs=2 the units run largest
+# first, so the caller's share 0 is p = 11 and the child's share 1 is p = 7.
+
+
+def _act_at(monkeypatch, p, in_child, act):
+    """Make _run_unit call act() at p, in a forked child or in the caller."""
+    caller = os.getpid()
+    run_unit = congruences._run_unit
+
+    def unit(u):
+        if u[0] == p and (os.getpid() != caller) == in_child:
+            act()
+        return run_unit(u)
+
+    monkeypatch.setattr(congruences, "_run_unit", unit)
+    monkeypatch.setattr(congruences.os, "cpu_count", lambda: 2)
+
+
+def _assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_childs_exception_reaches_the_caller(monkeypatch):
+    def fail():
+        raise ValueError("unit at 7 broke")
+
+    _act_at(monkeypatch, 7, True, fail)
+    with pytest.raises(ValueError) as caught:
+        run_scan("cor-sun-modp", [7, 11], jobs=2)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "unit at 7 broke"
+    _assert_no_child_is_left()
+
+
+def test_a_child_that_exits_without_its_results_raises(monkeypatch):
+    _act_at(monkeypatch, 7, True, lambda: os._exit(3))
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited with status 3 "):
+        run_scan("cor-sun-modp", [7, 11], jobs=2)
+    assert time.monotonic() - start < 5
+    _assert_no_child_is_left()
+
+
+def test_an_exception_in_the_callers_share_kills_the_children(monkeypatch):
+    # The child would sleep for a minute; the caller's share fails at once.
+    def fail():
+        raise ValueError("unit at 11 broke")
+
+    _act_at(monkeypatch, 7, True, lambda: time.sleep(60))
+    _act_at(monkeypatch, 11, False, fail)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="unit at 11 broke"):
+        run_scan("cor-sun-modp", [7, 11], jobs=2)
+    assert time.monotonic() - start < 5
+    _assert_no_child_is_left()
 
 
 @pytest.fixture

@@ -371,9 +371,9 @@ def test_scan_csv_is_identical_with_and_without_numpy():
 
 
 def test_serial_runs_never_import_numpy_or_the_pool():
-    # numpy loads with the first large table, the pool machinery with the
-    # first pool: a small serial run loads neither, and a pool started
-    # afterwards in the same interpreter still gives the serial reports.
+    # numpy loads with the first large table, so a small serial run never
+    # loads it, and a parallel scan afterwards in the same interpreter
+    # still gives the serial reports.  No run loads a process pool's modules.
     code = (
         "import sys\n"
         "import mhslab.cli\n"
@@ -387,8 +387,9 @@ def test_serial_runs_never_import_numpy_or_the_pool():
         "lazy = ('numpy', 'multiprocessing', 'concurrent.futures')\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"
         "print(run_scan('cor-sun-modp', primes_in_range(3, 1000), jobs=2) == serial)\n"
+        "print(sorted(m for m in lazy[1:] if m in sys.modules))\n"
     )
-    assert run_python(code) == "[]\nTrue\n"
+    assert run_python(code) == "[]\nTrue\n[]\n"
 
 
 # --- OpenBLAS threads ------------------------------------------------------------
