@@ -907,8 +907,8 @@ DEFAULT_BATTERY: tuple[tuple[str, int, int], ...] = (
 
 def run_battery(*, jobs: int | None = None) -> list[CheckReport]:
     """Run the default battery; reports sorted by (check_id, p).  The
-    checks share one pool, and at each prime one table.  The
-    primes come from the sieve, so none is checked again."""
+    checks share one set of forked workers, and at each prime one table.
+    The primes come from the sieve, so none is checked again."""
     from .exactnum import primes_in_range
 
     return _run_scans(

@@ -17,16 +17,16 @@ in blocks of _BLOCK indices that gives every spec's value at the table's
 upper index n or, with rows=True, its row over 0..n.  A spec is a kind
 and its exponents: ("mhs", parts) or ("weighted_sum", (s1, s2, s3[, s4])).
 The prefixes of the compositions and the harmonic factors (s,) of the
-weighted sums form one sorted list of tuples, the prefix trie in
-depth-first order, and each keeps only a carry: its value at the start
-of the block.  A block computes each inverse power j^(-s) and each
-H_j^(s) once, for every value that uses it, and drops its rows before
-the next block starts.  The value methods (weighted_sum2, weighted_sum3)
-and the row methods (harmonic_prefix, mhs_all, weighted_sum2_all,
-weighted_sum3_all) are one call of it each, and inv_powers(s) is the
-block powers j^(-s) over 1..n.  The one whole row a table keeps is, in
-mod mode, the inverses 1/j mod p^e; exact mode computes (scale // j)^s
-block by block.
+weighted sums are the int nodes of one trie, keyed by (parent node, last
+part), and each keeps only a carry: its value at the start of the block.
+A block computes each j^(-s) and each H_j^(s) once, for every value that
+uses it, keeps a parent's row only until its last child has read it, and
+drops every row before the next block.  The value methods
+(weighted_sum2, weighted_sum3) and the row methods (harmonic_prefix,
+mhs_all, weighted_sum2_all, weighted_sum3_all) are one call of it each,
+and inv_powers(s) is the block powers j^(-s) over 1..n.  The one whole
+row a table keeps is, in mod mode, the inverses 1/j mod p^e; exact mode
+computes (scale // j)^s block by block.
 
 Rows and blocks are built by one of two kernels, picked once per table.
 The Python kernel streams products and running sums through
@@ -511,24 +511,22 @@ class PrefixTable:
 
         All of them are evaluated in one pass over j = 1..n in blocks of
         _BLOCK indices.  The nonempty prefixes of the compositions and the
-        harmonic factors (s,) of the weighted sums form one sorted list:
-        the prefix trie in depth-first order.  Each keeps only its carry.
-        In a block each inverse power j^(-s) is computed once.  A prefix
-        with children, or one that a weighted sum reads as H_j^(s), builds
-        the block's carried row; a leaf adds one dot product to its carry.
-        A parent's row waits on a stack until its last child takes it off,
-        so a chain of prefixes holds two rows at once.  With rows, a leaf
-        and a weighted sum build the block's carried row too, in place of
-        the dot product, and append it to the row they return.
+        harmonic factors (s,) are the nodes of one trie, numbered from 1
+        depth first by walking the compositions in sorted order (node 0 is
+        the empty prefix), and each keeps only its carry.  In a block each
+        j^(-s) is computed once.  A node with children, or one a weighted
+        sum reads as H_j^(s), builds the block's carried row, which waits
+        until the node's last child takes it, so a chain holds two rows; a
+        leaf adds one dot product to its carry.  With rows, a leaf and a
+        weighted sum build the carried row too and append it to their row.
         """
         specs = list(dict.fromkeys(specs))
         # spec -> its value at every upper index: 1 for the empty composition,
-        # 0 for one of more than n parts.  Neither adds a prefix.
+        # 0 for one of more than n parts.  Neither adds a node.
         constant: dict[tuple[str, tuple], int] = {}
         leaves: dict[tuple[str, tuple], tuple[int, ...]] = {}
         # spec -> (s2, the exponents of its harmonic factors)
         wsums: dict[tuple[str, tuple], tuple[int, tuple[int, ...]]] = {}
-        prefixes: set[tuple[int, ...]] = set()
         for spec in specs:
             kind, args = spec
             if kind == "mhs":
@@ -537,7 +535,6 @@ class PrefixTable:
                 if not parts or len(parts) > self.n:
                     constant[spec] = int(not parts)
                     continue
-                prefixes.update(parts[:i] for i in range(1, len(parts) + 1))
                 leaves[spec] = tuple(parts)
             elif kind == "weighted_sum" and len(args) in (3, 4):
                 if min(args) < 1:
@@ -548,41 +545,42 @@ class PrefixTable:
             else:
                 raise ValueError(f"unknown single value {spec!r}")
         factors = {(s,) for _, harmonic in wsums.values() for s in harmonic}
-        order = sorted(prefixes | factors)
-        exponents = {c[-1] for c in order} | {s2 for s2, _ in wsums.values()}
-        last_child = {c[:-1]: c for c in order}
-        wanted = set(leaves.values()) if rows else set()
-        # Per prefix: its last part, whether it is its parent's last child,
-        # whether it has children, whether it is a harmonic factor, and
-        # whether its row is asked for.
-        walk = [
-            (c, c[-1], last_child[c[:-1]] is c, c in last_child, c in factors, c in wanted)
-            for c in order
-        ]
+        trie: dict[tuple[int, int], int] = {}  # (parent node, last part) -> node
+        ends: dict[tuple[int, ...], int] = {}  # composition -> its node
+        for parts in sorted(factors.union(leaves.values())):
+            node = 0
+            for s in parts:
+                node = trie.setdefault((node, s), len(trie) + 1)
+            ends[parts] = node
+        leaf = {spec: ends[parts] for spec, parts in leaves.items()}
+        hnodes = {ends[c] for c in factors}
+        wanted = set(leaf.values()) if rows else set()
+        last = {parent: node for node, (parent, _) in enumerate(trie, 1)}  # parent -> last child
+        exponents = {s for _, s in trie} | {s2 for s2, _ in wsums.values()}
         k = self._k
-        # The carry of every prefix and weighted sum, and with rows each
+        # The carry of every node and weighted sum, and with rows each
         # asked-for row so far, from its cell at 0.  A weighted sum is keyed
-        # by its spec, a composition by its tuple.
-        carries = dict.fromkeys([*order, *wsums], 0)
+        # by its spec, a composition by its node.
+        carries = dict.fromkeys([*range(1, len(trie) + 1), *wsums], 0)
         grown = {key: [0] for key in (*wanted, *wsums)} if rows else {}
         for lo in range(1, self.n + 1, _BLOCK):
             ip = self._block_powers(lo, min(lo + _BLOCK, self.n + 1), exponents)
             hrows = {}  # s -> H_j^(s) for the block's j
-            stack = [None]  # the empty prefix's row
-            for prefix, s, last, parent, factor, want in walk:
-                prev = stack.pop() if last else stack[-1]
+            waiting = {0: None}  # node -> its row, until its last child takes it
+            for node, (parent, s) in enumerate(trie, 1):
+                prev = waiting.pop(parent) if last[parent] == node else waiting[parent]
                 terms = ip[s] if prev is None else k.times(ip[s], prev)
-                if not (parent or factor or want):
-                    carries[prefix] = k.total(terms, carries[prefix])
+                if node not in last and node not in hnodes and node not in wanted:
+                    carries[node] = k.total(terms, carries[node])
                     continue
-                row = k.prefix(terms, carries[prefix])
-                carries[prefix] = int(row[-1])
-                if want:
-                    grown[prefix] += k.tolist(row[1:])
-                if factor:
+                row = k.prefix(terms, carries[node])
+                carries[node] = int(row[-1])
+                if node in wanted:
+                    grown[node] += k.tolist(row[1:])
+                if node in hnodes:
                     hrows[s] = row[1:]
-                if parent:
-                    stack.append(row)
+                if node in last:
+                    waiting[node] = row
             for spec, (s2, harmonic) in wsums.items():
                 terms = ip[s2]
                 for s in harmonic:
@@ -595,7 +593,7 @@ class PrefixTable:
                     carries[spec] = k.total(terms, carries[spec])
         values = grown if rows else carries
         values.update((spec, [v] * (self.n + 1) if rows else v) for spec, v in constant.items())
-        return {spec: values[leaves.get(spec, spec)] for spec in specs}
+        return {spec: values[leaf.get(spec, spec)] for spec in specs}
 
     def weighted_sum2(self, s1: int, s2: int, s3: int) -> int:
         """sum_{j<=n} H_j^(s1) H_j^(s3) / j^(s2) as a raw int."""

@@ -5,6 +5,7 @@ validation)."""
 
 import itertools
 import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -472,6 +473,51 @@ def test_trie_chain_holds_at_most_two_rows():
 
     chain = [(1,) * k for k in range(1, 9)]
     assert peak(chain) < peak([(1, 1, 1)]) + row_bytes // 2
+
+
+def test_wilson_theorem_gives_the_longest_composition():
+    # H({1}^(p-1); p-1) = 1/(p-1)!, so its residue is the inverse of
+    # (p-1)! mod p^e, which is -1 mod p by Wilson's theorem.  The walk
+    # holds no prefix of the p-1 parts as its own tuple, so a pass at
+    # p = 4001 stays far below the 123 MiB that one tuple per prefix took.
+    # The peak is traced on the numpy kernel only: tracing each of the 16
+    # million big-int products of the Python kernel takes about 15 s.
+    for p, values in ((211, (210, 8017, 7977276)), (4001, (4000, 9590396))):
+        spec = ("mhs", (1,) * (p - 1))
+        for e, want in enumerate(values, 1):
+            assert want == pow(math.factorial(p - 1), -1, p**e)
+            t = PrefixTable.for_prime(p, e)
+            if isinstance(t._k, mhs._NumpyKernel):
+                tracemalloc.start()
+            try:
+                got = t.single_values([spec])
+                peak = tracemalloc.get_traced_memory()[1]  # 0 when not traced
+            finally:
+                tracemalloc.stop()
+            assert got == {spec: want}, (p, e)
+            assert peak < 8 << 20, (p, e, peak)
+
+
+def test_shared_prefixes_are_one_node_each(monkeypatch):
+    # Every composition of weight <= 5, shuffled and partly repeated, in
+    # one block: each distinct prefix of two or more parts (each of the 26
+    # compositions of weight <= 5 with two or more parts) costs one product.
+    comps = compositions_upto(5)
+    specs = [("mhs", c) for c in comps + comps[::3]]
+    random.Random(5).shuffle(specs)
+    t = PrefixTable.for_prime(97)
+    assert t.n < mhs._BLOCK
+    want = {spec: t.single_values([spec])[spec] for spec in specs}
+    products = []
+    times = mhs._PythonKernel.times
+
+    def counted(self, terms, cells):
+        products.append(1)
+        return times(self, terms, cells)
+
+    monkeypatch.setattr(mhs._PythonKernel, "times", counted)
+    assert t.single_values(specs) == want
+    assert len(products) == 26 == sum(len(c) >= 2 for c in comps)
 
 
 @pytest.mark.parametrize("p", PRIMES_BELOW_200)
