@@ -170,7 +170,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
             grid["nvalues"] = tuple(p - 1 for p in primes)
         if args.probes:
             # Refuse bad probes before the grid runs; the grid still prints first.
-            check_probes(args.probes, **_given(args, "nmax"))
+            check_probes(args.probes, smax=smax, **_given(args, "nmax"))
         reports = [run_thm31_suite(smax=smax, **grid)]
         if args.probes:
             probe = _given(args, "nmax", "seed")

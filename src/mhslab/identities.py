@@ -6,13 +6,15 @@ through the quasi-shuffle), and Theorem 3.1 are stated once, as data:
 thm21 and thm31 give both sides as products of single_values specs
 with integer coefficients.  One loop, _run, compares the sides exactly,
 for the grid suites and the random probes alike, with one
-single_values(specs, rows=True) pass per batch of exponent tuples:
-Theorem 2.1 per (s1, s2) with all its s3, Theorem 3.1 per (s1, s2, s3)
-with all its s4, and a probe on a table at its own n.  More exponent
-tuples than _MAX_TUPLES, or an upper index above EXACT_N_CAP, is refused
-before any row is built.  Every term of an identity has the same
-weight, so the sides are compared as raw-int numerators over one
-denominator; only reported instances carry Fractions.
+single_values(specs, at=ns) pass per batch of exponent tuples, which
+reads each spec at the compared upper indices ns only: Theorem 2.1 per
+(s1, s2) with all its s3 at every n up to nmax, Theorem 3.1 per
+(s1, s2, s3) with all its s4 at its n values, and a probe as a plain
+value pass on a table at its own n.  More exponent tuples than
+_MAX_TUPLES, or an upper index above EXACT_N_CAP, is refused before any
+table is built.  Every term of an identity has the same weight, so the
+sides are compared as raw-int numerators over one denominator; only
+reported instances carry Fractions.
 """
 
 from __future__ import annotations
@@ -100,18 +102,15 @@ def _cells(side: tuple, rows: dict) -> list:
 
 def _run(t: PrefixTable, identities: Callable, batches: Iterable, ns: Sequence, out: list) -> int:
     """Compare the sides of each identity that identities(*s) states, for
-    each tuple s of each batch, at the upper indices ns, with one pass of
-    rows on t per batch.  Appends to out, in (s, identity, n) order, an
+    each tuple s of each batch, at the upper indices ns, with one pass on
+    t per batch.  Appends to out, in (s, identity, n) order, an
     IdentityInstance wherever they differ.  Returns the points compared."""
-    whole = list(ns) == list(range(t.n + 1))  # then the rows are read as they come
     frac, points = t.to_fraction, 0
     for batch in batches:
         stated = [(s, identities(*s)) for s in batch]
         sides = [side for _, pairs in stated for pair in pairs.values() for side in pair]
         specs = dict.fromkeys(spec for side in sides for factors, _ in side for spec in factors)
-        rows = t.single_values(specs, rows=True)
-        if not whole:
-            rows = {spec: [row[n] for n in ns] for spec, row in rows.items()}
+        rows = t.single_values(specs, at=ns)
         for s, pairs in stated:
             w = sum(s)
             for identity, (lhs, rhs) in pairs.items():
@@ -141,16 +140,20 @@ def run_thm21_suite(smax: int = 4, nmax: int = 40) -> SuiteReport:
     return _grid("thm21", thm21, 3, smax, range(nmax + 1))
 
 
-def run_thm31_suite(smax: int = 3, nvalues: Sequence[int] = (4, 6, 10, 12)) -> SuiteReport:
+def run_thm31_suite(smax: int = 3, nvalues: Iterable[int] = (4, 6, 10, 12)) -> SuiteReport:
     """Verify the four-exponent relation on [1,smax]^4 at the given n."""
+    nvalues = tuple(nvalues)
     if smax < 1 or not nvalues or min(nvalues) < 0:
         raise ValueError("smax must be >= 1 and nvalues non-empty, >= 0")
     return _grid("thm31", thm31, 4, smax, nvalues)
 
 
-def check_probes(count: int, nmax: int = _PROBE_NMAX) -> None:
-    """Raise ValueError unless probe_thm31_random(count, nmax=nmax) can run,
-    so a caller that runs other work first can refuse bad probes up front."""
+def check_probes(count: int, nmax: int = _PROBE_NMAX, smax: int = 4) -> None:
+    """Raise ValueError unless probe_thm31_random(count, smax=smax,
+    nmax=nmax) can run, so a caller that runs other work first can refuse
+    bad probes up front."""
+    if smax < 1:
+        raise ValueError(f"smax must be >= 1, got {smax}")
     if count < 0:
         raise ValueError(f"probe count must be >= 0, got {count}")
     if nmax < 5:
@@ -166,7 +169,7 @@ def probe_thm31_random(
 ) -> SuiteReport:
     """Probe the four-exponent relation at random exponents and random
     upper indices n with n+1 composite (so n is never of the form p-1)."""
-    check_probes(count, nmax)
+    check_probes(count, nmax, smax)
     rng = random.Random(seed)
     composite_n = [n for n in range(4, nmax + 1) if not is_prime(n + 1)]
     failures: list[IdentityInstance] = []

@@ -14,17 +14,21 @@ objects appear only at the public boundary.
 
 A PrefixTable has one evaluation engine, single_values: one pass over j
 in blocks of _BLOCK indices that gives every spec's value at the table's
-upper index n or, with rows=True, its row over 0..n.  A spec is a kind
-and its exponents: ("mhs", parts) or ("weighted_sum", (s1, s2, s3[, s4])).
-The prefixes of the compositions and the harmonic factors (s,) of the
-weighted sums are the int nodes of one trie, keyed by (parent node, last
-part), and each keeps only a carry: its value at the start of the block.
-A block computes each j^(-s) and each H_j^(s) once, for every value that
-uses it, keeps a parent's row only until its last child has read it, and
-drops every row before the next block.  The value methods
-(weighted_sum2, weighted_sum3) and the row methods (harmonic_prefix,
-mhs_all, weighted_sum2_all, weighted_sum3_all) are one call of it each,
-and inv_powers(s) is the block powers j^(-s) over 1..n.  The one whole
+upper index n or, with at, its values at the asked upper indices.  A
+spec is a kind and its exponents: ("mhs", parts) or
+("weighted_sum", (s1, s2, s3[, s4])).  The prefixes of the compositions
+and the harmonic factors (s,) of the weighted sums are the int nodes of
+one trie, keyed by (parent node, last part), and each keeps only a
+carry: its value at the start of the block.  A block computes each
+j^(-s) and each H_j^(s) once, for every value that uses it, keeps a
+parent's row only until its last child has read it, and drops every row
+before the next block.  A value at a block's last index is the carry
+the block leaves; only a block that holds an asked index before its
+last builds the rows of its leaves and weighted sums, to pick those
+cells.  The value methods (weighted_sum2, weighted_sum3) and the row
+methods (harmonic_prefix, mhs_all, weighted_sum2_all, weighted_sum3_all,
+which ask for every index 0..n) are one call of it each, and
+inv_powers(s) is the block powers j^(-s) over 1..n.  The one whole
 row a table keeps is, in mod mode, the inverses 1/j mod p^e; exact mode
 computes (scale // j)^s block by block.
 
@@ -45,9 +49,9 @@ import; when that is the process's first import of numpy and no BLAS
 thread count is set, OpenBLAS loads single-threaded (_numpy).
 
 Inside a pass the rows stay in the kernel's form (int64 arrays on the
-numpy kernel).  A row becomes a list of Python ints only when a public
-row method hands it to a caller, and that list is always the caller's
-own: the kept inverse row is never lent.
+numpy kernel).  Cells become Python ints only when the kernel's pick
+hands the asked ones out, as a list that is always the caller's own:
+the kept inverse row is never lent.
 
 The table methods return raw ints and are what a caller shares to evaluate
 many sums at one upper index or prime.  The functions mhs_exact, mhs_mod,
@@ -65,6 +69,7 @@ import math
 import os
 import sys
 import threading
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, repeat
@@ -138,7 +143,9 @@ class _PythonKernel:
     carried row of P holds H(P; lo-1), the carry, and then H(P; j) for
     every j of the block.  times is the one product step: the terms
     j^(-s) H(P; j-1) of a prefix are times(j^(-s), the carried row of P),
-    whose last cell the shorter block of j^(-s) leaves unread.
+    whose last cell the shorter block of j^(-s) leaves unread.  pick is
+    the one way cells leave a kernel: H(P; j) is cell j - lo + 1 of the
+    carried row, its offset.
     """
 
     __slots__ = ("m",)
@@ -178,11 +185,11 @@ class _PythonKernel:
         total = carry + sum(terms)
         return total if self.m is None else total % self.m
 
-    def tolist(self, row: list[int]) -> list[int]:
-        """The row itself: every row this kernel hands on is a list built
-        for the call (the kept inverse row leaves the table only as a
-        slice), so the caller may edit it."""
-        return row
+    def pick(self, row: list[int], offsets: Sequence[int]) -> list[int]:
+        """The cells of row at the increasing offsets, as a fresh list the
+        caller may edit; a run of consecutive offsets is read as a slice."""
+        span = _span(offsets)
+        return row[span] if span else list(map(row.__getitem__, offsets))
 
 
 class _NumpyKernel:
@@ -197,7 +204,7 @@ class _NumpyKernel:
     numpy runs several times slower on int64.  The rows hold the same
     residues as the Python kernel's, which the tests check cell for cell.
     Blocks, terms, carried rows and the one product step, times, are as
-    for the Python kernel.
+    for the Python kernel, and so is pick.
     """
 
     __slots__ = ("np", "m")
@@ -297,9 +304,18 @@ class _NumpyKernel:
     def total(self, terms, carry: int = 0) -> int:
         return (carry + int(terms.sum())) % self.m
 
-    def tolist(self, row) -> list[int]:
-        """The row as a fresh list of Python ints, never numpy.int64."""
-        return row.tolist()
+    def pick(self, row, offsets: Sequence[int]) -> list[int]:
+        """As the Python kernel's, as Python ints, never numpy.int64."""
+        span = _span(offsets)
+        return (row[span] if span else row[offsets]).tolist()
+
+
+def _span(offsets: Sequence[int]) -> slice | None:
+    """The slice that reads the increasing offsets when they are
+    consecutive, else None."""
+    if offsets and offsets[-1] - offsets[0] == len(offsets) - 1:
+        return slice(offsets[0], offsets[-1] + 1)
+    return None
 
 
 def _reduce(x, m: int):
@@ -466,7 +482,7 @@ class PrefixTable:
         if s < 1:
             raise ValueError(f"exponent must be >= 1, got {s}")
         self._check_weight(s)
-        return [0] + self._k.tolist(self._block_powers(1, self.n + 1, (s,))[s])
+        return [0] + self._k.pick(self._block_powers(1, self.n + 1, (s,))[s], range(self.n))
 
     def harmonic_prefix(self, s: int) -> list[int]:
         """The row j -> H_j^(s), j = 0..n, as a fresh list."""
@@ -475,17 +491,17 @@ class PrefixTable:
     def mhs_all(self, parts: Iterable[int]) -> list[int]:
         """H(parts; m) for every m = 0..n, from one single_values pass."""
         spec = ("mhs", Composition(parts))
-        return self.single_values((spec,), rows=True)[spec]
+        return self.single_values((spec,), at=range(self.n + 1))[spec]
 
     def weighted_sum2_all(self, s1: int, s2: int, s3: int) -> list[int]:
         """sum_{j<=m} H_j^(s1) H_j^(s3) / j^(s2) for every m = 0..n."""
         spec = ("weighted_sum", (s1, s2, s3))
-        return self.single_values((spec,), rows=True)[spec]
+        return self.single_values((spec,), at=range(self.n + 1))[spec]
 
     def weighted_sum3_all(self, s1: int, s2: int, s3: int, s4: int) -> list[int]:
         """As weighted_sum2_all with a third harmonic factor H_j^(s4)."""
         spec = ("weighted_sum", (s1, s2, s3, s4))
-        return self.single_values((spec,), rows=True)[spec]
+        return self.single_values((spec,), at=range(self.n + 1))[spec]
 
     # -- single values -------------------------------------------------------
 
@@ -499,9 +515,13 @@ class PrefixTable:
             base = inv[lo:hi]
         return self._k.powers(base, exponents)
 
-    def single_values(self, specs: Iterable[tuple[str, tuple]], *, rows: bool = False) -> dict:
+    def single_values(
+        self, specs: Iterable[tuple[str, tuple]], *, at: Iterable[int] | None = None
+    ) -> dict:
         """The value at n of every spec, as a raw int keyed by the spec; with
-        rows, its row over every upper index 0..n instead, as a fresh list.
+        at, the upper indices to read, its values at those indices instead,
+        as a fresh list in the order given, repeats included.  An index
+        outside 0..n is a ValueError.
 
         A spec is a kind and its exponents, as a CheckMember's left side
         is written: ("mhs", parts) for H(parts; n), whose empty composition
@@ -513,14 +533,23 @@ class PrefixTable:
         _BLOCK indices.  The nonempty prefixes of the compositions and the
         harmonic factors (s,) are the nodes of one trie, numbered from 1
         depth first by walking the compositions in sorted order (node 0 is
-        the empty prefix), and each keeps only its carry.  In a block each
-        j^(-s) is computed once.  A node with children, or one a weighted
-        sum reads as H_j^(s), builds the block's carried row, which waits
-        until the node's last child takes it, so a chain holds two rows; a
-        leaf adds one dot product to its carry.  With rows, a leaf and a
-        weighted sum build the carried row too and append it to their row.
+        the empty prefix), and each keeps only its carry, its value at the
+        last index of the blocks done.  In a block each j^(-s) is computed
+        once.  A node with children, or one a weighted sum reads as
+        H_j^(s), builds the block's carried row, which waits until the
+        node's last child takes it, so a chain holds two rows; a leaf and a
+        weighted sum add one dot product to their carry.  A value asked
+        for at 0 or at a block's last index is read off the carries; only
+        a block that holds an asked index before its last has its leaves
+        and weighted sums build their carried rows, and picks those cells.
         """
         specs = list(dict.fromkeys(specs))
+        at = None if at is None else list(at)
+        wanted = set(at or ())
+        asked = sorted(wanted)
+        if asked and not 0 <= asked[0] <= asked[-1] <= self.n:
+            bad = asked[0] if asked[0] < 0 else asked[-1]
+            raise ValueError(f"upper index {bad} is outside 0..{self.n}")
         # spec -> its value at every upper index: 1 for the empty composition,
         # 0 for one of more than n parts.  Neither adds a node.
         constant: dict[tuple[str, tuple], int] = {}
@@ -554,29 +583,37 @@ class PrefixTable:
             ends[parts] = node
         leaf = {spec: ends[parts] for spec, parts in leaves.items()}
         hnodes = {ends[c] for c in factors}
-        wanted = set(leaf.values()) if rows else set()
         last = {parent: node for node, (parent, _) in enumerate(trie, 1)}  # parent -> last child
         exponents = {s for _, s in trie} | {s2 for s2, _ in wsums.values()}
         k = self._k
-        # The carry of every node and weighted sum, and with rows each
-        # asked-for row so far, from its cell at 0.  A weighted sum is keyed
-        # by its spec, a composition by its node.
+        # The carry of every node and weighted sum, and with at each asked
+        # cell so far of every leaf and weighted sum, in increasing index
+        # order.  A weighted sum is keyed by its spec, a composition by its
+        # node.
         carries = dict.fromkeys([*range(1, len(trie) + 1), *wsums], 0)
-        grown = {key: [0] for key in (*wanted, *wsums)} if rows else {}
+        cells = {}
+        if at is not None:
+            cells = {key: [0] if 0 in wanted else [] for key in (*leaf.values(), *wsums)}
         for lo in range(1, self.n + 1, _BLOCK):
-            ip = self._block_powers(lo, min(lo + _BLOCK, self.n + 1), exponents)
+            hi = min(lo + _BLOCK, self.n + 1)
+            ip = self._block_powers(lo, hi, exponents)
+            # 0 and a block's last index are read off the carries, and an
+            # asked index j before hi-1 as cell j - lo + 1 of the block's
+            # carried rows, its offset.
+            before = asked[bisect_left(asked, lo) : bisect_left(asked, hi - 1)]
+            picks = [j - lo + 1 for j in before]
             hrows = {}  # s -> H_j^(s) for the block's j
             waiting = {0: None}  # node -> its row, until its last child takes it
             for node, (parent, s) in enumerate(trie, 1):
                 prev = waiting.pop(parent) if last[parent] == node else waiting[parent]
                 terms = ip[s] if prev is None else k.times(ip[s], prev)
-                if node not in last and node not in hnodes and node not in wanted:
+                if node not in last and node not in hnodes and not (picks and node in cells):
                     carries[node] = k.total(terms, carries[node])
                     continue
                 row = k.prefix(terms, carries[node])
                 carries[node] = int(row[-1])
-                if node in wanted:
-                    grown[node] += k.tolist(row[1:])
+                if picks and node in cells:
+                    cells[node] += k.pick(row, picks)
                 if node in hnodes:
                     hrows[s] = row[1:]
                 if node in last:
@@ -585,15 +622,23 @@ class PrefixTable:
                 terms = ip[s2]
                 for s in harmonic:
                     terms = k.times(terms, hrows[s])
-                if rows:
+                if picks:
                     row = k.prefix(terms, carries[spec])
                     carries[spec] = int(row[-1])
-                    grown[spec] += k.tolist(row[1:])
+                    cells[spec] += k.pick(row, picks)
                 else:
                     carries[spec] = k.total(terms, carries[spec])
-        values = grown if rows else carries
-        values.update((spec, [v] * (self.n + 1) if rows else v) for spec, v in constant.items())
-        return {spec: values[leaf.get(spec, spec)] for spec in specs}
+            if hi - 1 in wanted:
+                for key, got in cells.items():
+                    got.append(carries[key])
+        if at is None:
+            carries.update(constant)
+            return {spec: carries[leaf.get(spec, spec)] for spec in specs}
+        cells.update((spec, [v] * len(asked)) for spec, v in constant.items())
+        if at != asked:  # out of order or repeated: reorder each key's cells
+            columns = [bisect_left(asked, j) for j in at]
+            cells = {key: list(map(got.__getitem__, columns)) for key, got in cells.items()}
+        return {spec: cells[leaf.get(spec, spec)] for spec in specs}
 
     def weighted_sum2(self, s1: int, s2: int, s3: int) -> int:
         """sum_{j<=n} H_j^(s1) H_j^(s3) / j^(s2) as a raw int."""

@@ -1,5 +1,7 @@
 """Polynomial identity suites for the two- and three-factor weighted sums."""
 
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -7,8 +9,9 @@ from itertools import product
 import pytest
 
 import mhslab.identities as identities
+import mhslab.mhs as mhs
 from mhslab.compositions import Composition
-from mhslab.exactnum import rational_to_residue
+from mhslab.exactnum import primes_in_range, rational_to_residue
 from mhslab.identities import (
     IdentityInstance,
     SuiteReport,
@@ -65,7 +68,7 @@ def test_suite_argument_validation(monkeypatch):
 
     # More exponent tuples than the cap are refused before any row is
     # built; the largest grids and probe count under it reach the rows.
-    def no_rows(self, specs, *, rows=False):
+    def no_rows(self, specs, *, at=None):
         raise AssertionError("built rows")
 
     monkeypatch.setattr(PrefixTable, "single_values", no_rows)
@@ -84,6 +87,19 @@ def test_suite_argument_validation(monkeypatch):
     ]:
         with pytest.raises(AssertionError, match="built rows"):
             run()
+
+
+def test_probes_refuse_smax_below_one():
+    # A probe with no exponent to draw is refused as the grids refuse it,
+    # not by random's randrange.
+    for run in (lambda: probe_thm31_random(3, smax=0), lambda: identities.check_probes(3, smax=0)):
+        with pytest.raises(ValueError, match="^smax must be >= 1, got 0$"):
+            run()
+
+
+def test_thm31_suite_reads_its_n_values_once():
+    # An iterator of n values is read once, not used up by its checks.
+    assert run_thm31_suite(3, iter([4, 6])) == run_thm31_suite(3, (4, 6))
 
 
 def test_check_probes_builds_no_table(monkeypatch):
@@ -128,25 +144,25 @@ def test_probe_is_deterministic():
 
 
 def _record_passes(monkeypatch) -> list:
-    """Record (rows, specs) for every single_values call from now on."""
+    """Record (at, specs) for every single_values call from now on."""
     passes = []
     original = PrefixTable.single_values
 
-    def spy(self, specs, *, rows=False):
+    def spy(self, specs, *, at=None):
         specs = list(specs)
-        passes.append((rows, specs))
-        return original(self, specs, rows=rows)
+        passes.append((at, specs))
+        return original(self, specs, at=at)
 
     monkeypatch.setattr(PrefixTable, "single_values", spy)
     return passes
 
 
 def test_thm21_builds_each_row_once(monkeypatch):
-    # One pass of rows per (s1, s2), for all its s3: each left row is asked
-    # for once, in the pass of its (s1, s2).
+    # One pass per (s1, s2), for all its s3, at every n of the grid: each
+    # left row is asked for once, in the pass of its (s1, s2).
     passes = _record_passes(monkeypatch)
     assert not run_thm21_suite(4, 10).failures
-    assert len(passes) == 4**2 and all(rows for rows, _ in passes)
+    assert len(passes) == 4**2 and all(list(at) == list(range(11)) for at, _ in passes)
     lefts = [args for _, specs in passes for kind, args in specs if kind == "weighted_sum"]
     assert sorted(lefts) == list(product(range(1, 5), repeat=3))
     for _, specs in passes:
@@ -154,14 +170,35 @@ def test_thm21_builds_each_row_once(monkeypatch):
 
 
 def test_thm31_builds_each_two_factor_row_once(monkeypatch):
-    # One pass of rows per (s1, s2, s3), for all its s4: the two-factor row
-    # is asked for once there, and each three-factor row once in the grid.
+    # One pass per (s1, s2, s3), for all its s4, at the suite's n values
+    # only: the two-factor row is asked for once there, and each
+    # three-factor row once in the grid.
     passes = _record_passes(monkeypatch)
     assert not run_thm31_suite(3, (4, 6, 10, 12)).failures
-    assert len(passes) == 3**3 and all(rows for rows, _ in passes)
+    assert len(passes) == 3**3 and all(list(at) == [4, 6, 10, 12] for at, _ in passes)
     asked = [spec for _, specs in passes for spec in dict.fromkeys(specs)]
     by_arity = Counter(len(args) for kind, args in asked if kind == "weighted_sum")
     assert by_arity[3] == 3**3 and by_arity[4] == 3**4
+
+
+def test_thm31_at_sparse_primes_holds_the_asked_cells(monkeypatch):
+    # At n = p - 1 for the 167 odd primes below 1000 the suite reads its
+    # seven specs at 167 of 998 upper indices.  In blocks of 64 indices it
+    # holds those cells, about one whole row of weight 4 in all, and a few
+    # block rows; reading the cells off whole rows over 0..997 peaked at
+    # six such rows.
+    monkeypatch.setattr(mhs, "_BLOCK", 64)
+    ns = [p - 1 for p in primes_in_range(3, 1000)]
+    row = PrefixTable.for_exact(max(ns)).weighted_sum3_all(1, 1, 1, 1)
+    row_bytes = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+    tracemalloc.start()
+    try:
+        rep = run_thm31_suite(1, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.points == len(ns) == 167 and not rep.failures
+    assert peak < 2 * row_bytes
 
 
 def test_eval_formal_sum_exact_and_mod():
@@ -221,18 +258,20 @@ def test_zero_coefficients_are_never_evaluated(monkeypatch):
 
 def _bump_cell_n(monkeypatch, arity):
     """Add 1 to the numerator of every weighted-sum spec of `arity`
-    exponents where the suites read it, cell n of its row on a table for
-    n: the row's cell, or the value."""
+    exponents where the suites read it, at the upper index n of a table
+    for n: each cell read at n, or the value."""
     original = PrefixTable.single_values
 
-    def bumped(self, specs, *, rows=False):
-        values = original(self, specs, rows=rows)
+    def bumped(self, specs, *, at=None):
+        at = None if at is None else list(at)
+        values = original(self, specs, at=at)
         for spec in values:
             if spec[0] == "weighted_sum" and len(spec[1]) == arity:
-                if rows:
-                    values[spec][self.n] += 1
-                else:
+                if at is None:
                     values[spec] += 1
+                else:
+                    for i, n in enumerate(at):
+                        values[spec][i] += n == self.n
         return values
 
     monkeypatch.setattr(PrefixTable, "single_values", bumped)

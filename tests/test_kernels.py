@@ -239,10 +239,10 @@ def test_internal_builds_never_convert_rows(monkeypatch):
     pytest.importorskip("numpy")
     monkeypatch.setattr(mhs, "_NUMPY_MIN_N", 0)
     kernels, conversions = [], []
-    kernel, tolist = mhs._kernel, mhs._NumpyKernel.tolist
+    kernel, pick = mhs._kernel, mhs._NumpyKernel.pick
     monkeypatch.setattr(mhs, "_kernel", lambda *a: kernels.append(kernel(*a)) or kernels[-1])
     monkeypatch.setattr(
-        mhs._NumpyKernel, "tolist", lambda *a, **k: conversions.append(a) or tolist(*a, **k)
+        mhs._NumpyKernel, "pick", lambda *a, **k: conversions.append(a) or pick(*a, **k)
     )
     for check in ("homog-vanishing-modp2", "cor-sun-modp-even-zero", "h5h4-over-j3"):
         assert congruences.run_check(check, 4099).status == "pass"
@@ -305,7 +305,7 @@ def test_numpy_single_values_across_block_boundaries(monkeypatch, p, block):
         assert t.inv_powers(1) == ref.inv_powers(1)
         got = t.single_values(NUMPY_SPECS)
         assert got == ref.single_values(NUMPY_SPECS) and ints(got.values())
-        rows = t.single_values(NUMPY_SPECS, rows=True)
+        rows = t.single_values(NUMPY_SPECS, at=range(p))
         for spec in NUMPY_SPECS:
             row = rows[spec]
             assert len(row) == p and row[p - 1] == got[spec], (e, spec)

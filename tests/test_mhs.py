@@ -119,7 +119,7 @@ def test_more_parts_than_the_upper_index_build_no_prefixes():
     tracemalloc.start()
     try:
         assert mhs_exact(ones[1], 3) == 0
-        assert t.single_values([ones], rows=True) == {ones: [0, 0, 0, 0]}
+        assert t.single_values([ones], at=range(4)) == {ones: [0, 0, 0, 0]}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -129,7 +129,7 @@ def test_more_parts_than_the_upper_index_build_no_prefixes():
     for t in (PrefixTable.for_exact(6), PrefixTable.for_prime(7, 2)):
         for parts in ((1,) * 6, (2, 1, 3, 1, 1, 2)):
             spec = ("mhs", parts)
-            assert t.single_values([spec], rows=True)[spec] == reference_row(t, spec)
+            assert t.single_values([spec], at=range(t.n + 1))[spec] == reference_row(t, spec)
             assert t.single_values([spec])[spec] == reference_row(t, spec)[-1]
     # the weight is still checked first
     with pytest.raises(ValueError, match="exceeds cap"):
@@ -475,6 +475,29 @@ def test_trie_chain_holds_at_most_two_rows():
     assert peak(chain) < peak([(1, 1, 1)]) + row_bytes // 2
 
 
+def test_trie_walks_interleaved_chains_in_sorted_order():
+    # Six compositions in three chains, given with the chains interleaved.
+    # Walked in sorted order, (1,1,1,1) and (1,1,1,2) are siblings one after
+    # the other, so the parent (1,1,1) hands its block row on at once; walked
+    # as given, each of the three parents holds its row until the second
+    # pass over the chains, two more rows than the sorted walk at its peak.
+    t = PrefixTable.for_prime(10007, 2)
+    t.inv_powers(1)
+
+    def peak(comps):
+        tracemalloc.start()
+        try:
+            t.single_values(("mhs", c) for c in comps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak([(1, 1, 1, 1)])
+    row = peak([(1, 1, 1, 1), (1, 1, 1, 2)]) - one  # one more block row
+    six = [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (1, 1, 1, 2), (2, 2, 2, 3), (3, 3, 3, 1)]
+    assert peak(six) < one + 3 * row
+
+
 def test_wilson_theorem_gives_the_longest_composition():
     # H({1}^(p-1); p-1) = 1/(p-1)!, so its residue is the inverse of
     # (p-1)! mod p^e, which is -1 mod p by Wilson's theorem.  The walk
@@ -582,7 +605,7 @@ def assert_single_values_are_the_last_cells(t, specs=BLOCK_SPECS, *, each_all=Tr
     tests/test_one_engine.py pins each to one single_values call, so tests
     that walk many tables in tiny blocks ask for them on a sample only."""
     got = t.single_values(specs)
-    rows = t.single_values(specs, rows=True)
+    rows = t.single_values(specs, at=range(t.n + 1))
     assert list(got) == list(rows) == list(dict.fromkeys(specs))
     for spec in specs:
         want = reference_row(t, spec)
@@ -621,6 +644,54 @@ def test_single_values_across_block_boundaries(monkeypatch, block):
                 t = PrefixTable.for_prime(p, e)
                 assert isinstance(t._k, mhs._NumpyKernel)
                 assert_single_values_are_the_last_cells(t, specs, each_all=p == 59)
+
+
+# Upper indices to read on a table for n = 58 in blocks of 8 indices, whose
+# last indices are 8, 16, ..., 56 and 58: inside one block, at a block's
+# last index, on both sides of a boundary, at 0 and at n, out of order and
+# repeated, none at all, and every index both ways round.
+AT_58 = [
+    [3],
+    [5, 3],
+    [8],
+    [16, 8, 56],
+    [7, 8, 9],
+    [17, 15, 16],
+    [0],
+    [58],
+    [58, 0],
+    [57, 3, 57, 0, 9, 3, 58, 8],
+    [],
+    range(59),
+    range(58, -1, -1),
+]
+
+
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+def test_at_reads_the_asked_cells(monkeypatch, kernel):
+    # Each spec's list holds its cells at the asked indices, in the order
+    # given, as Python ints; an index outside 0..n is refused.
+    monkeypatch.setattr(mhs, "_BLOCK", 8)
+    tables = [PrefixTable.for_exact(58)]
+    if kernel == "numpy":
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(mhs, "_NUMPY_MIN_N", 0)
+        tables = []
+    tables += [PrefixTable.for_prime(59, e) for e in (1, 2, 3)]
+    specs = SHARED_SPECS + BLOCK_SPECS
+    kernel_class = mhs._NumpyKernel if kernel == "numpy" else mhs._PythonKernel
+    for t in tables:
+        assert isinstance(t._k, kernel_class)
+        rows = {spec: reference_row(t, spec) for spec in specs}
+        for at in AT_58:
+            got = t.single_values(specs, at=at)
+            assert list(got) == list(rows)
+            for spec, row in rows.items():
+                assert got[spec] == [row[j] for j in at], (t.modulus, at, spec)
+                assert all(type(v) is int for v in got[spec])
+        for bad, message in [([-1], "-1"), ([59], "59"), ([3, 59, 0], "59")]:
+            with pytest.raises(ValueError, match=f"^upper index {message} is outside 0..58$"):
+                t.single_values(specs, at=bad)
 
 
 def test_single_values_take_duplicates_and_refuse_unknown_specs():
